@@ -180,6 +180,8 @@ fi
 echo "ci: machine.rs facade at $MACHINE_LINES lines (gate: 400)"
 
 echo "== ci: parallel determinism (--jobs 1 vs --jobs 2, byte-identical outputs)"
+# On a 2-core host this also compares sharded against inline fig05: one
+# worker gives fig05's point sweep both cores, two workers leave it one.
 FIG_TMP=$(mktemp -d)
 T0=$(date +%s)
 "$BIN" --scale 256 --reps 1 --jobs 1 >/dev/null
@@ -262,6 +264,9 @@ if [ ! -f target/figures/fig05.json ]; then
     echo "ci: FAIL — figures before the failure must still be emitted" >&2
     exit 1
 fi
+
+echo "== ci: benchmark self-test (a flipped digest must exit 1, retagged goldens exit 2)"
+python3 perfbench/run.py --self-test
 
 echo "== ci: service tail smoke (byte-identical across two runs and --jobs 1 vs 2)"
 SVC_TMP=$(mktemp -d)

@@ -13,17 +13,8 @@
 //! outcome of every registered job lands in
 //! `target/figures/manifest.json` (schema `sgx-bench-manifest/1`).
 //!
-//! Options:
-//!   `--full` / `--reps N` / `--scale N`   profile selection (as before)
-//!   `--jobs N`                            worker threads (default: all cores)
-//!   `--only id[,id...]`                   run only the named jobs
-//!   `--skip id[,id...]`                   exclude the named jobs
-//!   `--retry-failed`                      `--only` = failed ids of the last manifest
-//!   `--profile`                           collect per-phase cycle attribution and
-//!                                         write `<id>.profile.json` / `.profile.svg`
-//!   `--list`                              print registered job ids and exit
-//!   `--normalize-manifest FILE`           print FILE with seconds zeroed and exit
-//!                                         (for determinism byte-diffs)
+//! The options are listed in [`USAGE`], which `--help` prints; an
+//! unknown option exits 2 before any job runs.
 
 use std::process::ExitCode;
 
@@ -35,10 +26,25 @@ use sgx_bench_core::RunOpts;
 
 const MANIFEST_PATH: &str = "target/figures/manifest.json";
 
+const USAGE: &str = "\
+usage: all_figures [options]
+  --full | --reps N | --scale N   profile selection
+  --jobs N|max                    worker threads (default: all cores)
+  --only id[,id...]               run only the named jobs
+  --skip id[,id...]               exclude the named jobs
+  --retry-failed                  --only = failed ids of the last manifest
+  --profile                       collect per-phase cycle attribution and
+                                  write <id>.profile.json / .profile.svg
+  --list                          print registered job ids and exit
+  --normalize-manifest FILE       print FILE with seconds zeroed and exit
+                                  (for determinism byte-diffs)
+  --help                          print this text and exit";
+
 /// Everything the harness-specific flags parse into; the remainder of
-/// argv goes to `RunOpts::parse_from` (which ignores what it does not
+/// argv goes to `RunOpts::parse_from` (which rejects what it does not
 /// know).
 struct HarnessArgs {
+    help: bool,
     filter: JobFilter,
     jobs: usize,
     list: bool,
@@ -50,6 +56,7 @@ struct HarnessArgs {
 
 fn parse_harness_args(args: impl IntoIterator<Item = String>) -> Result<HarnessArgs, String> {
     let mut parsed = HarnessArgs {
+        help: false,
         filter: JobFilter::default(),
         jobs: default_jobs(),
         list: false,
@@ -84,6 +91,7 @@ fn parse_harness_args(args: impl IntoIterator<Item = String>) -> Result<HarnessA
                 let val = it.next().ok_or_else(|| "--normalize-manifest needs a file".to_string())?;
                 parsed.normalize = Some(val);
             }
+            "--help" | "-h" => parsed.help = true,
             "--list" => parsed.list = true,
             "--retry-failed" => parsed.retry_failed = true,
             "--profile" => parsed.profile = true,
@@ -101,6 +109,12 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    if args.help {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    // Parsed before any mode runs, so an unknown option always exits 2.
+    let opts = RunOpts::parse_from(std::mem::take(&mut args.rest));
     if let Some(path) = &args.normalize {
         // Normalization mode: reprint an existing manifest with timing
         // noise removed, for byte-identity comparisons.
@@ -152,7 +166,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    let profile = RunOpts::parse_from(args.rest).profile();
+    let profile = opts.profile();
     eprintln!(
         "profile: {} (data 1/{}, {} reps, {} jobs)",
         profile.hw.name, profile.data_div, profile.reps, args.jobs

@@ -136,39 +136,43 @@ pub fn ablation_swwcb(p: &BenchProfile) -> Figure {
                         starts[g + 1] = starts[g] + counts[g];
                     }
                     let per = n.div_ceil(threads);
-                    let mut worker_offsets: Vec<Vec<usize>> = Vec::with_capacity(threads);
-                    let mut running = starts[..fanout].to_vec();
-                    for w in 0..threads {
-                        worker_offsets.push(running.clone());
-                        for i in (w * per).min(n)..((w + 1) * per).min(n) {
-                            running[(src.peek(i).key & mask) as usize] += 1;
-                        }
-                    }
                     let cores: Vec<usize> = (0..threads).collect();
+                    // Per-worker write-combining scratch. The direct variant
+                    // never reads it, but still allocates it so the arrays
+                    // after it keep their simulated addresses; the filter
+                    // drops its host buffers at once.
                     let mut wcb_counts: Vec<SimVec<u32>> =
-                        (0..threads).map(|_| m.alloc(fanout)).collect();
+                        (0..threads).map(|_| m.alloc(fanout)).filter(|_| wcb).collect();
                     let mut wcb_bufs: Vec<SimVec<Row>> =
-                        (0..threads).map(|_| m.alloc(fanout * 8)).collect();
+                        (0..threads).map(|_| m.alloc(fanout * 8)).filter(|_| wcb).collect();
                     // The direct variant keeps its partition cursors in a
-                    // charged array of the same shape.
-                    let mut cursor_vecs: Vec<SimVec<u32>> =
-                        (0..threads).map(|_| m.alloc(fanout)).collect();
-                    for (w, cv) in cursor_vecs.iter_mut().enumerate() {
-                        for g in 0..fanout {
-                            cv.poke(g, worker_offsets[w][g] as u32);
-                        }
-                    }
+                    // charged array of the same shape (the last allocation,
+                    // so the write-combining variant skips it).
+                    let mut cursor_vecs: Vec<SimVec<u32>> = if wcb {
+                        Vec::new()
+                    } else {
+                        (0..threads).map(|_| m.alloc(fanout)).collect()
+                    };
+                    // A worker's cursors start past every earlier worker's
+                    // rows. `parallel` runs each worker once, in core order,
+                    // so one running array yields every worker's start.
+                    let mut running = starts[..fanout].to_vec();
+                    let mut offsets = vec![0usize; fanout];
                     let before = m.wall_cycles();
                     m.parallel(&cores, |c| {
                         let w = c.worker();
                         let range = (w * per).min(n)..((w + 1) * per).min(n);
+                        offsets.copy_from_slice(&running);
+                        for i in range.clone() {
+                            running[(src.peek(i).key & mask) as usize] += 1;
+                        }
                         if wcb {
                             sgx_joins::rho::seq_scatter(
                                 c,
                                 &src,
                                 range,
                                 &mut dst,
-                                &mut worker_offsets[w],
+                                &mut offsets,
                                 &mut wcb_counts[w],
                                 &mut wcb_bufs[w],
                                 0,
@@ -176,15 +180,11 @@ pub fn ablation_swwcb(p: &BenchProfile) -> Figure {
                                 false,
                             );
                         } else {
-                            seq_scatter_direct(
-                                c,
-                                &src,
-                                range,
-                                &mut dst,
-                                &mut cursor_vecs[w],
-                                0,
-                                mask,
-                            );
+                            let cursors = &mut cursor_vecs[w];
+                            for (g, &at) in offsets.iter().enumerate() {
+                                cursors.poke(g, at as u32);
+                            }
+                            seq_scatter_direct(c, &src, range, &mut dst, cursors, 0, mask);
                         }
                     });
                     let cycles = m.wall_cycles() - before;

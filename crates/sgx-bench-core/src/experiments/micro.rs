@@ -1,8 +1,9 @@
 //! Micro-benchmark experiments: Figs 5 and 7.
 
 use crate::profiles::BenchProfile;
-use crate::repeat;
-use crate::report::Figure;
+use crate::report::{Figure, Stat};
+use crate::sweep::sweep;
+use crate::{rep_seeds, repeat};
 use sgx_microbench::{histogram_bench, pointer_chase, random_write, HistKernel};
 use sgx_sim::Setting;
 
@@ -24,6 +25,10 @@ fn fig05_sizes(p: &BenchProfile) -> Vec<(String, usize)> {
 
 /// Fig 5: random read (pointer chasing) and random write performance in
 /// the enclave relative to the plain CPU, across array sizes.
+///
+/// Every (kernel, size, repetition, setting) point builds one machine of
+/// its own, so the points run as one `crate::sweep` and can share the
+/// host's cores; the figure, counters and profile equal a sequential run's.
 pub fn fig05_random_access(p: &BenchProfile) -> Figure {
     let sizes = fig05_sizes(p);
     let mut fig = Figure::new(
@@ -34,33 +39,45 @@ pub fn fig05_random_access(p: &BenchProfile) -> Figure {
     )
     .with_xs(sizes.iter().map(|(l, _)| l.clone()));
 
-    let steps = 150_000u64;
-    let reads = sizes
-        .iter()
-        .map(|&(_, bytes)| {
-            Some(repeat(p.reps, |seed| {
-                let native = pointer_chase(p.hw.clone(), Setting::PlainCpu, bytes, steps, seed);
-                let sgx =
-                    pointer_chase(p.hw.clone(), Setting::SgxDataInEnclave, bytes, steps, seed);
-                native.cycles / sgx.cycles
-            }))
+    // The points in the order a sequential loop builds their machines:
+    // every pointer chase, then every random write; within a kernel by
+    // size, then repetition, then plain CPU before enclave.
+    let points: Vec<(bool, usize, u64, Setting)> = [false, true]
+        .into_iter()
+        .flat_map(|write| {
+            sizes.iter().flat_map(move |&(_, bytes)| {
+                rep_seeds(p.reps).flat_map(move |seed| {
+                    [Setting::PlainCpu, Setting::SgxDataInEnclave]
+                        .map(|setting| (write, bytes, seed, setting))
+                })
+            })
         })
         .collect();
-    fig.push_series("random reads (pointer chase)", reads);
+    let cycles = sweep(
+        &points,
+        |&(_, bytes, _, _)| bytes,
+        |&(write, bytes, seed, setting)| {
+            if write {
+                random_write(p.hw.clone(), setting, bytes, 1_000_000, seed).cycles
+            } else {
+                pointer_chase(p.hw.clone(), setting, bytes, 150_000, seed).cycles
+            }
+        },
+    );
 
-    let writes = sizes
-        .iter()
-        .map(|&(_, bytes)| {
-            Some(repeat(p.reps, |seed| {
-                let native =
-                    random_write(p.hw.clone(), Setting::PlainCpu, bytes, 1_000_000, seed);
-                let sgx =
-                    random_write(p.hw.clone(), Setting::SgxDataInEnclave, bytes, 1_000_000, seed);
-                native.cycles / sgx.cycles
-            }))
-        })
-        .collect();
-    fig.push_series("random writes (LCG)", writes);
+    // One chunk per (kernel, size): each repetition's (native, enclave).
+    let mut per_size = cycles.chunks_exact(2 * rep_seeds(p.reps).count());
+    for label in ["random reads (pointer chase)", "random writes (LCG)"] {
+        let series = per_size
+            .by_ref()
+            .take(sizes.len())
+            .map(|runs| {
+                let rel: Vec<f64> = runs.chunks_exact(2).map(|pair| pair[0] / pair[1]).collect();
+                Some(Stat::from_runs(&rel))
+            })
+            .collect();
+        fig.push_series(label, series);
+    }
     fig.note("paper: in-cache parity; reads bottom out near 53%, writes below 40%");
     fig
 }

@@ -44,6 +44,7 @@ pub mod profiles;
 pub mod report;
 pub mod runner;
 pub mod simbench;
+mod sweep;
 
 pub use percentile::Histogram;
 pub use profiles::{BenchProfile, RunOpts};
@@ -74,9 +75,14 @@ pub mod prelude {
 /// Run `f` `reps` times with distinct seeds and aggregate the returned
 /// metric (the paper reports arithmetic mean and standard deviation over
 /// 10 runs).
-pub fn repeat(reps: usize, mut f: impl FnMut(u64) -> f64) -> Stat {
-    let runs: Vec<f64> = (0..reps.max(1)).map(|r| f(0xC0FFEE + r as u64)).collect();
+pub fn repeat(reps: usize, f: impl FnMut(u64) -> f64) -> Stat {
+    let runs: Vec<f64> = rep_seeds(reps).map(f).collect();
     Stat::from_runs(&runs)
+}
+
+/// The seeds [`repeat`] passes, in order: one per repetition, at least one.
+pub(crate) fn rep_seeds(reps: usize) -> impl Iterator<Item = u64> {
+    (0..reps.max(1) as u64).map(|r| 0xC0FFEE + r)
 }
 
 #[cfg(test)]

@@ -26,7 +26,12 @@ impl Default for RunOpts {
 }
 
 impl RunOpts {
+    /// The options [`RunOpts::parse_from`] accepts, as `--help` prints them.
+    pub const USAGE: &'static str = "options: --full | --reps N | --scale N";
+
     /// Parse `--full`, `--reps N`, `--scale N` from an argument iterator.
+    /// `--help` prints [`RunOpts::USAGE`] and exits 0; an unknown option or
+    /// a bad value exits 2.
     pub fn parse_from<I: IntoIterator<Item = String>>(args: I) -> RunOpts {
         let mut opts = RunOpts::default();
         let mut it = args.into_iter();
@@ -46,9 +51,13 @@ impl RunOpts {
                     });
                 }
                 "--help" | "-h" => {
-                    eprintln!("options: --full | --reps N | --scale N");
+                    println!("{}", RunOpts::USAGE);
+                    std::process::exit(0);
                 }
-                other => eprintln!("ignoring unknown option {other}"),
+                other => {
+                    eprintln!("error: unknown option {other} ({})", RunOpts::USAGE);
+                    std::process::exit(2);
+                }
             }
         }
         opts

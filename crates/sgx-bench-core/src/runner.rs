@@ -22,7 +22,14 @@
 //! one job runs wholly on one worker thread. The manifest's `seconds`
 //! field is the only legitimately nondeterministic output; determinism
 //! comparisons use [`Manifest::normalized`] which zeroes it.
+//!
+//! A job may share its independent points among helper threads through
+//! `crate::sweep`, which folds the helpers' counter sessions back into
+//! the worker's before it returns. Its thread budget (`sweep_threads`)
+//! splits the host's cores among the registry's workers, so a run never
+//! has more busy threads than cores.
 
+use std::cell::Cell;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 // Wall-clock timing feeds the manifest's `seconds` diagnostics only,
@@ -146,6 +153,25 @@ pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
+/// Stack size of every harness thread: experiments were sized for the
+/// main thread.
+pub(crate) const WORKER_STACK: usize = 16 << 20;
+
+thread_local! {
+    /// Sweep thread budget of a registry worker; 0 outside the registry.
+    static SWEEP_BUDGET: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Threads a sweep started on this thread may use in total, itself
+/// included: `max(1, N / W)` on a worker of a [`run_registry`] call with
+/// `W` workers, and `N` anywhere else, where `N` is [`default_jobs`].
+pub(crate) fn sweep_threads() -> usize {
+    match SWEEP_BUDGET.with(Cell::get) {
+        0 => default_jobs(),
+        budget => budget,
+    }
+}
+
 /// Run every selected registry job on `cfg.jobs` worker threads and
 /// return one [`JobOutcome`] per registered job, in registry order.
 ///
@@ -157,18 +183,21 @@ pub fn default_jobs() -> usize {
 ///
 /// The calling thread participates as a worker (and is the only worker
 /// for `jobs <= 1`). The caller's own thread-local measurement state —
-/// counter session, profile session, and profiling flag — is saved on
-/// entry and restored on exit, so an open outer measurement session
-/// survives a registry run intact.
+/// counter session, profile session, profiling flag and sweep budget — is
+/// saved on entry and restored on exit, so an open outer measurement
+/// session survives a registry run intact.
 pub fn run_registry(registry: &[FigureJob], profile: &BenchProfile, cfg: &RunConfig) -> Vec<JobOutcome> {
     let saved_counters = sgx_sim::counters::session_take();
     let saved_profile = sgx_sim::profile::session_take();
     let saved_enabled = sgx_sim::profile::enabled();
+    let saved_budget = SWEEP_BUDGET.with(Cell::get);
     let selected: Vec<usize> =
         (0..registry.len()).filter(|&i| cfg.filter.selects(registry[i].id)).collect();
     let workers = cfg.jobs.max(1).min(selected.len().max(1));
+    let budget = (default_jobs() / workers).max(1);
     let cursor = AtomicUsize::new(0);
     let drain = || {
+        SWEEP_BUDGET.with(|b| b.set(budget));
         let mut mine: Vec<(usize, JobOutcome)> = Vec::new();
         loop {
             let k = cursor.fetch_add(1, Ordering::Relaxed);
@@ -182,9 +211,8 @@ pub fn run_registry(registry: &[FigureJob], profile: &BenchProfile, cfg: &RunCon
     std::thread::scope(|s| {
         let mut handles = Vec::new();
         for _ in 1..workers {
-            // Generous stacks: experiments were sized for the main thread.
             let spawned = std::thread::Builder::new()
-                .stack_size(16 << 20)
+                .stack_size(WORKER_STACK)
                 .spawn_scoped(s, || drain());
             match spawned {
                 Ok(h) => handles.push(h),
@@ -206,6 +234,7 @@ pub fn run_registry(registry: &[FigureJob], profile: &BenchProfile, cfg: &RunCon
     // Restore the caller's measurement state: every job drained the
     // session of the thread it ran on (including this one), so absorbing
     // the saved sessions back reinstates them exactly.
+    SWEEP_BUDGET.with(|b| b.set(saved_budget));
     sgx_sim::profile::set_enabled(saved_enabled);
     sgx_sim::profile::session_absorb(&saved_profile);
     sgx_sim::counters::session_absorb(&saved_counters);
@@ -635,6 +664,29 @@ mod tests {
             format!("{:?}", on2[0].profile),
             "profiles must be identical across --jobs values"
         );
+    }
+
+    fn budget_job(_profile: &BenchProfile) -> Vec<Figure> {
+        let mut f = Figure::new("budget", "sweep budget probe", "x", "threads");
+        f.notes.push(sweep_threads().to_string());
+        vec![f]
+    }
+
+    #[test]
+    fn sweep_budget_splits_the_cores_among_workers() {
+        let reg = [FigureJob { id: "a", run: budget_job }, FigureJob { id: "b", run: budget_job }];
+        let profile = BenchProfile::tiny();
+        let budgets = |jobs: usize| -> Vec<String> {
+            run_registry(&reg, &profile, &RunConfig { jobs, ..RunConfig::default() })
+                .iter()
+                .map(|o| o.figures[0].notes[0].clone())
+                .collect()
+        };
+        let n = default_jobs();
+        assert_eq!(budgets(1), vec![n.to_string(); 2], "one worker may use every core");
+        assert_eq!(budgets(2), vec![(n / 2).max(1).to_string(); 2]);
+        assert_eq!(budgets(8), vec![(n / 2).max(1).to_string(); 2], "two jobs make two workers");
+        assert_eq!(sweep_threads(), n, "the budget ends with the registry run");
     }
 
     #[test]

@@ -25,18 +25,20 @@ impl ChaseResult {
 }
 
 /// Fill `v` with a single random cycle over all its slots (Sattolo's
-/// algorithm), so a chase visits every element exactly once per lap.
+/// algorithm), so a chase visits every element exactly once per lap. The
+/// swaps run in place on `v`, so setup needs no second array.
 pub fn build_cycle(v: &mut SimVec<u64>, seed: u64) {
     let n = v.len();
-    let mut perm: Vec<u64> = (0..n as u64).collect();
+    for i in 0..n {
+        v.poke(i, i as u64);
+    }
     let mut rng = StdRng::seed_from_u64(seed);
     // Sattolo: single-cycle permutation.
     for i in (1..n).rev() {
         let j = rng.random_range(0..i);
-        perm.swap(i, j);
-    }
-    for i in 0..n {
-        v.poke(i, perm[i]);
+        let (vi, vj) = (v.peek(i), v.peek(j));
+        v.poke(i, vj);
+        v.poke(j, vi);
     }
 }
 
@@ -101,6 +103,29 @@ mod tests {
         }
         assert_eq!(idx, 0, "walk must return to the start");
         assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
+    fn in_place_cycle_matches_the_permutation_construction() {
+        // Reference: the same swaps on a host Vec, copied in afterwards.
+        fn via_perm(n: usize, seed: u64) -> Vec<u64> {
+            let mut perm: Vec<u64> = (0..n as u64).collect();
+            let mut rng = StdRng::seed_from_u64(seed);
+            for i in (1..n).rev() {
+                let j = rng.random_range(0..i);
+                perm.swap(i, j);
+            }
+            perm
+        }
+        let mut m = Machine::new(scaled_profile(), Setting::PlainCpu);
+        for n in [1, 2, 3, 17, 1024, 4099] {
+            for seed in [0, 1, 42, 0xC0FFEE] {
+                let mut v = m.alloc::<u64>(n);
+                build_cycle(&mut v, seed);
+                let got: Vec<u64> = (0..n).map(|i| v.peek(i)).collect();
+                assert_eq!(got, via_perm(n, seed), "n={n} seed={seed}");
+            }
+        }
     }
 
     #[test]
