@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# Full local CI: build, tests, model-integrity lint, and an end-to-end
+# Full local CI: build, rustdoc, tests, model-integrity lint, and an end-to-end
 # smoke of the resilient all_figures harness — including a negative check
 # that an injected figure failure is isolated, recorded in the manifest,
 # and turned into a nonzero exit.
@@ -10,6 +10,9 @@ cd "$(dirname "$0")"
 
 echo "== ci: cargo build --release"
 cargo build --release
+
+echo "== ci: rustdoc (warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 echo "== ci: cargo test -q"
 cargo test -q
@@ -268,7 +271,11 @@ fi
 echo "== ci: benchmark self-test (a flipped digest must exit 1, retagged goldens exit 2)"
 python3 perfbench/run.py --self-test
 
-echo "== ci: service tail smoke (byte-identical across two runs and --jobs 1 vs 2)"
+# With `--only <one job>`, run_registry clamps the worker count to the
+# number of selected jobs, so both runs below use one worker whatever
+# `--jobs` says: this smoke and the storage-path one are two-run
+# determinism checks. integration_equivalence.rs covers `--jobs 4`.
+echo "== ci: service tail smoke (byte-identical across two runs)"
 SVC_TMP=$(mktemp -d)
 "$BIN" --only ext_service_tail --scale 256 --reps 1 --jobs 1 >/dev/null
 mkdir -p "$SVC_TMP/run1"
@@ -277,7 +284,7 @@ cp target/figures/ext_service_tail*.json "$SVC_TMP/run1/"
 for f in "$SVC_TMP"/run1/*.json; do
     name=$(basename "$f")
     if ! cmp -s "$f" "target/figures/$name"; then
-        echo "ci: FAIL — $name differs across service-tail runs/--jobs" >&2
+        echo "ci: FAIL — $name differs between two service-tail runs" >&2
         exit 1
     fi
 done
@@ -297,7 +304,7 @@ if "$SB" --scale 256 --overload 8 --no-admission --expect-shedding >/dev/null 2>
 fi
 rm -rf "$SVC_TMP"
 
-echo "== ci: storage path smoke (byte-identical across two runs and --jobs 1 vs 4)"
+echo "== ci: storage path smoke (byte-identical across two runs)"
 STO_TMP=$(mktemp -d)
 "$BIN" --only ext_storage_path --scale 256 --reps 1 --jobs 1 >/dev/null
 mkdir -p "$STO_TMP/run1"
@@ -306,7 +313,7 @@ cp target/figures/ext_storage_path*.json "$STO_TMP/run1/"
 for f in "$STO_TMP"/run1/*.json; do
     name=$(basename "$f")
     if ! cmp -s "$f" "target/figures/$name"; then
-        echo "ci: FAIL — $name differs across storage-path runs/--jobs" >&2
+        echo "ci: FAIL — $name differs between two storage-path runs" >&2
         exit 1
     fi
 done

@@ -9,9 +9,9 @@
 //!
 //! 1. **Calibrate.** For each stress point (AEX interrupt rate or EPC
 //!    pressure level) and each setting (native / enclave), run the four
-//!    §6 TPC-H plans as resumable [`ServiceJob`]s on a real
-//!    [`Machine`] with that fault profile installed, recording exact
-//!    per-operator cycles — every cost the service model uses was
+//!    §6 TPC-H plans through [`run_query`] on a real [`Machine`] with
+//!    that fault profile installed, keeping the exact per-operator
+//!    cycles of `QueryStats::ops` — every cost the service model uses was
 //!    charged through the simulator's `Core::commit(Charge)` choke
 //!    point and is covered by its conservation tests.
 //! 2. **Serve.** Feed those [`CostTable`]s to the deterministic
@@ -32,7 +32,7 @@ use sgx_serve::{
     ServiceConfig, ServiceOutcome, TenantSpec,
 };
 use sgx_sim::{FaultProfile, Machine, OcallFaults, Setting};
-use sgx_tpch::{cost_estimate, generate, Query, QueryConfig, ServiceJob, TpchDb};
+use sgx_tpch::{cost_estimate, generate, run_query, Query, QueryConfig, TpchDb};
 use std::collections::BTreeMap;
 
 /// AEX interrupt rates swept, per million cycles (0 = calm baseline).
@@ -75,19 +75,11 @@ fn db_bytes(db: &TpchDb) -> usize {
     4 * (3 * cust + 3 * ord + 11 * li + 4 * part + 25)
 }
 
-/// Run one plan stepwise and return its exact per-operator cycle costs.
+/// Run one plan and return its exact per-operator cycle costs, each
+/// clamped to at least one cycle.
 fn measure_steps(m: &mut Machine, db: &TpchDb, q: Query, threads: usize, optimized: bool) -> Vec<u64> {
     let cfg = QueryConfig::new(threads).with_optimization(optimized);
-    let mut job = ServiceJob::new(q, cfg);
-    let mut steps = Vec::with_capacity(ServiceJob::steps_total(q));
-    loop {
-        let r = job.step(m, db);
-        steps.push((r.cycles.max(0.0) as u64).max(1));
-        if r.done {
-            break;
-        }
-    }
-    steps
+    run_query(m, db, q, &cfg).ops.iter().map(|&(_, c)| (c.max(0.0) as u64).max(1)).collect()
 }
 
 /// Calibrate a [`CostTable`] for one (setting, stress point): real plans,

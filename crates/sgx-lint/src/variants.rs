@@ -329,7 +329,7 @@ const RULE_ANCHORS: [&str; 29] = [
 
 /// Is `name` off-limits for renaming? Keywords, rule anchors, narrowing
 /// target types, slice consumers, fallible-call names, `try_*`, anything
-/// counter-ish ([`crate::engine::counter_ish`] — `cycles`, `*_bytes`,
+/// counter-ish (`crate::engine::counter_ish` — `cycles`, `*_bytes`,
 /// `elapsed`, …), and `*Kind` event enums (the des-invariant totality
 /// check scopes by that suffix).
 pub fn protected(name: &str) -> bool {

@@ -3,9 +3,9 @@
 //! Reusable implementations of the micro-benchmarks the paper uses to
 //! isolate SGXv2 overheads:
 //!
-//! * [`pointer_chase`] — dependent random reads (pmbw pointer chasing,
+//! * [`pointer_chase`](fn@pointer_chase) — dependent random reads (pmbw pointer chasing,
 //!   §4.1, Fig 5 left),
-//! * [`random_write`] — independent random 8-byte stores driven by an LCG
+//! * [`random_write`](fn@random_write) — independent random 8-byte stores driven by an LCG
 //!   (§4.1, Fig 5 right),
 //! * [`histogram_bench`] — the radix-histogram kernel in naive, manually
 //!   unrolled, and SIMD-unrolled forms (§4.2, Fig 7, Listings 1/2),

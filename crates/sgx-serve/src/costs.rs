@@ -1,8 +1,9 @@
 //! Per-class plan costs the scheduler prices work with.
 //!
 //! The DES never invents service times: a [`CostTable`] is calibrated by
-//! running the real stepped plans ([`sgx_tpch::ServiceJob`]) on a real
-//! [`sgx_sim::Machine`] under the stress point being studied, so every
+//! running the real plans ([`sgx_tpch::run_query`]) on a real
+//! [`sgx_sim::Machine`] under the stress point being studied and keeping
+//! their per-operator cycles ([`sgx_tpch::QueryStats::ops`]), so every
 //! cycle here was charged through the simulator's commit choke point.
 //! [`CostTable::synthetic`] exists for standalone tools and tests that
 //! need plausible, fixed numbers without running a calibration.
@@ -86,7 +87,7 @@ impl CostTable {
     }
 
     /// A fixed, plausible table for standalone tools: step counts match
-    /// the real plans ([`sgx_tpch::ServiceJob::steps_total`]), costs are
+    /// the real plans ([`sgx_tpch::Query::steps_total`]), costs are
     /// arbitrary-but-stable cycles scaled by `scale`, and the degraded
     /// variant is uniformly ~25% cheaper.
     pub fn synthetic(scale: u64) -> CostTable {
@@ -99,7 +100,7 @@ impl CostTable {
             (Query::Q19, &[70, 160, 230, 90]),
         ];
         for (q, steps) in base {
-            assert_eq!(steps.len(), sgx_tpch::ServiceJob::steps_total(q));
+            assert_eq!(steps.len(), q.steps_total());
             let normal: Vec<u64> = steps.iter().map(|s| s * scale * 1_000).collect();
             let degraded: Vec<u64> = normal.iter().map(|s| s * 3 / 4).collect();
             let estimate = normal.iter().sum();
@@ -120,7 +121,7 @@ mod tests {
         assert_eq!(classes.len(), 4);
         for q in Query::all() {
             let c = t.get(q).expect("class present");
-            assert_eq!(c.normal_steps.len(), sgx_tpch::ServiceJob::steps_total(q));
+            assert_eq!(c.normal_steps.len(), q.steps_total());
             assert_eq!(c.degraded_steps.len(), c.normal_steps.len());
             assert!(c.total(PlanVariant::Degraded) < c.total(PlanVariant::Normal));
             assert!(c.estimate > 0);

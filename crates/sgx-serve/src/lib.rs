@@ -14,7 +14,7 @@
 //! * **admission control** with deterministic load shedding — queue-full
 //!   and deadline-infeasible rejections, counted per tenant;
 //! * **per-query deadlines** enforced at submission, dispatch, and every
-//!   operator boundary of the resumable [`sgx_tpch::ServiceJob`] plans;
+//!   operator boundary of the calibrated per-step plan costs;
 //! * **retry with bounded exponential backoff** for steps killed by
 //!   injected transient faults, reusing [`sgx_sim::OcallFaults`]
 //!   semantics (same failure stream, same capped doubling schedule);
@@ -23,7 +23,7 @@
 //!   plan variant (result-identical, proven in `sgx-tpch`).
 //!
 //! Service times come from a [`CostTable`] calibrated by actually running
-//! the stepped plans on a [`sgx_sim::Machine`] under a fault profile (see
+//! the plans on a [`sgx_sim::Machine`] under a fault profile (see
 //! the `ext_service_tail` experiment in `sgx-bench-core`), so every cycle
 //! the service accounts for was charged through the simulator's
 //! `Core::commit(Charge)` choke point. The simulation itself is pure

@@ -159,7 +159,7 @@ impl Cache {
     ///
     /// Reuses the line's own way if it is somehow present already (spilled
     /// victims can race their own earlier copies), else places at
-    /// [`Cache::victim_way`].
+    /// `Cache::victim_way`.
     #[inline]
     pub fn insert(&mut self, line: u64, dirty: bool) -> Evicted {
         let base = self.base_of(line);

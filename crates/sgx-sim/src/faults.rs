@@ -108,7 +108,7 @@ impl OcallFaults {
 
     /// Deterministically decide how many transient failures an attempt
     /// stream starting at index `k` suffers, mirroring the engine's
-    /// [`FaultEngine::plan_ocall`] semantics exactly: one uniform draw per
+    /// `FaultEngine::plan_ocall` semantics exactly: one uniform draw per
     /// attempt, bounded by `max_retries`, with the final forced-through
     /// attempt still consuming a draw. Returns the retry count; the stream
     /// position always advances by `retries + 1` indices, so external

@@ -18,7 +18,7 @@
 //!
 //! * [`core`](self) — pipeline aggregation (ILP/MLP pooling, issue groups,
 //!   dependency chains), branch and compute charges, phase orchestration
-//!   and the per-core busy clocks. Owns the [`core::Charge`] choke point:
+//!   and the per-core busy clocks. Owns the `core::Charge` choke point:
 //!   every layer commits cycles through `Core::commit`, which is the only
 //!   place (besides the fault engine's own exempt path) that advances the
 //!   busy clock and ticks the fault engine.

@@ -13,7 +13,7 @@
 //! ## Conservation
 //!
 //! Counter attribution works by snapshot deltas: the per-machine
-//! [`ProfCtx`] remembers the last-seen [`Counters`] and flushes the
+//! `ProfCtx` remembers the last-seen [`Counters`] and flushes the
 //! field-wise difference into the current phase bucket at every phase
 //! transition (and at machine drop). The deltas telescope, so the sum of
 //! the per-phase counters equals the machine's end-of-run totals
@@ -42,7 +42,7 @@
 //! function of the job, byte-identical at any `--jobs` value.
 //!
 //! When profiling is disabled (the default) a machine carries no
-//! [`ProfCtx`] and every commit pays a single `Option` branch.
+//! `ProfCtx` and every commit pays a single `Option` branch.
 
 use crate::counters::Counters;
 use std::cell::{Cell, RefCell};

@@ -19,7 +19,6 @@ pub mod compress;
 pub mod gen;
 pub mod ops;
 pub mod queries;
-pub mod service;
 pub mod sort;
 pub mod storage;
 
@@ -29,10 +28,10 @@ pub use aggregate::{
 pub use compress::{DictColumn, RleColumn};
 pub use gen::{date, generate, TpchDb};
 pub use queries::{
-    q1_pricing_summary, q6_forecast_revenue, reference_count, reference_q10_revenue,
-    reference_q3_topk, run_query, Query, QueryConfig, QueryStats, Q3_TOP_K,
+    cost_estimate, q1_pricing_summary, q6_forecast_revenue, reference_count,
+    reference_q10_revenue, reference_q3_topk, run_query, Query, QueryConfig, QueryStats,
+    ESTIMATE_SPREAD_TOLERANCE, Q3_TOP_K,
 };
-pub use service::{cost_estimate, ServiceJob, StepReport, ESTIMATE_SPREAD_TOLERANCE};
 pub use sort::{external_merge_sort, reference_sort, SortRow, SortStats};
 pub use storage::{
     clustered_column, reference_storage_query, reference_unseal, seal_column, storage_path_query,

@@ -4,6 +4,8 @@
 //! `count(*)` materialization; Q3 and Q10 go further (ROADMAP item 3)
 //! and run the plan tail the paper elides — grouped revenue aggregation
 //! and an ordered (top-k) result through the external merge sort.
+//! [`cost_estimate`] prices each plan from table cardinalities alone, for
+//! the service model's admission control.
 
 use crate::aggregate::group_sum_tuples;
 use crate::gen::{
@@ -47,6 +49,17 @@ impl Query {
             Query::Q10 => "Q10",
             Query::Q12 => "Q12",
             Query::Q19 => "Q19",
+        }
+    }
+
+    /// Number of operator steps in the plan: the length of
+    /// [`QueryStats::ops`] that [`run_query`] returns for this query.
+    pub fn steps_total(self) -> usize {
+        match self {
+            Query::Q3 => 9,
+            Query::Q10 => 11,
+            Query::Q12 => 3,
+            Query::Q19 => 4,
         }
     }
 }
@@ -101,9 +114,7 @@ pub fn run_query(machine: &mut Machine, db: &TpchDb, q: Query, cfg: &QueryConfig
 }
 
 /// RHO join sized for the build side, materializing unless `count_only`.
-/// Shared with the stepped service plans in [`crate::service`] so both
-/// execution styles price the join identically.
-pub(crate) fn join(
+fn join(
     machine: &mut Machine,
     build: &SimVec<Row>,
     probe: &SimVec<Row>,
@@ -121,8 +132,8 @@ pub(crate) fn join(
 
 /// The materialized tuple table of a join executed with
 /// `count_only = false`. One checked accessor shared by every plan
-/// (monolithic and stepped) instead of a copy-pasted `expect` per site.
-pub(crate) fn materialized_output(j: &JoinStats) -> &SimVec<JoinTuple> {
+/// instead of a copy-pasted `expect` per site.
+fn materialized_output(j: &JoinStats) -> &SimVec<JoinTuple> {
     // sgx-lint: allow(panic-in-library) join() always materializes when asked; a None output is a simulator bug, not an input condition
     j.output.as_ref().expect("materializing join returns output")
 }
@@ -140,8 +151,7 @@ fn gather_revenue(c: &mut sgx_sim::Core, db: &TpchDb, line_idx: usize) -> u64 {
 /// Q3 step: order the co⋈l join output by orderkey through the external
 /// merge sort (`SortRow { key: orderkey, tag: lineitem row id }`), so
 /// the revenue aggregation can run as a streaming per-group fold.
-/// Shared with [`crate::service`]'s stepped plan.
-pub(crate) fn q3_sort_step(
+fn q3_sort_step(
     machine: &mut Machine,
     cfg: &QueryConfig,
     j2: &JoinStats,
@@ -161,7 +171,7 @@ pub(crate) fn q3_sort_step(
 /// groups. Emits `SortRow { key: !revenue, tag: orderkey }` (bitwise
 /// complement, so an ascending sort yields revenue-descending order with
 /// orderkey-ascending ties) and returns `(groups, group_count, cycles)`.
-pub(crate) fn q3_agg_step(
+fn q3_agg_step(
     machine: &mut Machine,
     db: &TpchDb,
     sorted: &SimVec<SortRow>,
@@ -202,7 +212,7 @@ pub(crate) fn q3_agg_step(
 
 /// Q3 step: order the revenue groups (external sort again — group count
 /// is data-dependent) and stream out the top [`Q3_TOP_K`].
-pub(crate) fn q3_topk_step(
+fn q3_topk_step(
     machine: &mut Machine,
     cfg: &QueryConfig,
     groups: &SimVec<SortRow>,
@@ -226,7 +236,7 @@ pub(crate) fn q3_topk_step(
 /// the nation row (== nationkey), revenue gathered per lineitem row id.
 /// The radix-histogram pattern of §4.2, so `cfg.optimized` batches the
 /// counter updates exactly like [`crate::aggregate::group_count`].
-pub(crate) fn q10_agg_step(
+fn q10_agg_step(
     machine: &mut Machine,
     db: &TpchDb,
     cfg: &QueryConfig,
@@ -250,7 +260,7 @@ pub(crate) fn q10_agg_step(
 
 /// Q10 step: order the (at most 32) per-nation sums by revenue
 /// descending, dropping empty groups.
-pub(crate) fn q10_order_step(
+fn q10_order_step(
     machine: &mut Machine,
     cfg: &QueryConfig,
     sums: &[u64],
@@ -281,9 +291,10 @@ pub(crate) fn q10_order_step(
     (out, machine.wall_cycles() - start)
 }
 
-/// TPC-H Q3 (simplified): `count(*)` of
+/// TPC-H Q3 (simplified): the top-[`Q3_TOP_K`] orders by revenue over
 /// customer(BUILDING) ⋈ orders(o_orderdate < 1995-03-15)
-/// ⋈ lineitem(l_shipdate > 1995-03-15).
+/// ⋈ lineitem(l_shipdate > 1995-03-15), in [`QueryStats::grouped`];
+/// `count` is the join cardinality.
 pub fn q3(machine: &mut Machine, db: &TpchDb, cfg: &QueryConfig) -> QueryStats {
     let cores = &cfg.cores;
     let cutoff = date(1995, 3, 15);
@@ -357,8 +368,9 @@ pub fn q3(machine: &mut Machine, db: &TpchDb, cfg: &QueryConfig) -> QueryStats {
     QueryStats { count: j2.matches, grouped, wall_cycles: machine.wall_cycles() - start, ops }
 }
 
-/// TPC-H Q10 (simplified): `count(*)` of
-/// customer ⋈ orders(one quarter) ⋈ lineitem(R) ⋈ nation.
+/// TPC-H Q10 (simplified): revenue per nation, descending, over
+/// customer ⋈ orders(one quarter) ⋈ lineitem(R) ⋈ nation, in
+/// [`QueryStats::grouped`]; `count` is the join cardinality.
 pub fn q10(machine: &mut Machine, db: &TpchDb, cfg: &QueryConfig) -> QueryStats {
     let cores = &cfg.cores;
     let (lo, hi) = (date(1993, 10, 1), date(1994, 1, 1));
@@ -616,6 +628,46 @@ pub fn q19(machine: &mut Machine, db: &TpchDb, cfg: &QueryConfig) -> QueryStats 
     QueryStats { count, grouped: Vec::new(), wall_cycles: machine.wall_cycles() - start, ops }
 }
 
+/// Deterministic admission-control cost estimate for one plan, in
+/// abstract work units that are monotone in the plan's simulated cycles.
+///
+/// Derived from table cardinalities only — never executes anything, so
+/// admission control can price a queue's backlog in O(1) per entry. Scan
+/// operators cost one unit per input row; join operators cost
+/// `per_join_row` units per row fed into a radix partition + build/probe
+/// (the §4.2 optimized variant streams partitions more cheaply, which is
+/// what makes it the degraded-mode plan of choice); the Q3/Q10 ordered
+/// tails cost `per_sorted_row` units per join-output row driven through
+/// the external sort + revenue aggregation.
+pub fn cost_estimate(db: &TpchDb, q: Query, optimized: bool) -> f64 {
+    let li = db.lineitem_len() as f64;
+    let ord = db.orders.orderkey.len() as f64;
+    let cust = db.customer.custkey.len() as f64;
+    let part = db.part.partkey.len() as f64;
+    let nation = db.nation.nationkey.len() as f64;
+    // (rows scanned, rows through joins, rows through sort+aggregate);
+    // selectivities are the paper's fixed predicates, hard-coded as
+    // coarse fractions.
+    let (scanned, joined, sorted) = match q {
+        Query::Q3 => (cust + ord + li, 0.2 * cust + 0.5 * ord + 0.55 * li, 0.3 * li),
+        Query::Q10 => (cust + ord + li + nation, cust + 0.05 * ord + 0.3 * li + nation, 0.25 * li),
+        Query::Q12 => (ord + li, ord + 0.01 * li, 0.0),
+        Query::Q19 => (part + li, 0.05 * part + 0.02 * li, 0.0),
+    };
+    let per_join_row = if optimized { 3.0 } else { 4.0 };
+    let per_sorted_row = 3.0;
+    scanned + joined * per_join_row + sorted * per_sorted_row
+}
+
+/// Largest estimate-vs-actual spread admission control tolerates: the
+/// max/min ratio of `wall_cycles / cost_estimate` across every plan
+/// variant must stay below this bound, because sgx-serve's calibration
+/// derives ONE cycles-per-unit factor for the whole query table — a
+/// plan whose ratio drifts outside the band is silently mis-priced.
+/// A test in this module keeps the estimate honest as plans grow new
+/// steps.
+pub const ESTIMATE_SPREAD_TOLERANCE: f64 = 3.0;
+
 /// TPC-H Q1-style pricing summary (reproduction extension): scan LINEITEM
 /// with the shipdate predicate and aggregate `count(*)` grouped by
 /// `(returnflag, shipmode)` — the aggregation operator the paper's
@@ -857,15 +909,15 @@ mod tests {
     use sgx_sim::Setting;
 
 
-    fn setup(sf: f64) -> (Machine, TpchDb) {
-        let mut m = Machine::new(scaled_profile(), Setting::PlainCpu);
+    fn setup(sf: f64, setting: Setting) -> (Machine, TpchDb) {
+        let mut m = Machine::new(scaled_profile(), setting);
         let db = generate(&mut m, sf, 42);
         (m, db)
     }
 
     #[test]
     fn all_queries_match_reference_counts() {
-        let (mut m, db) = setup(0.005);
+        let (mut m, db) = setup(0.005, Setting::PlainCpu);
         for q in Query::all() {
             let stats = run_query(&mut m, &db, q, &QueryConfig::new(4));
             let expected = reference_count(&db, q);
@@ -881,7 +933,7 @@ mod tests {
 
     #[test]
     fn q3_and_q10_produce_verified_ordered_outputs() {
-        let (mut m, db) = setup(0.005);
+        let (mut m, db) = setup(0.005, Setting::PlainCpu);
         for threads in [1usize, 4] {
             for optimized in [false, true] {
                 let cfg = QueryConfig::new(threads).with_optimization(optimized);
@@ -907,7 +959,7 @@ mod tests {
 
     #[test]
     fn q19_returns_rows_at_larger_scale() {
-        let (mut m, db) = setup(0.08);
+        let (mut m, db) = setup(0.08, Setting::PlainCpu);
         let stats = run_query(&mut m, &db, Query::Q19, &QueryConfig::new(8));
         assert_eq!(stats.count, reference_count(&db, Query::Q19));
         assert!(stats.count > 0, "Q19 should match some rows at SF 0.08");
@@ -915,7 +967,7 @@ mod tests {
 
     #[test]
     fn optimization_does_not_change_results() {
-        let (mut m, db) = setup(0.005);
+        let (mut m, db) = setup(0.005, Setting::PlainCpu);
         for q in Query::all() {
             let plain = run_query(&mut m, &db, q, &QueryConfig::new(4));
             let opt = run_query(&mut m, &db, q, &QueryConfig::new(4).with_optimization(true));
@@ -925,8 +977,47 @@ mod tests {
     }
 
     #[test]
+    fn degraded_variant_is_result_identical_and_cheaper_in_enclave() {
+        // The service's degrade policy swaps in the §4.2-optimized plan:
+        // it must never change answers, and must actually be cheaper
+        // where it is used (in the enclave). Each run gets a fresh
+        // machine and database so neither plan inherits warm caches.
+        for q in Query::all() {
+            let run = |optimized: bool| {
+                let (mut m, db) = setup(0.005, Setting::SgxDataInEnclave);
+                run_query(&mut m, &db, q, &QueryConfig::new(4).with_optimization(optimized))
+            };
+            let (normal, degraded) = (run(false), run(true));
+            assert_eq!(normal.count, degraded.count, "{}: degraded plan changed count", q.label());
+            assert_eq!(normal.grouped, degraded.grouped, "{}: degraded plan reordered", q.label());
+            assert!(
+                degraded.wall_cycles < normal.wall_cycles,
+                "{}: optimized plan must be cheaper in the enclave ({} vs {})",
+                q.label(),
+                degraded.wall_cycles,
+                normal.wall_cycles
+            );
+        }
+    }
+
+    #[test]
+    fn run_query_reports_one_op_per_plan_step() {
+        // The service's cost table is calibrated from `QueryStats::ops`,
+        // one entry per step of `Query::steps_total`.
+        let (mut m, db) = setup(0.003, Setting::PlainCpu);
+        for q in Query::all() {
+            for optimized in [false, true] {
+                let cfg = QueryConfig::new(2).with_optimization(optimized);
+                let stats = run_query(&mut m, &db, q, &cfg);
+                assert_eq!(stats.ops.len(), q.steps_total(), "{} optimized={optimized}", q.label());
+                assert!(stats.ops.iter().all(|&(_, c)| c >= 0.0), "{}", q.label());
+            }
+        }
+    }
+
+    #[test]
     fn single_thread_matches_multi_thread() {
-        let (mut m, db) = setup(0.003);
+        let (mut m, db) = setup(0.003, Setting::PlainCpu);
         for q in Query::all() {
             let one = run_query(&mut m, &db, q, &QueryConfig::new(1));
             let many = run_query(&mut m, &db, q, &QueryConfig::new(8));
@@ -969,7 +1060,7 @@ mod tests {
 
     #[test]
     fn q6_extension_matches_reference_and_scans_at_parity() {
-        let (mut m, db) = setup(0.01);
+        let (mut m, db) = setup(0.01, Setting::PlainCpu);
         let stats = q6_forecast_revenue(&mut m, &db, &QueryConfig::new(8));
         assert_eq!(stats.count, reference_q6(&db));
         assert!(stats.count > 0);
@@ -993,7 +1084,7 @@ mod tests {
 
     #[test]
     fn q1_extension_matches_reference() {
-        let (mut m, db) = setup(0.005);
+        let (mut m, db) = setup(0.005, Setting::PlainCpu);
         for optimized in [false, true] {
             let (stats, counts) = q1_pricing_summary(
                 &mut m,
@@ -1009,12 +1100,65 @@ mod tests {
 
     #[test]
     fn query_ops_breakdown_present() {
-        let (mut m, db) = setup(0.003);
+        let (mut m, db) = setup(0.003, Setting::PlainCpu);
         let stats = q3(&mut m, &db, &QueryConfig::new(2));
         let names: Vec<&str> = stats.ops.iter().map(|(n, _)| *n).collect();
         assert!(names.contains(&"sel customer"));
         assert!(names.contains(&"join c⋈o"));
         let op_sum: f64 = stats.ops.iter().map(|(_, c)| c).sum();
         assert!(op_sum <= stats.wall_cycles * 1.01);
+    }
+
+    #[test]
+    fn cost_estimate_is_deterministic_and_monotone() {
+        let (mut m, _) = setup(0.001, Setting::PlainCpu);
+        let small = generate(&mut m, 0.004, 7);
+        let large = generate(&mut m, 0.008, 7);
+        for q in Query::all() {
+            let c = cost_estimate(&small, q, false);
+            assert!(c > 0.0);
+            assert_eq!(c, cost_estimate(&small, q, false), "pure function");
+            assert!(
+                cost_estimate(&large, q, false) > c,
+                "{}: estimate must grow with data",
+                q.label()
+            );
+            assert!(
+                cost_estimate(&small, q, true) < c,
+                "{}: degraded plan must estimate cheaper",
+                q.label()
+            );
+        }
+        // The heaviest plan (Q10: three joins over the largest inputs)
+        // must estimate above the lightest (Q19: two selective scans).
+        assert!(cost_estimate(&small, Query::Q10, false) > cost_estimate(&small, Query::Q19, false));
+    }
+
+    #[test]
+    fn cost_estimate_tracks_actual_cycles_within_admission_tolerance() {
+        // Admission control calibrates one cycles-per-unit factor across
+        // all plan variants; the estimate only works if the actual/estimate
+        // ratio stays inside a bounded band for EVERY variant — including
+        // the Q3/Q10 sort + aggregation tails.
+        let (mut m, db) = setup(0.005, Setting::SgxDataInEnclave);
+        let mut ratios: Vec<(String, f64)> = Vec::new();
+        for q in Query::all() {
+            for optimized in [false, true] {
+                let cfg = QueryConfig::new(4).with_optimization(optimized);
+                let stats = run_query(&mut m, &db, q, &cfg);
+                let est = cost_estimate(&db, q, optimized);
+                ratios.push((format!("{} optimized={optimized}", q.label()), stats.wall_cycles / est));
+            }
+        }
+        let (mut lo, mut hi) = (f64::INFINITY, 0.0f64);
+        for &(_, r) in &ratios {
+            lo = lo.min(r);
+            hi = hi.max(r);
+        }
+        assert!(
+            hi / lo < ESTIMATE_SPREAD_TOLERANCE,
+            "estimate-vs-actual spread {:.2} exceeds admission tolerance {ESTIMATE_SPREAD_TOLERANCE}: {ratios:?}",
+            hi / lo
+        );
     }
 }
