@@ -255,13 +255,10 @@ pub fn ext_packed_scan(p: &BenchProfile) -> Figure {
                 Some(repeat(p.reps, |seed| {
                     let mut m = Machine::new(p.hw.clone(), setting);
                     let mut x = seed | 1;
-                    let vals: Vec<u32> = (0..n)
-                        .map(|_| {
-                            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                            ((x >> 33) as u32) & ((1u32 << bits.min(31)) - 1)
-                        })
-                        .collect();
-                    let col = PackedColumn::pack(&mut m, &vals, bits);
+                    let col = PackedColumn::pack_with(&mut m, n, bits, |_| {
+                        x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                        ((x >> 33) as u32) & ((1u32 << bits.min(31)) - 1)
+                    });
                     let cores: Vec<usize> = (0..threads).collect();
                     let (_, cycles) = packed_scan_count(&mut m, &col, 1, 100, &cores);
                     n as f64 / (cycles / (p.hw.freq_ghz * 1e9)) / 1e9

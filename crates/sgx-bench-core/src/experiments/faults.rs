@@ -12,10 +12,11 @@
 //! `transitions` counter) plus the L1/TLB refill on resume.
 
 use crate::profiles::BenchProfile;
-use crate::repeat;
+use crate::rep_seeds;
 use crate::report::{Figure, Stat};
+use crate::sweep::sweep;
 use sgx_joins::rho::rho_join;
-use sgx_joins::{gen_fk_relation, gen_pk_relation, JoinConfig};
+use sgx_joins::{gen_fk_relation, gen_pk_relation, JoinConfig, Row};
 use sgx_scans::{column_scan, ScanConfig, ScanOutput};
 use sgx_sim::{Counters, FaultProfile, Machine, Setting};
 
@@ -85,6 +86,9 @@ fn scan_run(p: &BenchProfile, setting: Setting, rate: f64, seed: u64) -> (f64, C
 
 /// Tentpole experiment: join + scan throughput vs AEX interrupt rate,
 /// native vs enclave, normalized per series to its calm (rate-0) mean.
+///
+/// Every run builds one machine of its own, so all of them, the two
+/// attribution runs included, go through one `crate::sweep`.
 pub fn ext_aex_storm(p: &BenchProfile) -> Figure {
     let mut fig = Figure::new(
         "ext_aex_storm",
@@ -94,12 +98,46 @@ pub fn ext_aex_storm(p: &BenchProfile) -> Figure {
     )
     .with_xs(RATES_PER_MCYCLE.iter().map(|r| format!("{r:.0}")));
     type Runner = fn(&BenchProfile, Setting, f64, u64) -> (f64, Counters);
-    let workloads: [(&str, Runner); 2] = [("join", join_run), ("scan", scan_run)];
-    for (wname, runner) in workloads {
-        for setting in [Setting::PlainCpu, Setting::SgxDataInEnclave] {
-            let raw: Vec<Stat> = RATES_PER_MCYCLE
-                .iter()
-                .map(|&rate| repeat(p.reps, |seed| 1.0 / runner(p, setting, rate, seed).0))
+    // Each workload's input bytes size its runs for the sweep's claims.
+    let join_bytes = (p.rel_rows(100) + p.rel_rows(400)) * std::mem::size_of::<Row>();
+    let workloads: [(&str, Runner, usize); 2] =
+        [("join", join_run, join_bytes), ("scan", scan_run, p.mb(1024))];
+    let settings = [Setting::PlainCpu, Setting::SgxDataInEnclave];
+    let last = RATES_PER_MCYCLE.len() - 1;
+    // The attribution runs repeat the enclave join calm and stormed with
+    // one fixed seed.
+    let attribution_seed = 0xC0FFEE;
+
+    // The runs in the order a sequential loop builds their machines: by
+    // workload, setting, rate and repetition, then the two attribution
+    // runs.
+    let mut runs: Vec<(Runner, usize, Setting, f64, u64)> = workloads
+        .iter()
+        .flat_map(|&(_, runner, bytes)| {
+            settings.into_iter().flat_map(move |setting| {
+                RATES_PER_MCYCLE.iter().flat_map(move |&rate| {
+                    rep_seeds(p.reps).map(move |seed| (runner, bytes, setting, rate, seed))
+                })
+            })
+        })
+        .collect();
+    runs.extend([0.0, RATES_PER_MCYCLE[last]].map(|rate| {
+        (join_run as Runner, join_bytes, Setting::SgxDataInEnclave, rate, attribution_seed)
+    }));
+    let results = sweep(
+        &runs,
+        |&(_, bytes, ..)| bytes,
+        |&(runner, _, setting, rate, seed)| runner(p, setting, rate, seed),
+    );
+    let (storm_runs, attribution) = results.split_at(results.len() - 2);
+
+    let mut per_rate = storm_runs.chunks_exact(rep_seeds(p.reps).count());
+    for (wname, ..) in workloads {
+        for setting in settings {
+            let raw: Vec<Stat> = per_rate
+                .by_ref()
+                .take(RATES_PER_MCYCLE.len())
+                .map(|reps| Stat::from_runs(&reps.iter().map(|r| 1.0 / r.0).collect::<Vec<_>>()))
                 .collect();
             // Normalize to the calm baseline so the two workloads share an
             // axis and the figure reads as "fraction of calm throughput".
@@ -113,7 +151,6 @@ pub fn ext_aex_storm(p: &BenchProfile) -> Figure {
     }
 
     // Shape assertions: the enclave collapses first, and super-linearly.
-    let last = RATES_PER_MCYCLE.len() - 1;
     let val = |fig: &Figure, label: &str, i: usize| -> f64 {
         fig.series_by_label(label).and_then(|s| s.points[i]).map_or(f64::NAN, |st| st.mean)
     };
@@ -139,14 +176,12 @@ pub fn ext_aex_storm(p: &BenchProfile) -> Figure {
         );
     }
 
-    // Attribution: re-run the enclave join calm and stormed with one fixed
-    // seed and show the wall-time delta is carried by the transitions
-    // counter (each AEX = 2 crossings; refill and backoff come on top).
-    let seed = 0xC0FFEE;
+    // Attribution: the enclave join calm and stormed with one fixed seed;
+    // the wall-time delta must be carried by the transitions counter (each
+    // AEX = 2 crossings; refill and backoff come on top).
     let threads = 16.min(p.hw.cores_per_socket) as f64;
-    let (calm_cycles, calm) = join_run(p, Setting::SgxDataInEnclave, 0.0, seed);
-    let (storm_cycles, storm) =
-        join_run(p, Setting::SgxDataInEnclave, RATES_PER_MCYCLE[last], seed);
+    let (calm_cycles, calm) = &attribution[0];
+    let (storm_cycles, storm) = &attribution[1];
     let aex = storm.aex_events - calm.aex_events;
     assert!(aex > 0, "the top storm rate must deliver AEX events");
     assert!(

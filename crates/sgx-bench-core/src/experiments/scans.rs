@@ -1,8 +1,9 @@
 //! Scan experiments: Figs 12–16.
 
 use crate::profiles::BenchProfile;
-use crate::repeat;
-use crate::report::Figure;
+use crate::report::{Figure, Stat};
+use crate::sweep::sweep;
+use crate::{rep_seeds, repeat};
 use sgx_scans::linear::{linear_read, linear_write, LinearConfig, Width};
 use sgx_scans::{column_scan, gen_column, ScanConfig, ScanOutput};
 use sgx_sim::{Machine, Setting};
@@ -71,8 +72,13 @@ pub fn fig13_scan_scaling(p: &BenchProfile) -> Figure {
 
 /// Fig 14: index-materializing scan under increasing selectivity (write
 /// rate up to 800%), 16 threads.
+///
+/// Every (setting, selectivity, repetition) point builds one machine of
+/// its own, and the scan keeps its indexes only as a digest, so the points
+/// run as one `crate::sweep`.
 pub fn fig14_selectivity(p: &BenchProfile) -> Figure {
     let sels = [(1u8, "1%"), (25, "10%"), (127, "50%"), (191, "75%"), (255, "100%")];
+    let settings = [Setting::PlainCpu, Setting::SgxDataInEnclave];
     let bytes = p.mb(4096);
     let mut fig = Figure::new(
         "fig14",
@@ -81,20 +87,31 @@ pub fn fig14_selectivity(p: &BenchProfile) -> Figure {
         "GB/s read",
     )
     .with_xs(sels.iter().map(|(_, l)| *l));
-    for setting in [Setting::PlainCpu, Setting::SgxDataInEnclave] {
-        let points = sels
-            .iter()
-            .map(|&(hi, _)| {
-                Some(repeat(p.reps, |seed| {
-                    let mut m = Machine::new(p.hw.clone(), setting);
-                    let col = gen_column(&mut m, bytes, seed);
-                    let cfg = ScanConfig::new(16.min(p.hw.cores_per_socket));
-                    column_scan(&mut m, &col, 0, hi, ScanOutput::Indexes, &cfg)
-                        .gb_per_sec(p.hw.freq_ghz)
-                }))
-            })
-            .collect();
-        fig.push_series(setting.label(), points);
+
+    // The points in the order a sequential loop builds their machines: by
+    // setting, then selectivity, then repetition.
+    let points: Vec<(Setting, u8, u64)> = settings
+        .into_iter()
+        .flat_map(|setting| {
+            sels.iter()
+                .flat_map(move |&(hi, _)| rep_seeds(p.reps).map(move |seed| (setting, hi, seed)))
+        })
+        .collect();
+    let gb_per_sec = sweep(
+        &points,
+        |_| bytes,
+        |&(setting, hi, seed)| {
+            let mut m = Machine::new(p.hw.clone(), setting);
+            let col = gen_column(&mut m, bytes, seed);
+            let cfg = ScanConfig::new(16.min(p.hw.cores_per_socket));
+            column_scan(&mut m, &col, 0, hi, ScanOutput::Indexes, &cfg).gb_per_sec(p.hw.freq_ghz)
+        },
+    );
+    let mut per_point = gb_per_sec.chunks_exact(rep_seeds(p.reps).count());
+    for setting in settings {
+        let series =
+            per_point.by_ref().take(sels.len()).map(|runs| Some(Stat::from_runs(runs))).collect();
+        fig.push_series(setting.label(), series);
     }
     fig.note("paper: throughput falls with write volume, but equally inside and outside the enclave");
     fig

@@ -27,6 +27,7 @@
 use crate::percentile::Histogram;
 use crate::profiles::BenchProfile;
 use crate::report::{Figure, Stat};
+use crate::sweep::sweep;
 use sgx_serve::{
     run_service, AdmissionPolicy, Arrival, CostTable, DegradePolicy, PlanCost, PlanVariant,
     ServiceConfig, ServiceOutcome, TenantSpec,
@@ -35,10 +36,11 @@ use sgx_sim::{FaultProfile, Machine, OcallFaults, Setting};
 use sgx_tpch::{cost_estimate, generate, run_query, Query, QueryConfig, TpchDb};
 use std::collections::BTreeMap;
 
-/// AEX interrupt rates swept, per million cycles (0 = calm baseline).
+/// AEX interrupt rates swept, per million cycles; the first, 0, is the
+/// calm baseline.
 const AEX_RATES: [f64; 3] = [0.0, 80.0, 320.0];
 /// EPC pressure levels swept: fraction of the database's footprint the
-/// balloon steals once inflated (0 = no balloon).
+/// balloon steals once inflated; the first, 0, is no balloon.
 const EPC_LEVELS: [f64; 3] = [0.0, 0.4, 0.7];
 /// Paper-scale TPC-H factor the service plans run at.
 const PAPER_SF: f64 = 4.0;
@@ -296,49 +298,37 @@ pub fn ext_service_tail(p: &BenchProfile) -> Vec<Figure> {
     // first point of both sweeps. A native table is EPC-invariant (the
     // pager only exists in enclave mode), so the native EPC sweep reuses
     // the calm native table and only the policy response differs.
+    let (enc, nat) = (Setting::SgxDataInEnclave, Setting::PlainCpu);
     let calm = StressPoint { aex_per_mcycle: 0.0, epc_level: 0.0 };
-    let calm_enc = calibrate(p, Setting::SgxDataInEnclave, calm);
-    let calm_nat = calibrate(p, Setting::PlainCpu, calm);
+    let epc = |l| StressPoint { aex_per_mcycle: 0.0, epc_level: l };
+    let aex = |r| StressPoint { aex_per_mcycle: r, epc_level: 0.0 };
+    // Every calibration builds machines of its own, so all of them run as
+    // one `crate::sweep`. A profiled sweep runs them inline in list order,
+    // and profile bins add f64s in machine-drop order, so the golden
+    // profile pins this order: calm enclave and native, the enclave EPC
+    // levels, then the native and the enclave AEX rates.
+    let mut points = vec![(enc, calm), (nat, calm)];
+    points.extend(EPC_LEVELS[1..].iter().map(|&l| (enc, epc(l))));
+    points.extend(AEX_RATES[1..].iter().map(|&r| (nat, aex(r))));
+    points.extend(AEX_RATES[1..].iter().map(|&r| (enc, aex(r))));
+    let calibrations =
+        sweep(&points, |_| 0, |&(setting, stress)| calibrate(p, setting, stress));
+    let (calm_enc, calm_nat) = (&calibrations[0], &calibrations[1]);
+    let (epc_enc, rest) = calibrations[2..].split_at(EPC_LEVELS.len() - 1);
+    let (aex_nat, aex_enc) = rest.split_at(AEX_RATES.len() - 1);
+    // One sweep's tables: the calm one, then its stressed points' in order.
+    let axis = |calm: &Calibration, stressed: &[Calibration]| -> Vec<CostTable> {
+        std::iter::once(calm).chain(stressed).map(|c| c.costs.clone()).collect()
+    };
+    let epc_tables_enc = axis(calm_enc, epc_enc);
     let m = calm_enc.costs.mean_total(PlanVariant::Normal);
     assert!(m > 0.0, "calm calibration must produce nonzero plan costs");
 
-    let aex_tables = |setting: Setting, calm_table: &CostTable| -> Vec<CostTable> {
-        AEX_RATES
-            .iter()
-            .map(|&r| {
-                if r == 0.0 {
-                    calm_table.clone()
-                } else {
-                    calibrate(p, setting, StressPoint { aex_per_mcycle: r, epc_level: 0.0 }).costs
-                }
-            })
-            .collect()
-    };
-    let epc_tables_enc: Vec<CostTable> = EPC_LEVELS
-        .iter()
-        .map(|&l| {
-            if l == 0.0 {
-                calm_enc.costs.clone()
-            } else {
-                calibrate(
-                    p,
-                    Setting::SgxDataInEnclave,
-                    StressPoint { aex_per_mcycle: 0.0, epc_level: l },
-                )
-                .costs
-            }
-        })
-        .collect();
-
-    let settings = [Setting::PlainCpu, Setting::SgxDataInEnclave];
+    let settings = [nat, enc];
     let aex_results: Vec<(Setting, Vec<PointResult>)> = settings
-        .iter()
-        .map(|&s| {
-            let base = if s == Setting::PlainCpu { &calm_nat.costs } else { &calm_enc.costs };
-            let pts =
-                aex_tables(s, base).iter().map(|t| run_point(t, m, 0.0, true)).collect();
-            (s, pts)
-        })
+        .into_iter()
+        .zip([axis(calm_nat, aex_nat), axis(calm_enc, aex_enc)])
+        .map(|(s, tables)| (s, tables.iter().map(|t| run_point(t, m, 0.0, true)).collect()))
         .collect();
     let epc_results: Vec<(Setting, Vec<PointResult>)> = settings
         .iter()

@@ -7,9 +7,9 @@
 //! identifiers", plus pmbw-style linear read/write kernels in 64-bit and
 //! 512-bit widths (§5.4, Fig 15).
 //!
-//! Scans compute real results (the bitvector/indexes are verified against
-//! a scalar filter in tests) while charging the simulator per 64-byte
-//! vector operation.
+//! Scans compute real results while charging the simulator per 64-byte
+//! vector operation. Their outputs go to write-only sinks that keep a
+//! digest, which tests check against the scalar oracle.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -20,4 +20,7 @@ pub mod scan;
 
 pub use linear::{linear_read, linear_write, LinearConfig, Width};
 pub use packed::{packed_scan_count, PackedColumn};
-pub use scan::{column_scan, gen_column, reference_filter, ScanConfig, ScanOutput, ScanStats};
+pub use scan::{
+    column_scan, gen_column, reference_filter, reference_scan_digest, ScanConfig, ScanOutput,
+    ScanStats,
+};

@@ -29,11 +29,25 @@ impl PackedColumn {
     /// Pack `values` (each `< 2^bits`) into a new column in the machine's
     /// default data region.
     pub fn pack(machine: &mut Machine, values: &[u32], bits: u32) -> PackedColumn {
+        Self::pack_with(machine, values.len(), bits, |i| values[i])
+    }
+
+    /// Pack `len` values (each `< 2^bits`) into a new column in the
+    /// machine's default data region, taking value `i` from `value(i)` as
+    /// it is packed. `value` is called once per index, in index order, so
+    /// a generator can produce the column without a host copy of it.
+    pub fn pack_with(
+        machine: &mut Machine,
+        len: usize,
+        bits: u32,
+        mut value: impl FnMut(usize) -> u32,
+    ) -> PackedColumn {
         assert!((1..=32).contains(&bits), "1..=32 bits per value");
         let pw = Self::per_word(bits);
-        let n_words = values.len().div_ceil(pw).max(1);
+        let n_words = len.div_ceil(pw).max(1);
         let mut words = machine.alloc::<u64>(n_words);
-        for (i, &v) in values.iter().enumerate() {
+        for i in 0..len {
+            let v = value(i);
             assert!(u64::from(v) < (1u64 << bits), "value {v} exceeds {bits} bits");
             let word = i / pw;
             let shift = (i % pw) as u32 * bits;
@@ -41,7 +55,7 @@ impl PackedColumn {
             w |= u64::from(v) << shift;
             words.poke(word, w);
         }
-        PackedColumn { words, bits, len: values.len() }
+        PackedColumn { words, bits, len }
     }
 
     /// Logical length in values.
@@ -167,6 +181,19 @@ mod tests {
                 assert_eq!(col.peek(i), v, "bits={bits} i={i}");
             }
         }
+    }
+
+    #[test]
+    fn pack_with_generates_in_index_order() {
+        let mut m = machine(Setting::PlainCpu);
+        let vals = random_values(1000, 12, 11);
+        let mut order = Vec::new();
+        let col = PackedColumn::pack_with(&mut m, vals.len(), 12, |i| {
+            order.push(i);
+            vals[i]
+        });
+        assert_eq!(order, (0..vals.len()).collect::<Vec<_>>());
+        assert!(vals.iter().enumerate().all(|(i, &v)| col.peek(i) == v));
     }
 
     #[test]

@@ -2,9 +2,11 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use sgx_sim::{Core, Machine, SimVec};
+use sgx_sim::{Core, Machine, SimSink, SimVec};
 
-/// What the scan materializes.
+/// What the scan materializes. Either output is written, with its full
+/// simulated cost, into a write-only [`SimSink`]: nothing reads it back,
+/// so the scan keeps only its digest ([`ScanStats::digest`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScanOutput {
     /// One result bit per value, packed into 64-bit words (§5.1: the
@@ -59,6 +61,10 @@ pub struct ScanStats {
     pub cycles: f64,
     /// Matching values per pass.
     pub matches: u64,
+    /// Digest of the output slots the first measured pass wrote
+    /// ([`SimSink::digest`]), which [`reference_scan_digest`] recomputes;
+    /// the output itself is not kept.
+    pub digest: u64,
     /// Bytes read per pass (column size).
     pub bytes_read: u64,
     /// Measured repeats.
@@ -83,6 +89,21 @@ pub fn gen_column(machine: &mut Machine, n: usize, seed: u64) -> SimVec<u8> {
     col
 }
 
+/// Worker `w`'s share of an `n`-value column scanned by `threads`
+/// workers: equal 64-aligned chunks, the last ones short or empty.
+fn worker_range(n: usize, threads: usize, w: usize) -> std::ops::Range<usize> {
+    let per = n.div_ceil(threads).div_ceil(64) * 64;
+    let start = (w * per).min(n);
+    start..((w + 1) * per).min(n)
+}
+
+/// The predicate over one 64-byte vector: bit `k` is set when
+/// `lo <= vals[k] <= hi`.
+fn match_mask(vals: &[u8], lo: u8, hi: u8) -> u64 {
+    debug_assert!(vals.len() <= 64, "one vector holds at most 64 values");
+    vals.iter().enumerate().fold(0, |m, (k, &v)| m | u64::from(v >= lo && v <= hi) << k)
+}
+
 /// One worker's share of a bitvector scan: 64 values per AVX-512 step,
 /// two compares and a mask-AND, one 64-bit mask store per step.
 fn scan_bitvector_range(
@@ -91,32 +112,19 @@ fn scan_bitvector_range(
     range: std::ops::Range<usize>,
     lo: u8,
     hi: u8,
-    bits: &mut SimVec<u64>,
+    bits: &mut SimSink,
 ) -> u64 {
+    // 64-aligned ranges make every vector of byte values one mask word.
     debug_assert_eq!(range.start % 64, 0, "worker ranges are 64-aligned");
     let mut matches = 0u64;
     let mut writer = bits.stream_writer(range.start / 64);
-    let mut mask = 0u64;
-    let mut fill = 0u32;
     col.read_stream_vec(c, range, |c, _, vals| {
         // VPCMPUB x2 + KAND on a 64-byte vector.
         c.vec_compute(3);
-        for &v in vals {
-            if v >= lo && v <= hi {
-                mask |= 1 << fill;
-                matches += 1;
-            }
-            fill += 1;
-            if fill == 64 {
-                writer.push(c, mask);
-                mask = 0;
-                fill = 0;
-            }
-        }
-    });
-    if fill > 0 {
+        let mask = match_mask(vals, lo, hi);
+        matches += u64::from(mask.count_ones());
         writer.push(c, mask);
-    }
+    });
     matches
 }
 
@@ -129,7 +137,7 @@ fn scan_indexes_range(
     range: std::ops::Range<usize>,
     lo: u8,
     hi: u8,
-    out: &mut SimVec<u64>,
+    out: &mut SimSink,
     out_start: usize,
 ) -> u64 {
     let mut matches = 0u64;
@@ -137,18 +145,18 @@ fn scan_indexes_range(
     col.read_stream_vec(c, range, |c, base, vals| {
         // Compare + 8 compress-stores (64 u8 lanes → 8 × 8 u64 lanes).
         c.vec_compute(10);
-        for (k, &v) in vals.iter().enumerate() {
-            if v >= lo && v <= hi {
-                writer.push(c, (base + k) as u64);
-                matches += 1;
-            }
+        let mut mask = match_mask(vals, lo, hi);
+        matches += u64::from(mask.count_ones());
+        while mask != 0 {
+            writer.push(c, (base + mask.trailing_zeros() as usize) as u64);
+            mask &= mask - 1;
         }
     });
     matches
 }
 
 /// Run a multi-threaded column scan with predicate `lo <= v <= hi`.
-/// Output storage is allocated in the machine's default data region; only
+/// Output sinks are allocated in the machine's default data region; only
 /// the measured repeats advance the wall clock.
 pub fn column_scan(
     machine: &mut Machine,
@@ -160,54 +168,54 @@ pub fn column_scan(
 ) -> ScanStats {
     let t = cfg.cores.len();
     let n = col.len();
-    // 64-aligned worker chunks.
-    let chunk = |w: usize| -> std::ops::Range<usize> {
-        let per = n.div_ceil(t).div_ceil(64) * 64;
-        let start = (w * per).min(n);
-        start..((w + 1) * per).min(n)
+    // Both outputs are reserved, whichever one is written, so later
+    // allocations keep their simulated addresses.
+    let mut bits = machine.alloc_sink(n.div_ceil(64));
+    let mut indexes = machine.alloc_sink(n);
+    let out = match output {
+        ScanOutput::BitVector => &mut bits,
+        ScanOutput::Indexes => &mut indexes,
     };
-    let mut bits = machine.alloc::<u64>(n.div_ceil(64));
-    let mut indexes = machine.alloc::<u64>(n);
-    let mut matches = 0u64;
 
-    let mut pass = |machine: &mut Machine, count: &mut u64| {
+    // One pass over the column: its matches and its output digest.
+    let mut pass = |machine: &mut Machine| -> (u64, u64) {
+        let before = out.digest();
+        let mut count = 0u64;
         machine.parallel(&cfg.cores, |c| {
-            let w = c.worker();
-            let range = chunk(w);
+            let range = worker_range(n, t, c.worker());
             if range.is_empty() {
                 return;
             }
-            *count += match output {
-                ScanOutput::BitVector => {
-                    scan_bitvector_range(c, col, range, lo, hi, &mut bits)
-                }
+            count += match output {
+                ScanOutput::BitVector => scan_bitvector_range(c, col, range, lo, hi, out),
                 ScanOutput::Indexes => {
                     let start = range.start;
-                    scan_indexes_range(c, col, range, lo, hi, &mut indexes, start)
+                    scan_indexes_range(c, col, range, lo, hi, out, start)
                 }
             };
         });
+        (count, out.digest().wrapping_sub(before))
     };
 
     for _ in 0..cfg.warmup {
-        let mut scratch = 0u64;
-        pass(machine, &mut scratch);
+        pass(machine);
     }
     machine.reset_wall();
     let start = machine.wall_cycles();
     // Only the measured passes carry the "scan" profile scope; warm-up
     // work above stays unscoped, mirroring the wall-clock accounting.
     let _scan_scope = machine.phase("scan");
+    let (mut matches, mut digest) = (0, 0);
     for rep in 0..cfg.repeats {
-        let mut count = 0u64;
-        pass(machine, &mut count);
+        let first = pass(machine);
         if rep == 0 {
-            matches = count;
+            (matches, digest) = first;
         }
     }
     ScanStats {
         cycles: machine.wall_cycles() - start,
         matches,
+        digest,
         bytes_read: n as u64,
         repeats: cfg.repeats.max(1),
     }
@@ -224,6 +232,37 @@ pub fn reference_filter(col: &SimVec<u8>, lo: u8, hi: u8) -> Vec<u64> {
         .collect()
 }
 
+/// Uncharged oracle for [`ScanStats::digest`]: the digest of the slots one
+/// pass of a `threads`-worker [`column_scan`] writes. Bitvector word `i`
+/// holds the matches among values `64i..64i + 64`. Each worker writes the
+/// row ids of its chunk's matches from the slot where its chunk starts.
+pub fn reference_scan_digest(
+    col: &SimVec<u8>,
+    lo: u8,
+    hi: u8,
+    output: ScanOutput,
+    threads: usize,
+) -> u64 {
+    // sgx-lint: allow(untracked-access) uncharged reference oracle for verification
+    let vals = col.as_slice_untracked();
+    let hit = |i: usize| vals[i] >= lo && vals[i] <= hi;
+    let add = |d: u64, (slot, v): (usize, u64)| d.wrapping_add(SimSink::slot_digest(slot, v));
+    match output {
+        ScanOutput::BitVector => (0..vals.len().div_ceil(64))
+            .map(|word| {
+                let rows = 64 * word..(64 * word + 64).min(vals.len());
+                (word, rows.filter(|&i| hit(i)).fold(0u64, |m, i| m | 1 << (i % 64)))
+            })
+            .fold(0, add),
+        ScanOutput::Indexes => (0..threads)
+            .flat_map(|w| {
+                let range = worker_range(vals.len(), threads, w);
+                (range.start..).zip(range.filter(|&i| hit(i)).map(|i| i as u64))
+            })
+            .fold(0, add),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,39 +273,77 @@ mod tests {
         Machine::new(scaled_profile(), setting)
     }
 
+    /// One pass, and fig12's two warm-up plus four measured passes, on 1,
+    /// 4 and 16 threads.
+    fn configs() -> Vec<ScanConfig> {
+        [1, 4, 16]
+            .into_iter()
+            .flat_map(|t| [ScanConfig::new(t), ScanConfig::new(t).with_warmup(2).with_repeats(4)])
+            .collect()
+    }
+
+    /// Scan `col` in every [`configs`] configuration, checking the
+    /// matches and the output digest against the oracles.
+    fn assert_scans_match_oracles(
+        m: &mut Machine,
+        col: &SimVec<u8>,
+        lo: u8,
+        hi: u8,
+        output: ScanOutput,
+    ) {
+        let expected = reference_filter(col, lo, hi).len() as u64;
+        for cfg in configs() {
+            let threads = cfg.cores.len();
+            let label = format!("{output:?}, {threads} threads, {} warm-up passes", cfg.warmup);
+            let stats = column_scan(m, col, lo, hi, output, &cfg);
+            assert_eq!(stats.matches, expected, "{label}: matches");
+            assert_eq!(
+                stats.digest,
+                reference_scan_digest(col, lo, hi, output, threads),
+                "{label}: output digest"
+            );
+        }
+    }
+
     #[test]
     fn bitvector_scan_counts_correctly() {
         let mut m = machine(Setting::PlainCpu);
         let col = gen_column(&mut m, 100_000, 1);
-        let expected = reference_filter(&col, 50, 150).len() as u64;
-        for threads in [1, 4, 16] {
-            let stats =
-                column_scan(&mut m, &col, 50, 150, ScanOutput::BitVector, &ScanConfig::new(threads));
-            assert_eq!(stats.matches, expected, "{threads} threads");
-        }
+        assert_scans_match_oracles(&mut m, &col, 50, 150, ScanOutput::BitVector);
     }
 
     #[test]
     fn index_scan_materializes_matches() {
         let mut m = machine(Setting::PlainCpu);
         let col = gen_column(&mut m, 50_000, 2);
-        let expected = reference_filter(&col, 0, 127).len() as u64;
-        let stats =
-            column_scan(&mut m, &col, 0, 127, ScanOutput::Indexes, &ScanConfig::new(8));
-        assert_eq!(stats.matches, expected);
+        assert_scans_match_oracles(&mut m, &col, 0, 127, ScanOutput::Indexes);
         // ~50% selectivity on uniform bytes.
-        let sel = stats.matches as f64 / 50_000.0;
+        let sel = reference_filter(&col, 0, 127).len() as f64 / 50_000.0;
         assert!((0.45..0.55).contains(&sel), "selectivity {sel}");
+        // Each worker writes from its own chunk's start, so the index
+        // slots, unlike the bitvector's, depend on the thread count.
+        assert_ne!(
+            reference_scan_digest(&col, 0, 127, ScanOutput::Indexes, 1),
+            reference_scan_digest(&col, 0, 127, ScanOutput::Indexes, 4)
+        );
     }
 
     #[test]
     fn selectivity_extremes() {
         let mut m = machine(Setting::PlainCpu);
         let col = gen_column(&mut m, 10_000, 3);
+        for output in [ScanOutput::BitVector, ScanOutput::Indexes] {
+            // 0% and 100% selectivity.
+            assert_scans_match_oracles(&mut m, &col, 10, 9, output);
+            assert_scans_match_oracles(&mut m, &col, 0, 255, output);
+        }
         let none = column_scan(&mut m, &col, 10, 9, ScanOutput::Indexes, &ScanConfig::new(2));
-        assert_eq!(none.matches, 0);
+        assert_eq!((none.matches, none.digest), (0, 0), "no match writes no index");
         let all = column_scan(&mut m, &col, 0, 255, ScanOutput::Indexes, &ScanConfig::new(2));
         assert_eq!(all.matches, 10_000);
+        // An all-zero bitvector is still written, word by word.
+        let zeros = column_scan(&mut m, &col, 10, 9, ScanOutput::BitVector, &ScanConfig::new(2));
+        assert_ne!(zeros.digest, 0);
     }
 
     #[test]

@@ -57,6 +57,6 @@ pub use faults::{
     ocall_cost, stream_draw, stream_unit, AexStorm, EpcPressure, FaultEvent, FaultKind,
     FaultProfile, OcallFaults, MAX_BACKOFF_EXP,
 };
-pub use machine::{AccessKind, Core, Machine, PhaseStats, StreamReader, StreamWriter};
-pub use mem::{ExecMode, Region, Setting, SimVec};
+pub use machine::{AccessKind, Core, Machine, PhaseStats, SinkWriter, StreamReader, StreamWriter};
+pub use mem::{ExecMode, Region, Setting, SimSink, SimVec};
 pub use profile::{CategoryCycles, CostCategory, PhaseGuard, PhaseProfile, Profile};

@@ -74,7 +74,7 @@ mod hierarchy;
 mod numa;
 mod transitions;
 
-pub use self::access::{StreamReader, StreamWriter};
+pub use self::access::{SinkWriter, StreamReader, StreamWriter};
 
 /// Per-line transfer cost when the line is found in a given cache level
 /// during streaming (bytes-per-cycle limits of the level).

@@ -1,14 +1,14 @@
 //! Access layer: the load/store/stream entry points — random-pattern
 //! accesses, non-temporal stores, stream touches, and the charged
-//! `SimVec`/[`StreamReader`]/[`StreamWriter`] APIs (kept here so the cost
-//! model stays private).
+//! `SimVec`/[`StreamReader`]/[`StreamWriter`]/[`SinkWriter`] APIs (kept
+//! here so the cost model stays private).
 //
 // sgx-lint: fault-tick-module
 // sgx-lint: charge-module
 
 use crate::cache::line_of;
 use crate::config::CACHE_LINE;
-use crate::mem::{ExecMode, Region, SimVec, REGION_SHIFT};
+use crate::mem::{ExecMode, Region, SimSink, SimVec, REGION_SHIFT};
 use crate::profile::CostCategory;
 
 use super::core::{Charge, Tally};
@@ -25,6 +25,20 @@ impl<'m> Core<'m> {
         } else {
             STREAM_ELEM_ISSUE
         }
+    }
+
+    /// Charge one appended element store at `addr`: a stream-store line
+    /// touch when it opens a line other than `*line_open`, then the scalar
+    /// issue cost. The one charging rule of [`StreamWriter`] and
+    /// [`SinkWriter`].
+    #[inline]
+    fn stream_store_elem(&mut self, addr: u64, line_open: &mut u64) {
+        let line = line_of(addr);
+        if line != *line_open {
+            self.stream_touch(addr, 1, 0, true, false);
+            *line_open = line;
+        }
+        self.charge(STREAM_ELEM_ISSUE);
     }
 
     /// Resolve + charge a random-pattern access of `bytes` at `addr`.
@@ -378,13 +392,7 @@ impl<'v, T: Copy> StreamWriter<'v, T> {
     /// Write the next element.
     #[inline]
     pub fn push(&mut self, core: &mut Core<'_>, v: T) {
-        let addr = self.vec.addr(self.pos);
-        let line = line_of(addr);
-        if line != self.line_open {
-            core.stream_touch(addr, 1, 0, true, false);
-            self.line_open = line;
-        }
-        core.charge(STREAM_ELEM_ISSUE);
+        core.stream_store_elem(self.vec.addr(self.pos), &mut self.line_open);
         self.vec.poke(self.pos, v);
         self.pos += 1;
     }
@@ -392,5 +400,32 @@ impl<'v, T: Copy> StreamWriter<'v, T> {
     /// Elements written so far (next write position).
     pub fn pos(&self) -> usize {
         self.pos
+    }
+}
+
+impl SimSink {
+    /// Sequential writer from slot `start`, charging exactly like
+    /// [`SimVec::stream_writer`].
+    pub fn stream_writer(&mut self, start: usize) -> SinkWriter<'_> {
+        SinkWriter { sink: self, pos: start, line_open: u64::MAX }
+    }
+}
+
+/// Append-style writer over a [`SimSink`]: the charges of a
+/// [`StreamWriter`] over a `SimVec<u64>`, with each write folded into the
+/// sink's digest instead of stored.
+pub struct SinkWriter<'s> {
+    sink: &'s mut SimSink,
+    pos: usize,
+    line_open: u64,
+}
+
+impl SinkWriter<'_> {
+    /// Write the next slot.
+    #[inline]
+    pub fn push(&mut self, core: &mut Core<'_>, v: u64) {
+        core.stream_store_elem(self.sink.addr(self.pos), &mut self.line_open);
+        self.sink.record(self.pos, v);
+        self.pos += 1;
     }
 }

@@ -6,7 +6,7 @@
 // sgx-lint: charge-module
 
 use crate::config::{CACHE_LINE, PAGE_SIZE};
-use crate::mem::{ExecMode, Region, SimVec};
+use crate::mem::{ExecMode, Region, SimSink, SimVec};
 
 use super::core::{Charge, Tally};
 use super::{Core, Machine};
@@ -28,14 +28,17 @@ impl Machine {
     /// fail to grow at exactly this point (use [`Machine::try_alloc_on`]
     /// to handle it).
     pub fn alloc_on<T: Copy + Default>(&mut self, len: usize, region: Region) -> SimVec<T> {
-        self.try_alloc_on(len, region).unwrap_or_else(|| {
-            // sgx-lint: allow(panic-in-library) documented API contract: alloc_on panics on EPC exhaustion, try_alloc_on is the fallible twin
-            panic!(
-                "EPC capacity exceeded on node {} ({} bytes per socket)",
-                region.node(),
-                self.cfg.epc_per_socket
-            )
-        })
+        let base = self.reserve(len * SimVec::<T>::elem_size(), region);
+        SimVec::new(len, base, region)
+    }
+
+    /// Allocate a write-only sink of `len` `u64` slots in the setting's
+    /// default data region on node 0. It takes exactly the simulated
+    /// addresses `alloc::<u64>(len)` would, so every later allocation
+    /// keeps its address, and panics on EPC exhaustion the same way.
+    pub fn alloc_sink(&mut self, len: usize) -> SimSink {
+        let region = self.setting.data_region(0);
+        SimSink::new(len, self.reserve(len * SimSink::SLOT_BYTES, region))
     }
 
     /// Fallible allocation: returns `None` when an EPC region would exceed
@@ -45,7 +48,27 @@ impl Machine {
         len: usize,
         region: Region,
     ) -> Option<SimVec<T>> {
-        let bytes = (len * SimVec::<T>::elem_size()) as u64;
+        let base = self.try_reserve(len * SimVec::<T>::elem_size(), region)?;
+        Some(SimVec::new(len, base, region))
+    }
+
+    /// Reserve `bytes` of simulated address space in `region`; the
+    /// infallible allocators' shared panic on EPC exhaustion.
+    fn reserve(&mut self, bytes: usize, region: Region) -> u64 {
+        self.try_reserve(bytes, region).unwrap_or_else(|| {
+            // sgx-lint: allow(panic-in-library) documented API contract: alloc_on and alloc_sink panic on EPC exhaustion, try_alloc_on is the fallible twin
+            panic!(
+                "EPC capacity exceeded on node {} ({} bytes per socket)",
+                region.node(),
+                self.cfg.epc_per_socket
+            )
+        })
+    }
+
+    /// Bump-allocate `bytes` in `region` and return their base address,
+    /// or `None` when an EPC region would exceed its capacity.
+    fn try_reserve(&mut self, bytes: usize, region: Region) -> Option<u64> {
+        let bytes = bytes as u64;
         if region.is_epc() {
             let used = self.allocs[region.index()].used;
             if used + bytes > self.cfg.epc_per_socket as u64 {
@@ -53,7 +76,7 @@ impl Machine {
             }
         }
         let off = self.allocs[region.index()].alloc(bytes);
-        Some(SimVec::new(len, region.base() + off, region))
+        Some(region.base() + off)
     }
 
     /// Bytes allocated so far in a region.

@@ -3,7 +3,8 @@
 
 use super::*;
 use crate::config::{scaled_profile, xeon_gold_6326};
-use crate::mem::{Region, SimVec};
+use crate::faults::FaultProfile;
+use crate::mem::{Region, SimSink, SimVec};
 
 fn machine(setting: Setting) -> Machine {
     Machine::new(scaled_profile(), setting)
@@ -412,6 +413,118 @@ fn stream_writer_charges_and_writes() {
     assert!(m.wall_cycles() > 0.0);
     assert_eq!(v.peek(17), 34);
     assert!(m.counters().stream_lines >= 4096 * 8 / 64);
+}
+
+/// Slots of the sink lockstep test's output array: deliberately not a
+/// whole number of cache lines, so the next allocation's alignment shows.
+const SINK_SLOTS: usize = 12_003;
+
+/// One machine writes scattered runs the way a scan's workers do: worker
+/// `w` of four writes runs `3w..3w + 3`, each from a fresh writer at a
+/// non-line-aligned start slot. Through a `SimVec<u64>` stream writer
+/// (`sink == false`) or a sink writer, it returns the counters, the wall
+/// clock's bits, the next allocation's address and the digest of what was
+/// written: the sink's own, or a host-side fold over the `SimVec`.
+fn sink_lockstep(
+    setting: Setting,
+    remote: bool,
+    faults: bool,
+    sink: bool,
+) -> (Counters, u64, u64, u64) {
+    let mut m = Machine::new(xeon_gold_6326().scaled(16), setting);
+    if faults {
+        let storm = FaultProfile::new(7).with_aex_storm(2_000.0);
+        m.install_faults(storm.with_epc_pressure(0.0, 64 << 10));
+    } else {
+        m.force_stream_oracle(true);
+    }
+    let _column = m.alloc::<u8>(777);
+    let first = if remote { m.cfg().cores_per_socket } else { 0 };
+    let cores: Vec<usize> = (first..first + 4).collect();
+    let runs: Vec<(usize, usize)> =
+        (0..12).map(|k| (k * 1000 + k * 37 % 61, 1 + k * 113 % 600)).collect();
+    let value = |slot: usize| (slot as u64).wrapping_mul(0x9E37_79B9) ^ 0xA5;
+    let digest = if sink {
+        let mut out = m.alloc_sink(SINK_SLOTS);
+        m.parallel(&cores, |c| {
+            for &(start, count) in &runs[3 * c.worker()..][..3] {
+                let mut w = out.stream_writer(start);
+                for slot in start..start + count {
+                    w.push(c, value(slot));
+                }
+            }
+        });
+        out.digest()
+    } else {
+        let mut out = m.alloc::<u64>(SINK_SLOTS);
+        m.parallel(&cores, |c| {
+            for &(start, count) in &runs[3 * c.worker()..][..3] {
+                let mut w = out.stream_writer(start);
+                for slot in start..start + count {
+                    w.push(c, value(slot));
+                }
+            }
+        });
+        runs.iter()
+            .flat_map(|&(start, count)| start..start + count)
+            .fold(0u64, |d, slot| d.wrapping_add(SimSink::slot_digest(slot, out.peek(slot))))
+    };
+    let next = m.alloc::<u64>(1).addr(0);
+    (m.counters().clone(), m.wall_cycles().to_bits(), next, digest)
+}
+
+/// A sink is a `SimVec<u64>` to the cost model: the same writes give
+/// bit-identical clocks and counters and leave the allocator at the same
+/// address, with a fault engine installed and on the per-line oracle,
+/// for untrusted, EPC and remote-node data. Its digest equals the fold of
+/// [`SimSink::slot_digest`] over what the `SimVec` holds.
+#[test]
+fn sink_writer_charges_exactly_like_a_stream_writer() {
+    for (name, setting, remote) in [
+        ("native untrusted", Setting::PlainCpu, false),
+        ("enclave untrusted", Setting::SgxDataOutside, false),
+        ("epc", Setting::SgxDataInEnclave, false),
+        ("remote epc", Setting::SgxDataInEnclave, true),
+    ] {
+        for faults in [true, false] {
+            let vec = sink_lockstep(setting, remote, faults, false);
+            let sink = sink_lockstep(setting, remote, faults, true);
+            let label = format!("{name}, {}", if faults { "fault engine" } else { "oracle" });
+            let counters = |s: &(Counters, u64, u64, u64)| format!("{:?}", s.0);
+            assert_eq!(counters(&vec), counters(&sink), "{label}: counters diverge");
+            assert_eq!(
+                vec.1,
+                sink.1,
+                "{label}: wall clock diverges ({} vs {})",
+                f64::from_bits(vec.1),
+                f64::from_bits(sink.1)
+            );
+            assert_eq!(vec.2, sink.2, "{label}: the next allocation moved");
+            assert_eq!(vec.3, sink.3, "{label}: sink digest differs from the written values");
+            assert_ne!(sink.3, 0, "{label}: the runs must write something");
+            // The variants exercise what they are named for.
+            assert_eq!(sink.0.remote_fills > 0, remote, "{label}: remote fills");
+            if faults && setting != Setting::PlainCpu {
+                assert!(sink.0.aex_events > 0, "{label}: the storm must strike mid-run");
+            }
+            if faults && setting == Setting::SgxDataInEnclave {
+                assert!(sink.0.epc_page_faults > 0, "{label}: the balloon must page");
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "sink write at slot 4 of 4")]
+fn sink_writes_past_the_end_panic() {
+    let mut m = machine(Setting::PlainCpu);
+    let mut out = m.alloc_sink(4);
+    m.run(|c| {
+        let mut w = out.stream_writer(0);
+        for v in 0..5 {
+            w.push(c, v);
+        }
+    });
 }
 
 #[test]

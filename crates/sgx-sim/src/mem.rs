@@ -219,6 +219,62 @@ impl<T: Copy> SimVec<T> {
     }
 }
 
+/// A write-only array of `u64` slots in simulated memory, for operator
+/// outputs nothing reads back.
+///
+/// `Machine::alloc_sink` reserves its slots exactly as `alloc::<u64>`
+/// would, and its [`SinkWriter`](crate::SinkWriter) charges exactly as
+/// [`SimVec::stream_writer`]'s does, so a sink is indistinguishable from a
+/// `SimVec<u64>` to the cost model. It keeps no backing storage: every
+/// write adds [`SimSink::slot_digest`] of its (position, value) to a
+/// wrapping sum, which an oracle can recompute. Because the sum wraps,
+/// one pass's digest is the `wrapping_sub` of the reads after and before
+/// it.
+pub struct SimSink {
+    len: usize,
+    base: u64,
+    digest: u64,
+}
+
+/// Fault-engine stream id [`SimSink::slot_digest`] draws from.
+const SINK_DIGEST_STREAM: u64 = 0x5141_D16E;
+
+impl SimSink {
+    /// Bytes per slot, as in a `SimVec<u64>`.
+    pub(crate) const SLOT_BYTES: usize = 8;
+
+    /// Internal constructor; use `Machine::alloc_sink`.
+    pub(crate) fn new(len: usize, base: u64) -> Self {
+        SimSink { len, base, digest: 0 }
+    }
+
+    /// Simulated virtual address of slot `i`.
+    #[inline]
+    pub(crate) fn addr(&self, i: usize) -> u64 {
+        self.base + (i * Self::SLOT_BYTES) as u64
+    }
+
+    /// Wrapping sum of [`SimSink::slot_digest`] over every write so far.
+    pub fn digest(&self) -> u64 {
+        self.digest
+    }
+
+    /// What writing `value` to slot `pos` adds to a sink's digest: the
+    /// fault engine's SplitMix64 draw ([`stream_draw`](crate::stream_draw))
+    /// keyed by the pair. Oracles fold the same function over the slots
+    /// they expect an operator to write.
+    pub fn slot_digest(pos: usize, value: u64) -> u64 {
+        crate::faults::stream_draw(value, SINK_DIGEST_STREAM, pos as u64)
+    }
+
+    /// Fold one write into the digest (the charged writer's job).
+    #[inline]
+    pub(crate) fn record(&mut self, pos: usize, value: u64) {
+        assert!(pos < self.len, "sink write at slot {pos} of {}", self.len);
+        self.digest = self.digest.wrapping_add(Self::slot_digest(pos, value));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

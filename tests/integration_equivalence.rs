@@ -93,25 +93,36 @@ fn sequential_and_parallel_runs_reproduce_pre_refactor_goldens() {
     );
 }
 
+/// The jobs whose points run through `sweep`.
+const SHARDED_JOBS: [&str; 4] = ["fig05", "fig14", "ext_aex_storm", "ext_service_tail"];
+
 #[test]
-fn unprofiled_fig05_reproduces_goldens() {
-    // The golden sweep above runs profiled, which keeps fig05's points on
-    // one thread. Unprofiled, a one-worker run may share them among every
-    // core, and must still reproduce the figure and counter digests.
+fn unprofiled_sharded_jobs_reproduce_goldens() {
+    // The golden sweep above runs profiled, which keeps every sweep's
+    // points on one thread. Unprofiled, a one-worker run may share them
+    // among every core, and must still reproduce each sharded job's
+    // figure and counter digests.
     let goldens = load_goldens();
-    let golden = goldens.jobs.iter().find(|g| g.id == "fig05").expect("fig05 has a golden record");
     let cfg = RunConfig {
         jobs: 1,
-        filter: JobFilter { only: vec!["fig05".into()], skip: vec![] },
+        filter: JobFilter {
+            only: SHARDED_JOBS.iter().map(|&id| id.into()).collect(),
+            skip: vec![],
+        },
         ..RunConfig::default()
     };
     let outcomes = run_registry(&registry(), &BenchProfile::golden(), &cfg);
-    let o = outcomes.iter().find(|o| o.id == "fig05").expect("fig05 ran");
-    assert_eq!(o.status, JobStatus::Ok, "fig05 failed: {:?}", o.error);
-    assert!(o.profile.is_none());
-    assert_eq!(counters_digest(&o.counters), golden.counters, "fig05 counters drifted");
-    let got: Vec<(String, String)> = o.figures.iter().map(|f| (f.id.clone(), figure_digest(f))).collect();
-    assert_eq!(got, golden.figures, "fig05 figure bytes drifted");
+    for id in SHARDED_JOBS {
+        let golden =
+            goldens.jobs.iter().find(|g| g.id == id).expect("sharded job has a golden record");
+        let o = outcomes.iter().find(|o| o.id == id).expect("sharded job ran");
+        assert_eq!(o.status, JobStatus::Ok, "{id} failed: {:?}", o.error);
+        assert!(o.profile.is_none());
+        assert_eq!(counters_digest(&o.counters), golden.counters, "{id} counters drifted");
+        let got: Vec<(String, String)> =
+            o.figures.iter().map(|f| (f.id.clone(), figure_digest(f))).collect();
+        assert_eq!(got, golden.figures, "{id} figure bytes drifted");
+    }
 }
 
 #[test]

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use sgx_bench_core::prelude::*;
-use sgx_bench_core::sgx_scans::reference_filter;
+use sgx_bench_core::sgx_scans::{reference_filter, reference_scan_digest};
 use sgx_bench_core::sgx_sim::config::xeon_gold_6326;
 
 fn tiny_hw() -> HwConfig {
@@ -46,7 +46,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Property: the vectorized scans agree with the scalar reference
-    /// filter for arbitrary predicates and column sizes.
+    /// filter for arbitrary predicates and column sizes, in their match
+    /// counts and in the outputs they write.
     #[test]
     fn scans_match_reference_filter(
         n in 1usize..50_000,
@@ -59,10 +60,11 @@ proptest! {
         let mut m = Machine::new(tiny_hw(), Setting::SgxDataInEnclave);
         let col = gen_column(&mut m, n, seed);
         let expected = reference_filter(&col, lo, hi).len() as u64;
-        let bv = column_scan(&mut m, &col, lo, hi, ScanOutput::BitVector, &ScanConfig::new(threads));
-        prop_assert_eq!(bv.matches, expected);
-        let ix = column_scan(&mut m, &col, lo, hi, ScanOutput::Indexes, &ScanConfig::new(threads));
-        prop_assert_eq!(ix.matches, expected);
+        for output in [ScanOutput::BitVector, ScanOutput::Indexes] {
+            let stats = column_scan(&mut m, &col, lo, hi, output, &ScanConfig::new(threads));
+            prop_assert_eq!(stats.matches, expected);
+            prop_assert_eq!(stats.digest, reference_scan_digest(&col, lo, hi, output, threads));
+        }
     }
 
     /// Property: selectivity only adds write cost — never reduces it —
