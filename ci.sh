@@ -183,12 +183,12 @@ fi
 echo "ci: machine.rs facade at $MACHINE_LINES lines (gate: 400)"
 
 echo "== ci: parallel determinism (--jobs 1 vs --jobs 2, byte-identical outputs)"
-# The four sharded jobs (fig05, fig14, ext_aex_storm, ext_service_tail)
-# run their point sweeps on max(1, cores / workers) threads. On a 2-core
-# host this therefore also compares them sharded (--jobs 1) against
-# inline (--jobs 2); on one core both runs keep them inline.
+# Every job whose points go through `sweep` runs them on
+# max(1, cores / workers) threads. On a 2-core host this therefore also
+# compares those jobs sharded (--jobs 1) against inline (--jobs 2); on
+# one core both runs keep them inline.
 if [ "$(nproc)" -le 1 ]; then
-    echo "ci: one CPU — both runs keep the fig05, fig14, ext_aex_storm and ext_service_tail sweeps inline; sharded vs inline is not compared here"
+    echo "ci: one CPU — both runs keep every job's point sweep inline; sharded vs inline is not compared here"
 fi
 FIG_TMP=$(mktemp -d)
 T0=$(date +%s)

@@ -3,13 +3,14 @@
 //! scans (the capacity/parallelism opportunity §5.5 mentions but does not
 //! measure).
 
+use crate::experiments::push_grid;
 use crate::profiles::BenchProfile;
-use crate::repeat;
 use crate::report::Figure;
+use crate::{repeat, repeat_grid};
 use sgx_joins::rho::{rho_join, seq_scatter_direct};
 use sgx_joins::{gen_fk_relation, gen_fk_zipf, gen_pk_relation, JoinConfig, Row};
 use sgx_scans::{column_scan, packed_scan_count, PackedColumn, ScanConfig, ScanOutput};
-use sgx_sim::{Machine, Region, Setting, SimVec};
+use sgx_sim::{Machine, Region, Setting, SimVec, VecSlot};
 use sgx_tpch::group_count;
 
 /// Extension: RHO and PHT join throughput under Zipf-skewed foreign keys
@@ -26,23 +27,19 @@ pub fn ext_skew(p: &BenchProfile) -> Figure {
         "M rows/s",
     )
     .with_xs(thetas.iter().map(|t| format!("{t:.2}")));
-    for setting in [Setting::PlainCpu, Setting::SgxDataInEnclave] {
-        let points = thetas
-            .iter()
-            .map(|&theta| {
-                Some(repeat(p.reps, |seed| {
-                    let mut m = Machine::new(p.hw.clone(), setting);
-                    let r = gen_pk_relation(&mut m, nr, seed);
-                    let s = gen_fk_zipf(&mut m, ns, nr, theta, seed + 1);
-                    let cfg = JoinConfig::new(threads).with_radix_bits(bits);
-                    let stats = rho_join(&mut m, &r, &s, &cfg);
-                    assert_eq!(stats.matches, ns as u64);
-                    stats.mrows_per_sec(nr, ns, p.hw.freq_ghz)
-                }))
-            })
-            .collect();
-        fig.push_series(setting.label(), points);
-    }
+    let settings = [Setting::PlainCpu, Setting::SgxDataInEnclave];
+    let configs: Vec<(Setting, f64)> =
+        settings.iter().flat_map(|&setting| thetas.map(|theta| (setting, theta))).collect();
+    let stats = repeat_grid(p.reps, &configs, |_| 0, |&(setting, theta), seed| {
+        let mut m = Machine::new(p.hw.clone(), setting);
+        let r = gen_pk_relation(&mut m, nr, seed);
+        let s = gen_fk_zipf(&mut m, ns, nr, theta, seed + 1);
+        let cfg = JoinConfig::new(threads).with_radix_bits(bits);
+        let stats = rho_join(&mut m, &r, &s, &cfg);
+        assert_eq!(stats.matches, ns as u64);
+        stats.mrows_per_sec(nr, ns, p.hw.freq_ghz)
+    });
+    push_grid(&mut fig, &settings.map(Setting::label), &stats);
     fig.note("two competing effects: hot keys concentrate probes on cached buckets (a native win at heavy skew), while the dominant partition overloads one thread — a penalty the MEE amplifies, so the enclave curve dips at theta=1");
     fig
 }
@@ -60,34 +57,34 @@ pub fn ext_aggregation(p: &BenchProfile) -> Figure {
         "M rows/s",
     )
     .with_xs(group_domains.iter().map(|g| g.to_string()));
-    for (label, setting, optimized) in [
+    let series = [
         ("Plain CPU", Setting::PlainCpu, false),
         ("SGX naive", Setting::SgxDataInEnclave, false),
         ("SGX optimized", Setting::SgxDataInEnclave, true),
-    ] {
-        let points = group_domains
-            .iter()
-            .map(|&groups| {
-                Some(repeat(p.reps, |seed| {
-                    let mut m = Machine::new(p.hw.clone(), setting);
-                    let mut rows: SimVec<Row> = m.alloc(n);
-                    for i in 0..n {
-                        rows.poke(
-                            i,
-                            Row {
-                                key: (i as u32).wrapping_mul(2654435761).wrapping_add(seed as u32),
-                                payload: i as u32,
-                            },
-                        );
-                    }
-                    let g = group_count(&mut m, &(0..threads).collect::<Vec<_>>(), &rows, groups, optimized);
-                    assert_eq!(g.counts.iter().sum::<u64>(), n as u64);
-                    n as f64 / g.cycles * p.hw.freq_ghz * 1e3
-                }))
-            })
-            .collect();
-        fig.push_series(label, points);
-    }
+    ];
+    let configs: Vec<(Setting, bool, usize)> = series
+        .iter()
+        .flat_map(|&(_, setting, optimized)| {
+            group_domains.map(|groups| (setting, optimized, groups))
+        })
+        .collect();
+    let stats = repeat_grid(p.reps, &configs, |_| 0, |&(setting, optimized, groups), seed| {
+        let mut m = Machine::new(p.hw.clone(), setting);
+        let mut rows: SimVec<Row> = m.alloc(n);
+        for i in 0..n {
+            rows.poke(
+                i,
+                Row {
+                    key: (i as u32).wrapping_mul(2654435761).wrapping_add(seed as u32),
+                    payload: i as u32,
+                },
+            );
+        }
+        let g = group_count(&mut m, &(0..threads).collect::<Vec<_>>(), &rows, groups, optimized);
+        assert_eq!(g.counts.iter().sum::<u64>(), n as u64);
+        n as f64 / g.cycles * p.hw.freq_ghz * 1e3
+    });
+    push_grid(&mut fig, &series.map(|(label, ..)| label), &stats);
     fig.note("the enclave penalty and the unroll repair of Fig 7 carry over to aggregation");
     fig
 }
@@ -111,89 +108,89 @@ pub fn ablation_swwcb(p: &BenchProfile) -> Figure {
         "M rows/s",
     )
     .with_xs(bits_choices.iter().map(|b| b.to_string()));
-    for (label, wcb, setting) in [
+    let series = [
         ("direct, native", false, Setting::PlainCpu),
         ("swwcb, native", true, Setting::PlainCpu),
         ("direct, SGX", false, Setting::SgxDataInEnclave),
         ("swwcb, SGX", true, Setting::SgxDataInEnclave),
-    ] {
-        let points = bits_choices
-            .iter()
-            .map(|&bits| {
-                Some(repeat(p.reps, |seed| {
-                    let fanout = 1usize << bits;
-                    let mask = fanout as u32 - 1;
-                    let mut m = Machine::new(p.hw.clone(), setting);
-                    let src = gen_pk_relation(&mut m, n, seed);
-                    let mut dst: SimVec<Row> = m.alloc(n);
-                    // Exact per-partition cursors (uncharged metadata).
-                    let mut counts = vec![0usize; fanout];
-                    for row in src.as_slice_untracked() {
-                        counts[(row.key & mask) as usize] += 1;
+    ];
+    let configs: Vec<(bool, Setting, u32)> = series
+        .iter()
+        .flat_map(|&(_, wcb, setting)| bits_choices.map(|bits| (wcb, setting, bits)))
+        .collect();
+    // A point's scratch grows with its fan-out.
+    let scratch_size = |&(.., bits): &(bool, Setting, u32)| 1 << bits;
+    let stats = repeat_grid(p.reps, &configs, scratch_size, |&(wcb, setting, bits), seed| {
+        let fanout = 1usize << bits;
+        let mask = fanout as u32 - 1;
+        let mut m = Machine::new(p.hw.clone(), setting);
+        let src = gen_pk_relation(&mut m, n, seed);
+        let mut dst: SimVec<Row> = m.alloc(n);
+        // Exact per-partition cursors (uncharged metadata).
+        let mut counts = vec![0usize; fanout];
+        for row in src.as_slice_untracked() {
+            counts[(row.key & mask) as usize] += 1;
+        }
+        let mut starts = vec![0usize; fanout + 1];
+        for g in 0..fanout {
+            starts[g + 1] = starts[g] + counts[g];
+        }
+        let per = n.div_ceil(threads);
+        let cores: Vec<usize> = (0..threads).collect();
+        // Per-worker scratch, reserved in its fixed layout order: every
+        // worker's write-combining fill counters, then their buffers (both
+        // variants reserve these, so the direct variant's cursors keep
+        // their addresses), then the direct variant's cursor arrays. Each
+        // worker backs its own arrays when it runs, and `parallel` runs one
+        // worker at a time, so one worker's scratch is resident at once.
+        let fill_counts: Vec<VecSlot<u32>> = (0..threads).map(|_| m.reserve_vec(fanout)).collect();
+        let wcb_bufs: Vec<VecSlot<Row>> = (0..threads).map(|_| m.reserve_vec(fanout * 8)).collect();
+        let cursor_arrays: Vec<Option<VecSlot<u32>>> =
+            (0..threads).map(|_| (!wcb).then(|| m.reserve_vec(fanout))).collect();
+        let mut scratch: Vec<_> =
+            fill_counts.into_iter().zip(wcb_bufs).zip(cursor_arrays).map(Some).collect();
+        // A worker's cursors start past every earlier worker's rows.
+        // `parallel` runs each worker once, in core order, so one running
+        // array yields every worker's start.
+        let mut running = starts[..fanout].to_vec();
+        let mut offsets = vec![0usize; fanout];
+        let before = m.wall_cycles();
+        m.parallel(&cores, |c| {
+            let w = c.worker();
+            let range = (w * per).min(n)..((w + 1) * per).min(n);
+            offsets.copy_from_slice(&running);
+            for i in range.clone() {
+                running[(src.peek(i).key & mask) as usize] += 1;
+            }
+            // sgx-lint: allow(panic-in-library) parallel() runs each worker once, so its scratch is still reserved
+            let ((fills, buf), cursors) = scratch[w].take().expect("one backing per worker");
+            match cursors {
+                // The write-combining variant reserved no cursor arrays.
+                None => sgx_joins::rho::seq_scatter(
+                    c,
+                    &src,
+                    range,
+                    &mut dst,
+                    &mut offsets,
+                    &mut fills.alloc(),
+                    &mut buf.alloc(),
+                    0,
+                    mask,
+                    false,
+                ),
+                Some(cursors) => {
+                    let mut cursors = cursors.alloc();
+                    for (g, &at) in offsets.iter().enumerate() {
+                        cursors.poke(g, at as u32);
                     }
-                    let mut starts = vec![0usize; fanout + 1];
-                    for g in 0..fanout {
-                        starts[g + 1] = starts[g] + counts[g];
-                    }
-                    let per = n.div_ceil(threads);
-                    let cores: Vec<usize> = (0..threads).collect();
-                    // Per-worker write-combining scratch. The direct variant
-                    // never reads it, but still allocates it so the arrays
-                    // after it keep their simulated addresses; the filter
-                    // drops its host buffers at once.
-                    let mut wcb_counts: Vec<SimVec<u32>> =
-                        (0..threads).map(|_| m.alloc(fanout)).filter(|_| wcb).collect();
-                    let mut wcb_bufs: Vec<SimVec<Row>> =
-                        (0..threads).map(|_| m.alloc(fanout * 8)).filter(|_| wcb).collect();
-                    // The direct variant keeps its partition cursors in a
-                    // charged array of the same shape (the last allocation,
-                    // so the write-combining variant skips it).
-                    let mut cursor_vecs: Vec<SimVec<u32>> = if wcb {
-                        Vec::new()
-                    } else {
-                        (0..threads).map(|_| m.alloc(fanout)).collect()
-                    };
-                    // A worker's cursors start past every earlier worker's
-                    // rows. `parallel` runs each worker once, in core order,
-                    // so one running array yields every worker's start.
-                    let mut running = starts[..fanout].to_vec();
-                    let mut offsets = vec![0usize; fanout];
-                    let before = m.wall_cycles();
-                    m.parallel(&cores, |c| {
-                        let w = c.worker();
-                        let range = (w * per).min(n)..((w + 1) * per).min(n);
-                        offsets.copy_from_slice(&running);
-                        for i in range.clone() {
-                            running[(src.peek(i).key & mask) as usize] += 1;
-                        }
-                        if wcb {
-                            sgx_joins::rho::seq_scatter(
-                                c,
-                                &src,
-                                range,
-                                &mut dst,
-                                &mut offsets,
-                                &mut wcb_counts[w],
-                                &mut wcb_bufs[w],
-                                0,
-                                mask,
-                                false,
-                            );
-                        } else {
-                            let cursors = &mut cursor_vecs[w];
-                            for (g, &at) in offsets.iter().enumerate() {
-                                cursors.poke(g, at as u32);
-                            }
-                            seq_scatter_direct(c, &src, range, &mut dst, cursors, 0, mask);
-                        }
-                    });
-                    let cycles = m.wall_cycles() - before;
-                    n as f64 / cycles * p.hw.freq_ghz * 1e3
-                }))
-            })
-            .collect();
-        fig.push_series(label, points);
-    }
+                    seq_scatter_direct(c, &src, range, &mut dst, &mut cursors, 0, mask);
+                }
+            }
+        });
+        let cycles = m.wall_cycles() - before;
+        n as f64 / cycles * p.hw.freq_ghz * 1e3
+    });
+    push_grid(&mut fig, &series.map(|(label, ..)| label), &stats);
     fig.note("with cursor maintenance charged fairly, the buffers win across fan-outs: full-line non-temporal flushes skip the RFO fill and the TLB walks that per-tuple scatter stores pay — the margin is largest inside the enclave");
     fig
 }
@@ -215,21 +212,19 @@ pub fn ablation_radix_bits(p: &BenchProfile) -> Figure {
         "M rows/s",
     )
     .with_xs(choices.iter().map(|b| b.to_string()));
-    for setting in [Setting::PlainCpu, Setting::SgxDataInEnclave] {
-        let points = choices
-            .iter()
-            .map(|&bits| {
-                Some(repeat(p.reps, |seed| {
-                    let mut m = Machine::new(p.hw.clone(), setting);
-                    let r = gen_pk_relation(&mut m, nr, seed);
-                    let s = gen_fk_relation(&mut m, ns, nr, seed + 1);
-                    let cfg = JoinConfig::new(threads).with_radix_bits(bits);
-                    rho_join(&mut m, &r, &s, &cfg).mrows_per_sec(nr, ns, p.hw.freq_ghz)
-                }))
-            })
-            .collect();
-        fig.push_series(setting.label(), points);
-    }
+    let settings = [Setting::PlainCpu, Setting::SgxDataInEnclave];
+    let configs: Vec<(Setting, u32)> = settings
+        .iter()
+        .flat_map(|&setting| choices.iter().map(move |&bits| (setting, bits)))
+        .collect();
+    let stats = repeat_grid(p.reps, &configs, |_| 0, |&(setting, bits), seed| {
+        let mut m = Machine::new(p.hw.clone(), setting);
+        let r = gen_pk_relation(&mut m, nr, seed);
+        let s = gen_fk_relation(&mut m, ns, nr, seed + 1);
+        let cfg = JoinConfig::new(threads).with_radix_bits(bits);
+        rho_join(&mut m, &r, &s, &cfg).mrows_per_sec(nr, ns, p.hw.freq_ghz)
+    });
+    push_grid(&mut fig, &settings.map(Setting::label), &stats);
     fig.note("too few bits leave partitions bigger than cache (random-access-bound build); the cliff is steeper inside the enclave (§4.1 lesson)");
     fig
 }

@@ -1,9 +1,13 @@
 //! Join experiments: Figs 1, 3, 4, 6, 8, 9, 10, 11 and the SGXv1
 //! ablation extension.
 
+use std::ops::Range;
+
+use crate::experiments::push_grid;
 use crate::profiles::BenchProfile;
 use crate::report::{Figure, Stat};
-use crate::repeat;
+use crate::sweep::sweep;
+use crate::{rep_seeds, repeat_grid};
 use sgx_joins::crkjoin::crk_join;
 use sgx_joins::inl::inl_join;
 use sgx_joins::mway::mway_join;
@@ -99,21 +103,18 @@ pub fn fig01_intro(p: &BenchProfile) -> Figure {
         "M rows/s",
     )
     .with_xs(["SGXv1-optimized (CrkJoin)", "Radix join (RHO)", "SGXv2-optimized RHO", "RHO outside enclave"]);
-    let mut points = Vec::new();
-    for (setting, algo, opt) in [
+    let configs = [
         (Setting::SgxDataInEnclave, JoinAlgo::Crk, false),
         (Setting::SgxDataInEnclave, JoinAlgo::Rho, false),
         (Setting::SgxDataInEnclave, JoinAlgo::Rho, true),
         (Setting::PlainCpu, JoinAlgo::Rho, true),
-    ] {
-        let stat = repeat(p.reps, |seed| {
-            let (s, nr, ns) =
-                run_join(p, setting, algo, 100, 400, 16, |c| c.with_optimization(opt), seed);
-            mrows(p, &s, nr, ns)
-        });
-        points.push(Some(stat));
-    }
-    fig.push_series("throughput", points);
+    ];
+    let stats = repeat_grid(p.reps, &configs, |_| 0, |&(setting, algo, opt), seed| {
+        let (s, nr, ns) =
+            run_join(p, setting, algo, 100, 400, 16, |c| c.with_optimization(opt), seed);
+        mrows(p, &s, nr, ns)
+    });
+    push_grid(&mut fig, &["throughput"], &stats);
     fig.note("paper: CrkJoin slowest; optimized RHO approaches native (Fig 1)");
     fig
 }
@@ -128,18 +129,14 @@ pub fn fig03_overview(p: &BenchProfile) -> Figure {
         "M rows/s",
     )
     .with_xs(algos.iter().map(|a| a.label()));
-    for setting in [Setting::PlainCpu, Setting::SgxDataInEnclave] {
-        let points = algos
-            .iter()
-            .map(|&algo| {
-                Some(repeat(p.reps, |seed| {
-                    let (s, nr, ns) = run_join(p, setting, algo, 100, 400, 16, |c| c, seed);
-                    mrows(p, &s, nr, ns)
-                }))
-            })
-            .collect();
-        fig.push_series(setting.label(), points);
-    }
+    let settings = [Setting::PlainCpu, Setting::SgxDataInEnclave];
+    let configs: Vec<(Setting, JoinAlgo)> =
+        settings.iter().flat_map(|&setting| algos.map(|algo| (setting, algo))).collect();
+    let stats = repeat_grid(p.reps, &configs, |_| 0, |&(setting, algo), seed| {
+        let (s, nr, ns) = run_join(p, setting, algo, 100, 400, 16, |c| c, seed);
+        mrows(p, &s, nr, ns)
+    });
+    push_grid(&mut fig, &settings.map(Setting::label), &stats);
     fig.note("paper: CrkJoin slowest; hash joins suffer the largest enclave reduction");
     fig
 }
@@ -155,25 +152,39 @@ pub fn fig04_pht(p: &BenchProfile) -> (Figure, Figure) {
         "relative",
     )
     .with_xs(sizes_mb.iter().map(|m| format!("{m} MB")));
-    let mut points = Vec::new();
-    let mut last: Option<(JoinStats, JoinStats)> = None;
-    for &mb in &sizes_mb {
-        let stat = repeat(p.reps, |seed| {
-            let (native, nr, ns) =
-                run_join(p, Setting::PlainCpu, JoinAlgo::Pht, mb, 400, 1, |c| c, seed);
-            let (sgx, ..) =
-                run_join(p, Setting::SgxDataInEnclave, JoinAlgo::Pht, mb, 400, 1, |c| c, seed);
-            let rel = mrows(p, &sgx, nr, ns) / mrows(p, &native, nr, ns);
-            last = Some((native, sgx));
-            rel
-        });
-        points.push(Some(stat));
-    }
-    left.push_series("SGX / plain CPU", points);
+    // The points in the order a sequential loop builds their machines: by
+    // size, then repetition, then plain CPU before enclave. Each returns
+    // its throughput and its build and probe phase cycles.
+    let points: Vec<(usize, u64, Setting)> = sizes_mb
+        .iter()
+        .flat_map(|&mb| {
+            rep_seeds(p.reps).flat_map(move |seed| {
+                [Setting::PlainCpu, Setting::SgxDataInEnclave].map(|setting| (mb, seed, setting))
+            })
+        })
+        .collect();
+    let runs = sweep(
+        &points,
+        |&(mb, ..)| p.mb(mb + 400),
+        |&(mb, seed, setting)| {
+            let (stats, nr, ns) = run_join(p, setting, JoinAlgo::Pht, mb, 400, 1, |c| c, seed);
+            [mrows(p, &stats, nr, ns), stats.phase("build"), stats.phase("probe")]
+        },
+    );
+    // One chunk per size: each repetition's (native, enclave).
+    let series = runs
+        .chunks_exact(2 * rep_seeds(p.reps).count())
+        .map(|size| {
+            let rel: Vec<f64> = size.chunks_exact(2).map(|pair| pair[1][0] / pair[0][0]).collect();
+            Some(Stat::from_runs(&rel))
+        })
+        .collect();
+    left.push_series("SGX / plain CPU", series);
     left.note("paper: ~95% at cache-resident sizes, ~51% at 100 MB");
 
-    // sgx-lint: allow(panic-in-library) the size list above is a non-empty constant, so `last` is always set
-    let (native, sgx) = last.expect("at least one size measured");
+    // The right-hand figure shows the last size's final (native, enclave)
+    // pair.
+    let (native, sgx) = (runs[runs.len() - 2], runs[runs.len() - 1]);
     let mut right = Figure::new(
         "fig04b",
         "PHT phase run times at 100 MB build size (single thread)",
@@ -183,11 +194,11 @@ pub fn fig04_pht(p: &BenchProfile) -> (Figure, Figure) {
     .with_xs(["build", "probe"]);
     right.push_series(
         "Plain CPU",
-        vec![Some(Stat::exact(native.phase("build"))), Some(Stat::exact(native.phase("probe")))],
+        vec![Some(Stat::exact(native[1])), Some(Stat::exact(native[2]))],
     );
     right.push_series(
         "SGX (Data in Enclave)",
-        vec![Some(Stat::exact(sgx.phase("build"))), Some(Stat::exact(sgx.phase("probe")))],
+        vec![Some(Stat::exact(sgx[1])), Some(Stat::exact(sgx[2]))],
     );
     right.note("paper: the build phase suffers far more than the probe phase (writes vs reads)");
     (left, right)
@@ -203,17 +214,22 @@ pub fn fig06_rho_breakdown(p: &BenchProfile) -> Figure {
         "cycles",
     )
     .with_xs(phases);
-    for (label, setting, opt) in [
+    let series = [
         ("Plain CPU", Setting::PlainCpu, false),
         ("SGX naive", Setting::SgxDataInEnclave, false),
         ("SGX optimized", Setting::SgxDataInEnclave, true),
-    ] {
-        let (stats, ..) =
-            run_join(p, setting, JoinAlgo::Rho, 100, 400, 1, |c| c.with_optimization(opt), 7);
-        fig.push_series(
-            label,
-            phases.iter().map(|ph| Some(Stat::exact(stats.phase(ph)))).collect(),
-        );
+    ];
+    let cycles = sweep(
+        &series,
+        |_| 0,
+        |&(_, setting, opt)| {
+            let (stats, ..) =
+                run_join(p, setting, JoinAlgo::Rho, 100, 400, 1, |c| c.with_optimization(opt), 7);
+            phases.map(|ph| stats.phase(ph))
+        },
+    );
+    for ((label, ..), cycles) in series.iter().zip(cycles) {
+        fig.push_series(label, cycles.iter().map(|&c| Some(Stat::exact(c))).collect());
     }
     fig.note("paper: histogram up to 4x slower naive; unrolling repairs hist/copy/build");
     fig
@@ -228,23 +244,23 @@ pub fn fig08_optimized(p: &BenchProfile) -> Figure {
         "M rows/s",
     )
     .with_xs(["RHO", "PHT"]);
-    for (label, setting, opt) in [
+    let series = [
         ("Plain CPU", Setting::PlainCpu, false),
         ("SGX naive", Setting::SgxDataInEnclave, false),
         ("SGX optimized", Setting::SgxDataInEnclave, true),
-    ] {
-        let points = [JoinAlgo::Rho, JoinAlgo::Pht]
-            .iter()
-            .map(|&algo| {
-                Some(repeat(p.reps, |seed| {
-                    let (s, nr, ns) =
-                        run_join(p, setting, algo, 100, 400, 16, |c| c.with_optimization(opt), seed);
-                    mrows(p, &s, nr, ns)
-                }))
-            })
-            .collect();
-        fig.push_series(label, points);
-    }
+    ];
+    let configs: Vec<(Setting, bool, JoinAlgo)> = series
+        .iter()
+        .flat_map(|&(_, setting, opt)| {
+            [JoinAlgo::Rho, JoinAlgo::Pht].map(|algo| (setting, opt, algo))
+        })
+        .collect();
+    let stats = repeat_grid(p.reps, &configs, |_| 0, |&(setting, opt, algo), seed| {
+        let (s, nr, ns) =
+            run_join(p, setting, algo, 100, 400, 16, |c| c.with_optimization(opt), seed);
+        mrows(p, &s, nr, ns)
+    });
+    push_grid(&mut fig, &series.map(|(label, ..)| label), &stats);
     fig.note("paper: optimized RHO reaches 83% of native; PHT improves 94% but stays random-access-bound");
     fig
 }
@@ -255,12 +271,12 @@ pub fn fig09_numa_join(p: &BenchProfile) -> Figure {
     let (nr, ns) = (p.rel_rows(100), p.rel_rows(400));
     let bits = auto_bits(p, nr, JoinAlgo::Rho);
 
-    let run = |setting: Setting, cores: Vec<usize>, data_node: u8, seed: u64| -> f64 {
+    let run = |&(setting, ref cores, data_node, seed): &(Setting, Range<usize>, u8, u64)| -> f64 {
         let mut machine = Machine::new(p.hw.clone(), setting);
         let region = setting.data_region(data_node);
         let r = sgx_joins::data::gen_pk_relation_on(&mut machine, nr, seed, region);
         let s = sgx_joins::data::gen_fk_relation_on(&mut machine, ns, nr, seed + 1, region);
-        let cfg = JoinConfig::new(1).on_cores(cores).with_radix_bits(bits);
+        let cfg = JoinConfig::new(1).on_cores(cores.clone().collect()).with_radix_bits(bits);
         let stats = rho_join(&mut machine, &r, &s, &cfg);
         stats.mrows_per_sec(nr, ns, p.hw.freq_ghz)
     };
@@ -272,27 +288,30 @@ pub fn fig09_numa_join(p: &BenchProfile) -> Figure {
             "SGX Join Half Local",
             "Native Join NUMA local",
         ]);
-    let single = repeat(p.reps, |seed| {
-        run(Setting::SgxDataInEnclave, (0..t).collect(), 0, seed)
-    });
-    let remote = repeat(p.reps, |seed| {
-        run(Setting::SgxDataInEnclave, (t..2 * t).collect(), 0, seed)
-    });
-    let half = repeat(p.reps, |seed| {
-        run(Setting::SgxDataInEnclave, (0..2 * t).collect(), 0, seed)
-    });
-    // Optimal baseline: both tables pre-partitioned per node, one join per
-    // socket running concurrently — aggregate throughput is the sum of two
-    // NUMA-local halves.
-    let local2 = repeat(p.reps, |seed| {
-        let a = run(Setting::PlainCpu, (0..t).collect(), 0, seed);
-        let b = run(Setting::PlainCpu, (t..2 * t).collect(), 1, seed + 100);
-        a + b
-    });
-    fig.push_series(
-        "throughput",
-        vec![Some(single), Some(remote), Some(half), Some(local2)],
-    );
+    // The runs in the order a sequential loop builds their machines: the
+    // three enclave series by repetition (single node, fully remote, half
+    // local), then the optimal baseline. That baseline has both tables
+    // pre-partitioned per node and one join per socket running
+    // concurrently, so its aggregate throughput is the sum of two
+    // NUMA-local halves, a and b, listed in that order per repetition.
+    let enclave = [0..t, t..2 * t, 0..2 * t];
+    let mut runs: Vec<(Setting, Range<usize>, u8, u64)> = enclave
+        .iter()
+        .flat_map(|cores| {
+            rep_seeds(p.reps).map(move |seed| (Setting::SgxDataInEnclave, cores.clone(), 0, seed))
+        })
+        .collect();
+    runs.extend(rep_seeds(p.reps).flat_map(|seed| {
+        [(Setting::PlainCpu, 0..t, 0, seed), (Setting::PlainCpu, t..2 * t, 1, seed + 100)]
+    }));
+    let throughput = sweep(&runs, |_| 0, run);
+    let reps = rep_seeds(p.reps).count();
+    let (enclave_runs, local_runs) = throughput.split_at(enclave.len() * reps);
+    let mut points: Vec<Option<Stat>> =
+        enclave_runs.chunks_exact(reps).map(|runs| Some(Stat::from_runs(runs))).collect();
+    let local2: Vec<f64> = local_runs.chunks_exact(2).map(|ab| ab[0] + ab[1]).collect();
+    points.push(Some(Stat::from_runs(&local2)));
+    fig.push_series("throughput", points);
     fig.note("paper: fully remote loses ~25%; adding the second socket's cores does not help; both < 50% of the NUMA-local optimum");
     fig
 }
@@ -313,27 +332,27 @@ pub fn fig10_queues(p: &BenchProfile) -> Figure {
         "M rows/s",
     )
     .with_xs(["lock-free queue", "SDK mutex queue"]);
-    for setting in [Setting::PlainCpu, Setting::SgxDataInEnclave] {
-        let points = [QueueKind::LockFree, QueueKind::SdkMutex]
-            .iter()
-            .map(|&queue| {
-                Some(repeat(p.reps, |seed| {
-                    let (s, nr, ns) = run_join(
-                        p,
-                        setting,
-                        JoinAlgo::Rho,
-                        100,
-                        400,
-                        16,
-                        |c| c.with_radix_bits(bits).with_queue(queue),
-                        seed,
-                    );
-                    mrows(p, &s, nr, ns)
-                }))
-            })
-            .collect();
-        fig.push_series(setting.label(), points);
-    }
+    let settings = [Setting::PlainCpu, Setting::SgxDataInEnclave];
+    let configs: Vec<(Setting, QueueKind)> = settings
+        .iter()
+        .flat_map(|&setting| {
+            [QueueKind::LockFree, QueueKind::SdkMutex].map(|queue| (setting, queue))
+        })
+        .collect();
+    let stats = repeat_grid(p.reps, &configs, |_| 0, |&(setting, queue), seed| {
+        let (s, nr, ns) = run_join(
+            p,
+            setting,
+            JoinAlgo::Rho,
+            100,
+            400,
+            16,
+            |c| c.with_radix_bits(bits).with_queue(queue),
+            seed,
+        );
+        mrows(p, &s, nr, ns)
+    });
+    push_grid(&mut fig, &settings.map(Setting::label), &stats);
     fig.note("paper: outside the enclave the queue choice is noise; inside, the mutex costs ~75%");
     fig
 }
@@ -343,7 +362,7 @@ pub fn fig10_queues(p: &BenchProfile) -> Figure {
 pub fn fig11_edmm(p: &BenchProfile) -> Figure {
     let (nr, ns) = (p.rel_rows(100), p.rel_rows(400));
     let bits = auto_bits(p, nr, JoinAlgo::Rho);
-    let run = |dynamic: bool, seed: u64| -> f64 {
+    let run = |&dynamic: &bool, seed: u64| -> f64 {
         let mut machine = Machine::new(p.hw.clone(), Setting::SgxDataInEnclave);
         let r = gen_pk_relation(&mut machine, nr, seed);
         let s = gen_fk_relation(&mut machine, ns, nr, seed + 1);
@@ -366,9 +385,8 @@ pub fn fig11_edmm(p: &BenchProfile) -> Figure {
         "M rows/s",
     )
     .with_xs(["statically sized", "dynamic (EDMM)"]);
-    let static_ = repeat(p.reps, |seed| run(false, seed));
-    let dynamic = repeat(p.reps, |seed| run(true, seed));
-    fig.push_series("SGX (Data in Enclave)", vec![Some(static_), Some(dynamic)]);
+    let stats = repeat_grid(p.reps, &[false, true], |_| 0, run);
+    push_grid(&mut fig, &["SGX (Data in Enclave)"], &stats);
     fig.note("paper: the dynamically growing enclave reaches only ~4.5% of the static one");
     fig
 }
@@ -386,8 +404,8 @@ pub fn sgxv1_ablation(p: &BenchProfile) -> Figure {
     let budget_rows = hw_v1.paging.resident_bytes * 8 / 10 / 8;
     let nr = (budget_rows / 5).max(64);
     let ns = 4 * nr;
-    let run = |hw: sgx_sim::HwConfig, algo: JoinAlgo, seed: u64| -> f64 {
-        let mut machine = Machine::new(hw, Setting::SgxDataInEnclave);
+    let run = |&(hw, algo): &(&sgx_sim::HwConfig, JoinAlgo), seed: u64| -> f64 {
+        let mut machine = Machine::new(hw.clone(), Setting::SgxDataInEnclave);
         let mut r = gen_pk_relation(&mut machine, nr, seed);
         let mut s = gen_fk_relation(&mut machine, ns, nr, seed + 1);
         let bits = JoinConfig::auto_radix_bits(nr * 8, p.hw.l2.size)
@@ -408,20 +426,12 @@ pub fn sgxv1_ablation(p: &BenchProfile) -> Figure {
         "M rows/s",
     )
     .with_xs(["RHO", "CrkJoin"]);
-    fig.push_series(
-        "SGXv2 EPC (large)",
-        vec![
-            Some(repeat(p.reps, |s| run(p.hw.clone(), JoinAlgo::Rho, s))),
-            Some(repeat(p.reps, |s| run(p.hw.clone(), JoinAlgo::Crk, s))),
-        ],
-    );
-    fig.push_series(
-        "SGXv1 EPC (small, paging)",
-        vec![
-            Some(repeat(p.reps, |s| run(hw_v1.clone(), JoinAlgo::Rho, s))),
-            Some(repeat(p.reps, |s| run(hw_v1.clone(), JoinAlgo::Crk, s))),
-        ],
-    );
+    let configs: Vec<(&sgx_sim::HwConfig, JoinAlgo)> = [&p.hw, &hw_v1]
+        .iter()
+        .flat_map(|&hw| [JoinAlgo::Rho, JoinAlgo::Crk].map(|algo| (hw, algo)))
+        .collect();
+    let stats = repeat_grid(p.reps, &configs, |_| 0, run);
+    push_grid(&mut fig, &["SGXv2 EPC (large)", "SGXv1 EPC (small, paging)"], &stats);
     fig.note("capacity-pressure regime (inputs ~80% of resident EPC): the ordering flips because RHO's out-of-place copies overflow the SGXv1 EPC while in-place cracking fits");
     fig
 }

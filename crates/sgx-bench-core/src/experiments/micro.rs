@@ -1,9 +1,10 @@
 //! Micro-benchmark experiments: Figs 5 and 7.
 
+use crate::experiments::push_grid;
 use crate::profiles::BenchProfile;
 use crate::report::{Figure, Stat};
 use crate::sweep::sweep;
-use crate::{rep_seeds, repeat};
+use crate::{rep_seeds, repeat_grid};
 use sgx_microbench::{histogram_bench, pointer_chase, random_write, HistKernel};
 use sgx_sim::Setting;
 
@@ -98,24 +99,22 @@ pub fn fig07_histogram(p: &BenchProfile) -> Figure {
         "cycles / key",
     )
     .with_xs(bins.iter().map(|b| b.to_string()));
-    for (label, setting, kernel) in [
+    let series = [
         ("Plain CPU", Setting::PlainCpu, HistKernel::Naive),
         ("SGX Data in Enclave", Setting::SgxDataInEnclave, HistKernel::Naive),
         ("SGX Data outside Enclave", Setting::SgxDataOutside, HistKernel::Naive),
         ("SGX unrolled x8", Setting::SgxDataInEnclave, HistKernel::Unrolled8),
         ("SGX SIMD x32", Setting::SgxDataInEnclave, HistKernel::Simd32),
-    ] {
-        let points = bins
-            .iter()
-            .map(|&b| {
-                Some(repeat(p.reps, |seed| {
-                    let r = histogram_bench(p.hw.clone(), setting, n_keys, b, kernel, seed);
-                    r.cycles / r.keys as f64
-                }))
-            })
-            .collect();
-        fig.push_series(label, points);
-    }
+    ];
+    let configs: Vec<(Setting, HistKernel, usize)> = series
+        .iter()
+        .flat_map(|&(_, setting, kernel)| bins.iter().map(move |&b| (setting, kernel, b)))
+        .collect();
+    let stats = repeat_grid(p.reps, &configs, |&(.., b)| b, |&(setting, kernel, b), seed| {
+        let r = histogram_bench(p.hw.clone(), setting, n_keys, b, kernel, seed);
+        r.cycles / r.keys as f64
+    });
+    push_grid(&mut fig, &series.map(|(label, ..)| label), &stats);
     fig.note("paper: naive 225% slower in enclave mode regardless of data location; unrolling brings it to ~20%");
     fig
 }

@@ -7,6 +7,13 @@
 //! wrappers; the workspace integration tests run these functions on a tiny
 //! profile and assert the qualitative shapes (who wins, orderings,
 //! crossovers) hold.
+//!
+//! Where every point of a figure builds a machine of its own, the points
+//! run as one `crate::sweep` on the job's thread budget, listed in the
+//! order a sequential loop builds their machines: through
+//! `crate::repeat_grid` for configurations × repetitions, or directly.
+//! A point returns plain numbers, never an operator's stats, so nothing
+//! it built (such as a materialized join result) outlives it.
 
 pub mod extensions;
 pub mod faults;
@@ -35,3 +42,15 @@ pub use service::ext_service_tail;
 pub use storage::ext_storage_path;
 pub use table1::table1;
 pub use tpch::fig17_tpch;
+
+use crate::report::Stat;
+
+/// Push one series per label, in order, each taking the next x-axis's
+/// worth of `stats`: a `repeat_grid` result whose configurations are
+/// listed series-major.
+pub(crate) fn push_grid(fig: &mut crate::report::Figure, labels: &[&str], stats: &[Stat]) {
+    assert_eq!(stats.len(), labels.len() * fig.xs.len(), "one x-axis of points per series");
+    for (label, row) in labels.iter().zip(stats.chunks_exact(fig.xs.len())) {
+        fig.push_series(label, row.iter().copied().map(Some).collect());
+    }
+}

@@ -85,6 +85,36 @@ pub(crate) fn rep_seeds(reps: usize) -> impl Iterator<Item = u64> {
     (0..reps.max(1) as u64).map(|r| 0xC0FFEE + r)
 }
 
+/// [`repeat`] for every configuration of a grid, run as one `sweep` on
+/// the job's thread budget: one [`Stat`] per configuration, bitwise what
+/// a `repeat` call per configuration gives. The points are listed
+/// configuration-major, then by seed, which is the order nested `repeat`
+/// loops build their machines in; `bytes` sizes a configuration's points
+/// for the sweep's claim order.
+pub(crate) fn repeat_grid<C: Sync>(
+    reps: usize,
+    configs: &[C],
+    bytes: impl Fn(&C) -> usize,
+    point: impl Fn(&C, u64) -> f64 + Sync,
+) -> Vec<Stat> {
+    repeat_grid_on(runner::sweep_threads(), reps, configs, bytes, point)
+}
+
+/// [`repeat_grid`] on at most `threads` threads in total, the caller
+/// included.
+pub(crate) fn repeat_grid_on<C: Sync>(
+    threads: usize,
+    reps: usize,
+    configs: &[C],
+    bytes: impl Fn(&C) -> usize,
+    point: impl Fn(&C, u64) -> f64 + Sync,
+) -> Vec<Stat> {
+    let points: Vec<(&C, u64)> =
+        configs.iter().flat_map(|c| rep_seeds(reps).map(move |seed| (c, seed))).collect();
+    let runs = sweep::sweep_on(threads, &points, |&(c, _)| bytes(c), |&(c, seed)| point(c, seed));
+    runs.chunks_exact(rep_seeds(reps).count()).map(Stat::from_runs).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

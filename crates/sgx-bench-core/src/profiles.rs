@@ -96,7 +96,9 @@ pub struct BenchProfile {
 }
 
 impl BenchProfile {
-    /// The paper machine at 1/16 scale with 3 repetitions (test default).
+    /// The paper machine and data at 1/16 scale, the command line's
+    /// default scale, with one repetition per point (the command line
+    /// defaults to 3).
     pub fn quick() -> BenchProfile {
         BenchProfile { hw: scaled_profile(), data_div: 16, reps: 1 }
     }
@@ -106,10 +108,13 @@ impl BenchProfile {
         BenchProfile { hw: xeon_gold_6326().scaled(64), data_div: 64, reps: 1 }
     }
 
-    /// The refactor-equivalence profile (1/512 machine and data): the
-    /// smallest scale at which every registered figure job passes its
-    /// shape assertions, so the equivalence suite can afford to run the
-    /// full registry. `record_goldens`, `tests/integration_equivalence.rs`
+    /// The refactor-equivalence profile (1/512 machine and data), small
+    /// enough that the equivalence suite can afford to run the full
+    /// registry several times. It is not where the figures' shapes are
+    /// checked: `tests/integration_figures.rs` asserts them at 1/256, and
+    /// at 1/512 two of them fail (`ext_skew_shape_two_competing_effects`
+    /// and `ext_aex_storm_shape_enclave_collapses_first`).
+    /// `record_goldens`, `tests/integration_equivalence.rs`
     /// and the goldens in `tests/goldens/` must all agree on this
     /// profile; [`BenchProfile::golden_tag`] is embedded in the golden
     /// file to catch accidental drift.

@@ -46,14 +46,24 @@ pub(crate) fn sweep_on<T: Sync, R: Send>(
     bytes: impl Fn(&T) -> usize,
     point: impl Fn(&T) -> R + Sync,
 ) -> Vec<R> {
-    let n = items.len();
+    let sizes: Vec<usize> = items.iter().map(bytes).collect();
+    sweep_indices(threads, &sizes, &|i| point(&items[i]))
+}
+
+/// [`sweep_on`] over item indices, given each item's size. Calling the
+/// point only through a trait object keeps one copy of each figure's
+/// point body, and one copy of the thread machinery per result type.
+fn sweep_indices<R: Send>(
+    threads: usize,
+    sizes: &[usize],
+    point: &(dyn Fn(usize) -> R + Sync),
+) -> Vec<R> {
+    let n = sizes.len();
     let threads = threads.min(n);
     if threads <= 1 || sgx_sim::profile::enabled() {
-        return items.iter().map(point).collect();
+        return (0..n).map(point).collect();
     }
-    // Item indices from smallest to largest; ties keep list order.
-    let mut by_size: Vec<usize> = (0..n).collect();
-    by_size.sort_by_key(|&i| bytes(&items[i]));
+    let by_size = smallest_first(sizes);
     // Every successful claim takes one item from exactly one end, and at
     // most `n` claims succeed, so the two ends never cross. The counters
     // publish no data: results travel back through `join`.
@@ -74,7 +84,7 @@ pub(crate) fn sweep_on<T: Sync, R: Send>(
         panic::catch_unwind(AssertUnwindSafe(|| {
             let mut mine = Vec::new();
             while let Some(i) = claim(largest_first) {
-                mine.push((i, point(&items[i])));
+                mine.push((i, point(i)));
             }
             mine
         }))
@@ -110,12 +120,21 @@ pub(crate) fn sweep_on<T: Sync, R: Send>(
     slots.into_iter().flatten().collect()
 }
 
+/// Item indices from the smallest item to the largest; ties keep list
+/// order.
+fn smallest_first(sizes: &[usize]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..sizes.len()).collect();
+    order.sort_by_key(|&i| sizes[i]);
+    order
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::profiles::BenchProfile;
-    use crate::report::Figure;
+    use crate::report::{Figure, Stat};
     use crate::runner::{run_registry, FigureJob, JobStatus, RunConfig};
+    use crate::{rep_seeds, repeat, repeat_grid_on};
     use sgx_sim::{Machine, Setting};
     use std::sync::{Barrier, Mutex};
     use std::thread::{self, ThreadId};
@@ -191,6 +210,107 @@ mod tests {
         let ran = ran.into_inner().unwrap_or_else(|e| e.into_inner());
         assert_eq!(got, SIZES);
         assert_eq!(ran, SIZES.iter().map(|&k| (k, me)).collect::<Vec<_>>());
+    }
+
+    /// Grid configurations in list order: unequal array lines with a
+    /// unique smallest (3) and largest (30), in both settings.
+    const GRID: [(usize, Setting); 4] = [
+        (12, Setting::PlainCpu),
+        (3, Setting::SgxDataInEnclave),
+        (30, Setting::SgxDataInEnclave),
+        (5, Setting::PlainCpu),
+    ];
+
+    /// One grid point: stores over `k` lines, fewer for some seeds, so the
+    /// repetitions of one configuration differ.
+    fn grid_point(&(k, setting): &(usize, Setting), seed: u64) -> f64 {
+        let mut m = Machine::new(BenchProfile::tiny().hw, setting);
+        let mut v = m.alloc::<u64>(k * 8);
+        let stores = v.len() - (seed % 5) as usize;
+        m.run(|c| {
+            for i in 0..stores {
+                v.set(c, i, seed);
+            }
+        });
+        m.wall_cycles()
+    }
+
+    fn stat_bits(stats: &[Stat]) -> Vec<(u64, u64)> {
+        stats
+            .iter()
+            .map(|s| (s.mean.to_bits(), s.stddev.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn grid_gives_nested_repeat_stats_and_conserves_counters() {
+        for reps in [1, 3] {
+            let _ = sgx_sim::counters::session_take();
+            let want: Vec<Stat> = GRID
+                .iter()
+                .map(|cfg| repeat(reps, |seed| grid_point(cfg, seed)))
+                .collect();
+            let want_counters = sgx_sim::counters::session_take().report();
+            assert_eq!(want.iter().any(|s| s.stddev > 0.0), reps > 1);
+            let seeds: Vec<u64> = rep_seeds(reps).collect();
+            let (first, last) = (seeds[0], seeds[seeds.len() - 1]);
+            for threads in [1, 2, 8] {
+                // With helpers, the caller's first claim (the largest
+                // configuration's last seed) waits until a helper has
+                // reached its own first claim (the smallest's first seed).
+                let gate = Barrier::new(2);
+                let got = repeat_grid_on(
+                    threads,
+                    reps,
+                    &GRID,
+                    |&(k, _)| k,
+                    |cfg, seed| {
+                        let (k, _) = *cfg;
+                        if threads > 1 && ((k == 3 && seed == first) || (k == 30 && seed == last)) {
+                            gate.wait();
+                        }
+                        grid_point(cfg, seed)
+                    },
+                );
+                let counters = sgx_sim::counters::session_take().report();
+                let label = format!("{threads} threads, {reps} reps");
+                assert_eq!(stat_bits(&got), stat_bits(&want), "{label}: stats differ");
+                assert_eq!(
+                    counters, want_counters,
+                    "{label}: counters must be conserved"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn profiled_grids_run_inline_configuration_major() {
+        let ran: Mutex<Vec<(usize, u64, ThreadId)>> = Mutex::new(Vec::new());
+        sgx_sim::profile::set_enabled(true);
+        let got = repeat_grid_on(
+            8,
+            3,
+            &GRID,
+            |&(k, _)| k,
+            |&(k, _), seed| {
+                ran.lock().unwrap_or_else(|e| e.into_inner()).push((
+                    k,
+                    seed,
+                    thread::current().id(),
+                ));
+                k as f64
+            },
+        );
+        sgx_sim::profile::set_enabled(false);
+        let _ = sgx_sim::profile::session_take();
+        let me = thread::current().id();
+        let want: Vec<(usize, u64, ThreadId)> = GRID
+            .iter()
+            .flat_map(|&(k, _)| rep_seeds(3).map(move |seed| (k, seed, me)))
+            .collect();
+        assert_eq!(ran.into_inner().unwrap_or_else(|e| e.into_inner()), want);
+        let means: Vec<f64> = got.iter().map(|s| s.mean).collect();
+        assert_eq!(means, GRID.map(|(k, _)| k as f64));
     }
 
     #[test]

@@ -58,5 +58,5 @@ pub use faults::{
     FaultProfile, OcallFaults, MAX_BACKOFF_EXP,
 };
 pub use machine::{AccessKind, Core, Machine, PhaseStats, SinkWriter, StreamReader, StreamWriter};
-pub use mem::{ExecMode, Region, Setting, SimSink, SimVec};
+pub use mem::{ExecMode, Region, Setting, SimSink, SimVec, VecSlot};
 pub use profile::{CategoryCycles, CostCategory, PhaseGuard, PhaseProfile, Profile};

@@ -6,7 +6,7 @@
 // sgx-lint: charge-module
 
 use crate::config::{CACHE_LINE, PAGE_SIZE};
-use crate::mem::{ExecMode, Region, SimSink, SimVec};
+use crate::mem::{ExecMode, Region, SimSink, SimVec, VecSlot};
 
 use super::core::{Charge, Tally};
 use super::{Core, Machine};
@@ -30,6 +30,14 @@ impl Machine {
     pub fn alloc_on<T: Copy + Default>(&mut self, len: usize, region: Region) -> SimVec<T> {
         let base = self.reserve(len * SimVec::<T>::elem_size(), region);
         SimVec::new(len, base, region)
+    }
+
+    /// Reserve the simulated addresses of a `len`-element vector exactly
+    /// as `alloc::<T>(len)` would, and panic on EPC exhaustion the same
+    /// way, but leave it without host memory until [`VecSlot::alloc`].
+    pub fn reserve_vec<T: Copy + Default>(&mut self, len: usize) -> VecSlot<T> {
+        let region = self.setting.data_region(0);
+        VecSlot::new(len, self.reserve(len * SimVec::<T>::elem_size(), region), region)
     }
 
     /// Allocate a write-only sink of `len` `u64` slots in the setting's

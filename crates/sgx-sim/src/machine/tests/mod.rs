@@ -4,7 +4,7 @@
 use super::*;
 use crate::config::{scaled_profile, xeon_gold_6326};
 use crate::faults::FaultProfile;
-use crate::mem::{Region, SimSink, SimVec};
+use crate::mem::{Region, SimSink, SimVec, VecSlot};
 
 fn machine(setting: Setting) -> Machine {
     Machine::new(scaled_profile(), setting)
@@ -512,6 +512,112 @@ fn sink_writer_charges_exactly_like_a_stream_writer() {
             }
         }
     }
+}
+
+/// An 8-byte element shaped like a join relation's row.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct Row {
+    key: u32,
+    payload: u32,
+}
+
+/// Elements per worker array in the reservation lockstep test: not a
+/// whole number of cache lines, so every array's alignment shows.
+const SCRATCH_ROWS: usize = 1_003;
+
+/// Four workers of one phase each fill and re-read a `SimVec<Row>` of
+/// their own with scattered stores, loads and read-modify-writes, after
+/// an odd-sized input array. The arrays are allocated up front
+/// (`deferred == false`), or reserved up front and backed by their worker
+/// when it runs. With `seal`, the enclave is sealed before the arrays, so
+/// their first touches are EDMM commits. Returns the counters, the wall
+/// clock's bits, every array's first and last element address, and the
+/// next allocation's address.
+fn reserve_lockstep(
+    setting: Setting,
+    seal: bool,
+    deferred: bool,
+) -> (Counters, u64, Vec<u64>, u64) {
+    let mut m = Machine::new(xeon_gold_6326().scaled(16), setting);
+    let _input = m.alloc::<u8>(777);
+    if seal {
+        m.seal_enclave();
+    }
+    let cores: Vec<usize> = (0..4).collect();
+    fn work(c: &mut Core, v: &mut SimVec<Row>) {
+        let w = c.worker() as u32;
+        for k in 0..SCRATCH_ROWS {
+            let i = k * 389 % SCRATCH_ROWS;
+            v.set(c, i, Row { key: i as u32 ^ w, payload: k as u32 });
+        }
+        for k in 0..SCRATCH_ROWS / 3 {
+            let i = k * 7 % SCRATCH_ROWS;
+            let row = v.get(c, i);
+            v.rmw(c, (i + row.payload as usize) % SCRATCH_ROWS, |r| r.key += 1);
+        }
+    }
+    let ends = |v: &SimVec<Row>| [v.addr(0), v.addr(SCRATCH_ROWS - 1)];
+    let mut addrs = Vec::new();
+    if deferred {
+        let mut slots: Vec<Option<VecSlot<Row>>> =
+            (0..4).map(|_| Some(m.reserve_vec(SCRATCH_ROWS))).collect();
+        m.parallel(&cores, |c| {
+            let mut v = slots[c.worker()].take().expect("each worker backs its slot once").alloc();
+            work(c, &mut v);
+            addrs.extend(ends(&v));
+        });
+    } else {
+        let mut vecs: Vec<SimVec<Row>> = (0..4).map(|_| m.alloc(SCRATCH_ROWS)).collect();
+        m.parallel(&cores, |c| {
+            let v = &mut vecs[c.worker()];
+            work(c, v);
+            addrs.extend(ends(v));
+        });
+    }
+    let next = m.alloc::<u64>(1).addr(0);
+    (m.counters().clone(), m.wall_cycles().to_bits(), addrs, next)
+}
+
+/// A reserved vector backed inside its worker's closure is the vector
+/// `alloc` would have made at the reservation: the same accesses give
+/// bit-identical clocks, counters and addresses, and leave the allocator
+/// at the same address, natively, in the EPC and after the seal (EDMM).
+#[test]
+fn reserved_vecs_backed_per_worker_charge_exactly_like_allocated_ones() {
+    for (name, setting, seal) in [
+        ("native", Setting::PlainCpu, false),
+        ("epc", Setting::SgxDataInEnclave, false),
+        ("epc after seal", Setting::SgxDataInEnclave, true),
+    ] {
+        let up_front = reserve_lockstep(setting, seal, false);
+        let deferred = reserve_lockstep(setting, seal, true);
+        assert_eq!(
+            format!("{:?}", up_front.0),
+            format!("{:?}", deferred.0),
+            "{name}: counters diverge"
+        );
+        assert_eq!(
+            up_front.1,
+            deferred.1,
+            "{name}: wall clock diverges ({} vs {})",
+            f64::from_bits(up_front.1),
+            f64::from_bits(deferred.1)
+        );
+        assert_eq!(up_front.2, deferred.2, "{name}: element addresses differ");
+        assert_eq!(up_front.3, deferred.3, "{name}: the next allocation moved");
+        // The variants exercise what they are named for.
+        assert_eq!(deferred.0.epc_fills > 0, setting == Setting::SgxDataInEnclave, "{name}");
+        assert_eq!(deferred.0.edmm_pages > 0, seal, "{name}: EDMM commits");
+    }
+}
+
+#[test]
+#[should_panic(expected = "EPC capacity exceeded on node 0")]
+fn reservation_past_epc_capacity_panics_like_alloc_on() {
+    let mut cfg = scaled_profile();
+    cfg.epc_per_socket = 4096;
+    let mut m = Machine::new(cfg, Setting::SgxDataInEnclave);
+    let _ = m.reserve_vec::<u64>(1024);
 }
 
 #[test]

@@ -153,6 +153,32 @@ impl<T: Copy + Default> SimVec<T> {
     }
 }
 
+/// The simulated addresses of a `SimVec` that has no host memory yet.
+///
+/// `Machine::reserve_vec` takes the addresses `alloc` would at that point,
+/// so every later allocation keeps its address; [`VecSlot::alloc`] makes
+/// the `SimVec` when it is needed. Scratch that a phase's workers use one
+/// at a time can thus be reserved for every worker up front and be
+/// resident for one worker at a time.
+pub struct VecSlot<T> {
+    len: usize,
+    base: u64,
+    region: Region,
+    elem: std::marker::PhantomData<T>,
+}
+
+impl<T: Copy + Default> VecSlot<T> {
+    /// Internal constructor; use `Machine::reserve_vec`.
+    pub(crate) fn new(len: usize, base: u64, region: Region) -> Self {
+        VecSlot { len, base, region, elem: std::marker::PhantomData }
+    }
+
+    /// Back the reserved addresses with a default-filled `SimVec`.
+    pub fn alloc(self) -> SimVec<T> {
+        SimVec::new(self.len, self.base, self.region)
+    }
+}
+
 impl<T: Copy> SimVec<T> {
     /// Number of elements.
     pub fn len(&self) -> usize {

@@ -93,29 +93,19 @@ fn sequential_and_parallel_runs_reproduce_pre_refactor_goldens() {
     );
 }
 
-/// The jobs whose points run through `sweep`.
-const SHARDED_JOBS: [&str; 4] = ["fig05", "fig14", "ext_aex_storm", "ext_service_tail"];
-
 #[test]
-fn unprofiled_sharded_jobs_reproduce_goldens() {
+fn unprofiled_one_worker_registry_reproduces_goldens() {
     // The golden sweep above runs profiled, which keeps every sweep's
-    // points on one thread. Unprofiled, a one-worker run may share them
-    // among every core, and must still reproduce each sharded job's
-    // figure and counter digests.
+    // points on one thread. Unprofiled, a one-worker run gives each job
+    // every core to share its points among, and must still reproduce
+    // every job's figure and counter digests.
     let goldens = load_goldens();
-    let cfg = RunConfig {
-        jobs: 1,
-        filter: JobFilter {
-            only: SHARDED_JOBS.iter().map(|&id| id.into()).collect(),
-            skip: vec![],
-        },
-        ..RunConfig::default()
-    };
+    let cfg = RunConfig { jobs: 1, ..RunConfig::default() };
     let outcomes = run_registry(&registry(), &BenchProfile::golden(), &cfg);
-    for id in SHARDED_JOBS {
-        let golden =
-            goldens.jobs.iter().find(|g| g.id == id).expect("sharded job has a golden record");
-        let o = outcomes.iter().find(|o| o.id == id).expect("sharded job ran");
+    assert_eq!(goldens.jobs.len(), outcomes.len(), "registry size changed");
+    for (golden, o) in goldens.jobs.iter().zip(&outcomes) {
+        let id = &o.id;
+        assert_eq!(&golden.id, id, "registry order changed");
         assert_eq!(o.status, JobStatus::Ok, "{id} failed: {:?}", o.error);
         assert!(o.profile.is_none());
         assert_eq!(counters_digest(&o.counters), golden.counters, "{id} counters drifted");
