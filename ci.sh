@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
-# Full local CI: build, rustdoc, tests, model-integrity lint, and an end-to-end
-# smoke of the resilient all_figures harness — including a negative check
-# that an injected figure failure is isolated, recorded in the manifest,
-# and turned into a nonzero exit.
+# Full local CI: build, rustdoc, sgx-sim clippy, tests, model-integrity
+# lint, and an end-to-end smoke of the resilient all_figures harness —
+# including a negative check that an injected figure failure is isolated,
+# recorded in the manifest, and turned into a nonzero exit.
 #
 # Usage: ./ci.sh
 set -eu
@@ -13,6 +13,9 @@ cargo build --release
 
 echo "== ci: rustdoc (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
+echo "== ci: clippy on sgx-sim (warnings are errors)"
+cargo clippy -p sgx-sim --all-targets -- -D warnings
 
 echo "== ci: cargo test -q"
 cargo test -q

@@ -9,28 +9,34 @@
 //! # Hot-path layout
 //!
 //! All replacement metadata lives in one `u64` blob, one fixed-stride
-//! block per set: `[tags; ways][lru; ways][dirty bitmask]`, padded to a
-//! 64-byte multiple. A probe scans the dense tag run; a victim scan reads
-//! the adjacent LRU run — the whole set is a handful of *contiguous* host
-//! cache lines, which matters because the L3 model's metadata is far
-//! larger than the host L1/L2 and random probes into three scattered
-//! parallel arrays cost three distant host misses each. Set selection is
-//! a mask when the set count is a power of two (every shipped profile),
-//! with a plain `%` fallback so arbitrary `scaled()` factors stay exact.
+//! block per set: `[tags; ways][dirty mask]`, padded to a 64-byte
+//! multiple (two host lines for a 12-way set, three for 20 ways). The
+//! tags are kept in recency order, so there are no LRU stamps: a probe
+//! scans the tags from the most recently used one, a hit moves its tag to
+//! the front, and an insert pushes the new tag at the front and drops the
+//! last one, which is the victim. Each update moves at most `ways - 1`
+//! tags with one `copy_within` and shifts the dirty mask to match;
+//! nothing scans for a victim. Set selection is a mask when the set count
+//! is a power of two (every shipped profile), with a plain `%` fallback so
+//! arbitrary `scaled()` factors stay exact.
 //!
-//! # Victim selection invariant
+//! # Recency-order invariant
 //!
-//! Invalid ways keep `lru == 0` and valid ways always have `lru >= 1`
-//! (the stamp pre-increments from 0), so the historical selection rule —
-//! tag match > first invalid way > first minimal-LRU valid way — reduces
-//! to *first strict minimum of the LRU run*: every invalid way ties at 0
-//! ahead of any valid way, and valid stamps are unique. That makes the
-//! victim scan a branchless running minimum, with no per-way invalid
-//! test. [`Cache::flush`] and [`Cache::invalidate`] re-zero the LRU word
-//! when they clear a tag to uphold the invariant. The selection and the
-//! stamp sequence are bit-identical to the historical three-pass
-//! implementation, which the golden digests and the property tests in
-//! `tests/proptest_cache.rs` pin down.
+//! In every set the valid ways form a prefix ordered by last use, most
+//! recent first, and the invalid ways fill the tail. Bit `p` of the dirty
+//! mask belongs to the tag at position `p`; it is clear for invalid
+//! positions and for positions at or past `ways`. Every operation keeps
+//! this: a hit moves the tags ahead of it back one position and takes the
+//! front, an insert moves every tag back one and drops the last,
+//! [`Cache::invalidate`] closes the gap and appends an invalid way, and
+//! [`Cache::flush`] invalidates everything. The last way is therefore the
+//! least recently used valid line when the set is full and an invalid way
+//! otherwise. That is the victim the historical stamp-based selection
+//! (tag match > first invalid way > first minimal-LRU valid way) picks,
+//! so every hit, eviction and dirty report is unchanged. The golden
+//! digests and the property tests in `tests/proptest_cache.rs`, which
+//! drive that historical three-pass model in lockstep with this one, pin
+//! it down.
 
 use crate::config::{CacheConfig, CACHE_LINE};
 
@@ -46,12 +52,12 @@ pub struct Cache {
     /// `sets - 1` when `sets` is a power of two, else `usize::MAX` to
     /// select the modulo fallback in [`Cache::set_of`].
     set_mask: usize,
-    /// Words per set block: `2 * ways + 1` rounded up to a multiple of 8,
-    /// so blocks stay 64-byte aligned relative to the blob start.
+    /// Words per set block: `ways + 1` rounded up to a multiple of 8, so
+    /// blocks stay 64-byte aligned relative to the blob start.
     stride: usize,
-    /// Per-set metadata blocks: `[tags; ways][lru; ways][dirty mask]`.
+    /// Per-set metadata blocks: `[tags, most recent first; ways][dirty
+    /// mask]`.
     meta: Vec<u64>,
-    stamp: u64,
 }
 
 /// What happened to a line evicted by an insert.
@@ -72,12 +78,10 @@ impl Cache {
         let ways = cfg.ways;
         let set_mask = if sets.is_power_of_two() { sets - 1 } else { usize::MAX };
         assert!(ways <= 64, "dirty bitmask holds at most 64 ways");
-        let stride = (2 * ways + 1).next_multiple_of(8);
-        let mut meta = vec![0u64; sets * stride];
-        for set in 0..sets {
-            meta[set * stride..set * stride + ways].fill(INVALID);
-        }
-        Cache { ways, sets, set_mask, stride, meta, stamp: 0 }
+        let stride = (ways + 1).next_multiple_of(8);
+        let mut c = Cache { ways, sets, set_mask, stride, meta: vec![0; sets * stride] };
+        c.flush();
+        c
     }
 
     #[inline]
@@ -95,20 +99,54 @@ impl Cache {
         self.set_of(line) * self.stride
     }
 
+    /// Find `line` in the set at `base`; on a hit, move it to the front
+    /// and OR `dirty` into its bit.
+    #[inline]
+    fn touch(&mut self, base: usize, line: u64, dirty: bool) -> bool {
+        let ways = self.ways;
+        let tags = &mut self.meta[base..base + ways];
+        let Some(i) = tags.iter().position(|&t| t == line) else {
+            return false;
+        };
+        tags.copy_within(0..i, 1);
+        tags[0] = line;
+        // Bits below `i` move up one, bit `i` moves to 0, bits above stay.
+        // `i < 64`, and the double shift keeps `i == 63` in range.
+        let mask = self.meta[base + ways];
+        let below = mask & ((1 << i) - 1);
+        let above = mask & (u64::MAX << i << 1);
+        self.meta[base + ways] = above | (below << 1) | ((mask >> i) & 1) | dirty as u64;
+        true
+    }
+
+    /// Push `line` at the front of the set at `base`, dropping the tail —
+    /// the least recently used way, or an invalid one — and report it.
+    #[inline]
+    fn push_front(&mut self, base: usize, line: u64, dirty: bool) -> Evicted {
+        let ways = self.ways;
+        let tags = &mut self.meta[base..base + ways];
+        let tail = tags[ways - 1];
+        tags.copy_within(0..ways - 1, 1);
+        tags[0] = line;
+        // Dropping the tail's bit before the shift keeps bits past `ways`
+        // clear.
+        let mask = self.meta[base + ways];
+        let tail_bit = 1 << (ways - 1);
+        self.meta[base + ways] = ((mask & !tail_bit) << 1) | dirty as u64;
+        if tail == INVALID {
+            Evicted::None
+        } else if mask & tail_bit != 0 {
+            Evicted::Dirty(tail)
+        } else {
+            Evicted::Clean(tail)
+        }
+    }
+
     /// Probe for `line`; on hit, refresh LRU and optionally mark dirty.
     #[inline]
     pub fn access(&mut self, line: u64, write: bool) -> bool {
         let base = self.base_of(line);
-        self.stamp += 1;
-        let tags = &self.meta[base..base + self.ways];
-        for (i, &t) in tags.iter().enumerate() {
-            if t == line {
-                self.meta[base + self.ways + i] = self.stamp;
-                self.meta[base + 2 * self.ways] |= (write as u64) << i;
-                return true;
-            }
-        }
-        false
+        self.touch(base, line, write)
     }
 
     /// Probe without updating replacement state (used by tests/inspection).
@@ -117,91 +155,47 @@ impl Cache {
         self.meta[base..base + self.ways].contains(&line)
     }
 
-    /// First strict minimum of the set's LRU run — the victim the
-    /// historical match > invalid > min-LRU selection would pick (see the
-    /// module docs for why the zero-LRU invariant collapses the three
-    /// rules into one branchless scan).
-    #[inline]
-    fn victim_way(&self, base: usize) -> usize {
-        let lru = &self.meta[base + self.ways..base + 2 * self.ways];
-        let mut vi = 0;
-        let mut vl = lru[0];
-        for (i, &l) in lru.iter().enumerate().skip(1) {
-            if l < vl {
-                vl = l;
-                vi = i;
-            }
-        }
-        vi
-    }
-
-    /// Fill `way` of the set at `base` with `line`, returning what it
-    /// displaced.
-    #[inline]
-    fn place(&mut self, base: usize, way: usize, line: u64, dirty: bool) -> Evicted {
-        let old = self.meta[base + way];
-        let mask = self.meta[base + 2 * self.ways];
-        let evicted = if old == INVALID {
-            Evicted::None
-        } else if mask & (1 << way) != 0 {
-            Evicted::Dirty(old)
-        } else {
-            Evicted::Clean(old)
-        };
-        self.meta[base + way] = line;
-        self.meta[base + self.ways + way] = self.stamp;
-        self.meta[base + 2 * self.ways] = (mask & !(1 << way)) | ((dirty as u64) << way);
-        evicted
-    }
-
     /// Insert `line` (after a miss), evicting the LRU way if the set is
     /// full. Returns what was displaced.
     ///
-    /// Reuses the line's own way if it is somehow present already (spilled
-    /// victims can race their own earlier copies), else places at
-    /// `Cache::victim_way`.
+    /// Moves the line to the front instead if it is somehow present
+    /// already (spilled victims can race their own earlier copies).
     #[inline]
     pub fn insert(&mut self, line: u64, dirty: bool) -> Evicted {
         let base = self.base_of(line);
-        self.stamp += 1;
-        let tags = &self.meta[base..base + self.ways];
-        for (i, &t) in tags.iter().enumerate() {
-            if t == line {
-                self.meta[base + self.ways + i] = self.stamp;
-                self.meta[base + 2 * self.ways] |= (dirty as u64) << i;
-                return Evicted::None;
-            }
+        if self.touch(base, line, dirty) {
+            return Evicted::None;
         }
-        let way = self.victim_way(base);
-        self.place(base, way, line, dirty)
+        self.push_front(base, line, dirty)
     }
 
     /// [`Cache::insert`] for a line the caller has just probed and missed,
     /// with no intervening operations on this cache: the tag-match rescan
-    /// is skipped (the line cannot be present). Stamp sequence and victim
-    /// choice are identical to `insert`.
+    /// is skipped (the line cannot be present). Victim choice is identical
+    /// to `insert`.
     #[inline]
     pub fn insert_miss(&mut self, line: u64, dirty: bool) -> Evicted {
         debug_assert!(!self.contains(line), "insert_miss caller guarantees absence");
         let base = self.base_of(line);
-        self.stamp += 1;
-        let way = self.victim_way(base);
-        self.place(base, way, line, dirty)
+        self.push_front(base, line, dirty)
     }
 
     /// Remove a line if present, reporting whether it was dirty.
     pub fn invalidate(&mut self, line: u64) -> bool {
         let base = self.base_of(line);
-        for i in 0..self.ways {
-            if self.meta[base + i] == line {
-                self.meta[base + i] = INVALID;
-                // Uphold the victim-selection invariant: invalid ways keep
-                // a zero LRU word.
-                self.meta[base + self.ways + i] = 0;
-                return self.meta[base + 2 * self.ways] & (1 << i) != 0;
-            }
-        }
-        false
+        let ways = self.ways;
+        let tags = &mut self.meta[base..base + ways];
+        let Some(i) = tags.iter().position(|&t| t == line) else {
+            return false;
+        };
+        tags.copy_within(i + 1.., i);
+        tags[ways - 1] = INVALID;
+        // Bits above `i` move down one; the appended invalid way's bit
+        // comes from past `ways`, which is clear.
+        let mask = self.meta[base + ways];
+        let below = mask & ((1 << i) - 1);
+        self.meta[base + ways] = below | ((mask >> 1) & (u64::MAX << i));
+        mask & (1 << i) != 0
     }
 
     /// Number of currently valid lines (test helper).
@@ -223,9 +217,9 @@ impl Cache {
 
     /// Drop all contents (used between experiment repetitions).
     pub fn flush(&mut self) {
-        self.meta.fill(0);
-        for set in 0..self.sets {
-            self.meta[set * self.stride..set * self.stride + self.ways].fill(INVALID);
+        for block in self.meta.chunks_exact_mut(self.stride) {
+            block[..self.ways].fill(INVALID);
+            block[self.ways] = 0;
         }
     }
 }

@@ -66,7 +66,7 @@ impl<'m> Core<'m> {
         let first = line_of(addr);
         let last = line_of(addr + bytes as u64 - 1);
         for line in first..=last {
-            let mut cost = self.resolve_line(line, kind, false);
+            let mut cost = self.resolve_line(line, kind);
             cost.serial_load &= switched;
             self.post(cost);
         }

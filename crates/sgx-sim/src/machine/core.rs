@@ -221,8 +221,8 @@ impl Machine {
             core.windex = w;
             f(&mut core);
             core_cycles.push(core.cycles);
-            for s in 0..sockets {
-                dram_bytes[s] += core.dram_bytes[s];
+            for (total, &b) in dram_bytes.iter_mut().zip(&core.dram_bytes) {
+                *total += b;
             }
             upi_bytes += core.upi_bytes;
             faults += core.faults;
@@ -254,13 +254,10 @@ impl Machine {
         let mut faults = 0u64;
         let mut edmm_pages = 0u64;
         let cfg = self.cfg.clone();
-        loop {
-            let Some(w) = (0..cores.len())
-                .filter(|&w| live[w])
-                .min_by(|&a, &b| clocks[a].total_cmp(&clocks[b]))
-            else {
-                break;
-            };
+        while let Some(w) = (0..cores.len())
+            .filter(|&w| live[w])
+            .min_by(|&a, &b| clocks[a].total_cmp(&clocks[b]))
+        {
             let mode = self.mode;
             let (t, task) = queue.dequeue(clocks[w], mode, &cfg, &mut self.counters);
             clocks[w] = t;
@@ -272,8 +269,8 @@ impl Machine {
                     f(&mut core, task);
                     // sgx-lint: allow(charge-escape) worker-merge: folding per-core cycles already committed through `Core::commit` into the shared clock array
                     clocks[w] += core.cycles;
-                    for s in 0..sockets {
-                        dram_bytes[s] += core.dram_bytes[s];
+                    for (total, &b) in dram_bytes.iter_mut().zip(&core.dram_bytes) {
+                        *total += b;
                     }
                     upi_bytes += core.upi_bytes;
                     faults += core.faults;

@@ -51,9 +51,8 @@ impl Machine {
 
 impl<'m> Core<'m> {
     /// Walk the cache hierarchy for one line; fills caches and accounts
-    /// bandwidth. `stream` forces the prefetched-fill cost (explicit
-    /// sequential APIs).
-    pub(super) fn resolve_line(&mut self, line: u64, kind: AccessKind, stream: bool) -> AccessCost {
+    /// bandwidth.
+    pub(super) fn resolve_line(&mut self, line: u64, kind: AccessKind) -> AccessCost {
         let write = kind != AccessKind::Load;
         let addr = line * CACHE_LINE as u64;
         let region = Region::of_addr(addr);
@@ -78,7 +77,7 @@ impl<'m> Core<'m> {
         } else {
             // DRAM fill.
             self.m.counters.dram_fills += 1;
-            let prefetched = stream || self.m.cores[self.id].streams.observe(line);
+            let prefetched = self.m.cores[self.id].streams.observe(line);
             if prefetched {
                 self.m.counters.prefetched_fills += 1;
             }
@@ -396,7 +395,7 @@ impl<'m> Core<'m> {
         // `line` just missed, and the only same-cache op in between — the
         // L3 insert of the L2's dirty victim — inserts a *different* line,
         // so `line` is still absent from both and the rescan-free insert
-        // applies (the victim scan itself is recomputed at call time).
+        // applies (its victim is whatever sits at the set's tail then).
         let hw = &mut self.m.cores[self.id];
         if let Evicted::Dirty(v) = hw.l2.insert_miss(line, dirty) {
             if let Evicted::Dirty(v2) = self.m.l3[self.socket].insert(v, true) {

@@ -715,17 +715,16 @@ fn stream_workload_state(mut m: Machine, oracle: bool) -> (String, u64) {
 /// page-fault charges mid-run.
 #[test]
 fn stream_fast_path_matches_per_line_oracle() {
-    let variants: Vec<(&str, Box<dyn Fn() -> Machine>)> = vec![
-        ("native", Box::new(|| machine(Setting::PlainCpu))),
-        ("epc", Box::new(|| machine(Setting::SgxDataInEnclave))),
-        ("sealed", Box::new(|| {
+    type Build = fn() -> Machine;
+    let variants: [(&str, Build); 4] = [
+        ("native", || machine(Setting::PlainCpu)),
+        ("epc", || machine(Setting::SgxDataInEnclave)),
+        ("sealed", || {
             let mut m = machine(Setting::SgxDataInEnclave);
             m.seal_enclave();
             m
-        })),
-        ("sgxv1", Box::new(|| {
-            Machine::new(xeon_gold_6326().scaled(16).sgxv1(), Setting::SgxDataInEnclave)
-        })),
+        }),
+        ("sgxv1", || Machine::new(xeon_gold_6326().scaled(16).sgxv1(), Setting::SgxDataInEnclave)),
     ];
     for (name, build) in variants {
         let fast = stream_workload_state(build(), false);

@@ -215,13 +215,10 @@ mod tests {
         // Simple round-robin interleave with zero work per task.
         let mut clocks = vec![0.0f64; workers];
         let mut live = vec![true; workers];
-        loop {
-            let Some(w) = (0..workers)
-                .filter(|&w| live[w])
-                .min_by(|&a, &b| clocks[a].total_cmp(&clocks[b]))
-            else {
-                break;
-            };
+        while let Some(w) = (0..workers)
+            .filter(|&w| live[w])
+            .min_by(|&a, &b| clocks[a].total_cmp(&clocks[b]))
+        {
             let (t, task) = q.dequeue(clocks[w], mode, &cfg, &mut counters);
             clocks[w] = t;
             if task.is_none() {
@@ -241,7 +238,7 @@ mod tests {
             &mut SpinLockQueue::default(),
         ] {
             q.reset(10);
-            let mut seen = vec![false; 10];
+            let mut seen = [false; 10];
             let mut now = 0.0;
             loop {
                 let (t, task) = q.dequeue(now, ExecMode::Enclave, &cfg, &mut counters);

@@ -1,19 +1,21 @@
-//! Randomized property tests for the packed cache model (`cache.rs`).
+//! Randomized property tests for the recency-ordered cache model
+//! (`cache.rs`).
 //!
-//! The hot-path rewrite packed all replacement metadata into one blob and
-//! collapsed the historical victim selection (tag match > first invalid
-//! way > first minimal-LRU valid way) into a single branchless
-//! first-strict-minimum scan over the LRU run. These tests pin the claim
-//! that nothing observable changed: a naive reference model implementing
-//! the *historical* three-pass selection with scattered parallel arrays
-//! is driven through hundreds of thousands of randomized operations in
-//! lockstep with the packed `Cache`, and every return value — hits,
-//! evictions and their dirtiness, invalidation reports, occupancy — must
-//! agree at every step. Dependency-free: randomness comes from a seeded
+//! `Cache` keeps each set's tags in recency order and evicts the tail,
+//! with no LRU stamps and no victim scan. These tests pin the claim that
+//! nothing observable changed from the historical stamp-based model: a
+//! naive reference implementing the *historical* three-pass selection
+//! (tag match > first invalid way > first minimal-LRU valid way) with
+//! scattered parallel arrays is driven through hundreds of thousands of
+//! randomized operations in lockstep with `Cache`, and every return value
+//! — hits, evictions and their dirtiness, invalidation reports, occupancy
+//! — must agree at every step. The geometries cover the simulated
+//! machine's own L1d/L2/L3 at the scales the figures run, and 64 ways,
+//! the widest dirty mask. Dependency-free: randomness comes from a seeded
 //! LCG, so every run replays the same operation streams.
 
 use sgx_sim::cache::{Cache, Evicted, StreamDetector};
-use sgx_sim::config::{CacheConfig, CACHE_LINE};
+use sgx_sim::config::{xeon_gold_6326, CacheConfig, CACHE_LINE};
 
 /// Deterministic LCG (same constants as `sgx_microbench::random_write`).
 fn lcg(x: &mut u64) -> u64 {
@@ -101,8 +103,8 @@ impl RefCache {
                 self.tags[i] = None;
                 // The historical model did NOT reset the stale LRU word —
                 // invalid ways were excluded by pass 2 instead. Keeping it
-                // stale here is the point: the packed cache must agree
-                // anyway, proving its zero-LRU invariant is equivalent.
+                // stale here is the point: the cache under test must agree
+                // anyway, however it orders its invalid ways.
                 return std::mem::replace(&mut self.dirty[i], false);
             }
         }
@@ -121,58 +123,77 @@ impl RefCache {
     }
 }
 
-/// Drive the packed cache and the reference model through one randomized
-/// operation stream, asserting observable agreement at every step.
-fn lockstep(cfg: &CacheConfig, seed: u64, ops: usize, line_space: u64, allow_insert_miss: bool) {
-    let mut packed = Cache::new(cfg);
+/// Drive the cache and the reference model through one randomized
+/// operation stream over the lines in `pool`, asserting observable
+/// agreement at every step.
+fn lockstep(cfg: &CacheConfig, seed: u64, ops: usize, pool: &[u64], allow_insert_miss: bool) {
+    let mut cache = Cache::new(cfg);
     let mut model = RefCache::new(cfg);
     let mut x = seed | 1;
     for op in 0..ops {
-        let line = lcg(&mut x) % line_space;
-        let dirty = lcg(&mut x) % 2 == 0;
-        match lcg(&mut x) % 100 {
+        let line = pool[(lcg(&mut x) % pool.len() as u64) as usize];
+        let dirty = lcg(&mut x).is_multiple_of(2);
+        // Per mille: a flush is rare enough that wide sets fill up and
+        // evict between two flushes.
+        match lcg(&mut x) % 1000 {
             // Probes dominate, like the real resolve path.
-            0..=44 => {
+            0..=449 => {
                 assert_eq!(
-                    packed.access(line, dirty),
+                    cache.access(line, dirty),
                     model.access(line, dirty),
                     "op {op}: access({line}, write={dirty}) diverged (seed {seed})"
                 );
             }
-            45..=84 => {
+            450..=849 => {
                 // insert_miss is insert with the caller-proven-absent
                 // shortcut; exercising it against the reference's full
                 // insert IS the equivalence claim from the module docs.
-                let miss = allow_insert_miss && !packed.contains(line) && lcg(&mut x) % 2 == 0;
+                let miss =
+                    allow_insert_miss && !cache.contains(line) && lcg(&mut x).is_multiple_of(2);
                 let got =
-                    if miss { packed.insert_miss(line, dirty) } else { packed.insert(line, dirty) };
+                    if miss { cache.insert_miss(line, dirty) } else { cache.insert(line, dirty) };
                 let want = model.insert(line, dirty);
                 assert_eq!(got, want, "op {op}: insert({line}, dirty={dirty}) diverged (seed {seed}, miss-path {miss})");
             }
-            85..=94 => {
+            850..=949 => {
                 assert_eq!(
-                    packed.invalidate(line),
+                    cache.invalidate(line),
                     model.invalidate(line),
                     "op {op}: invalidate({line}) diverged (seed {seed})"
                 );
             }
-            95..=97 => {
-                assert_eq!(packed.contains(line), model.contains(line), "op {op}: contains({line}) diverged (seed {seed})");
+            950..=998 => {
+                assert_eq!(cache.contains(line), model.contains(line), "op {op}: contains({line}) diverged (seed {seed})");
             }
             _ => {
-                packed.flush();
+                cache.flush();
                 model.flush();
             }
         }
         if op % 64 == 0 {
-            assert_eq!(packed.occupancy(), model.occupancy(), "op {op}: occupancy diverged (seed {seed})");
+            assert_eq!(cache.occupancy(), model.occupancy(), "op {op}: occupancy diverged (seed {seed})");
         }
     }
     // Final state sweep: membership must agree line-for-line.
-    for line in 0..line_space {
-        assert_eq!(packed.contains(line), model.contains(line), "final contains({line}) diverged (seed {seed})");
+    for &line in pool {
+        assert_eq!(cache.contains(line), model.contains(line), "final contains({line}) diverged (seed {seed})");
     }
-    assert_eq!(packed.occupancy(), model.occupancy(), "final occupancy diverged (seed {seed})");
+    assert_eq!(cache.occupancy(), model.occupancy(), "final occupancy diverged (seed {seed})");
+}
+
+/// Lines `0..n`.
+fn span(n: u64) -> Vec<u64> {
+    (0..n).collect()
+}
+
+/// `3 * ways` distinct lines in each of the first, middle and last set of
+/// `cfg`, so those sets see constant eviction traffic however many sets
+/// the geometry has.
+fn hot_sets(cfg: &CacheConfig) -> Vec<u64> {
+    let sets = cfg.sets() as u64;
+    let mut picks = vec![0, sets / 2, sets - 1];
+    picks.dedup();
+    picks.iter().flat_map(|&set| (0..3 * cfg.ways as u64).map(move |k| set + k * sets)).collect()
 }
 
 /// Small geometry with heavy set contention: every victim-selection path
@@ -181,7 +202,7 @@ fn lockstep(cfg: &CacheConfig, seed: u64, ops: usize, line_space: u64, allow_ins
 fn packed_cache_matches_three_pass_reference_small() {
     let cfg = CacheConfig { size: 4 * 4 * CACHE_LINE, ways: 4, latency: 1.0 };
     for seed in [1, 0xBEEF, 0xC0FFEE, 0x5EED5EED] {
-        lockstep(&cfg, seed, 40_000, 64, true);
+        lockstep(&cfg, seed, 40_000, &span(64), true);
     }
 }
 
@@ -189,7 +210,7 @@ fn packed_cache_matches_three_pass_reference_small() {
 #[test]
 fn packed_cache_matches_three_pass_reference_pow2() {
     let cfg = CacheConfig { size: 64 * 20 * CACHE_LINE, ways: 20, latency: 1.0 };
-    lockstep(&cfg, 0xDEAD_BEEF, 60_000, 64 * 20 * 3, true);
+    lockstep(&cfg, 0xDEAD_BEEF, 60_000, &span(64 * 20 * 3), true);
 }
 
 /// Non-power-of-two set count (modulo fallback, e.g. odd `scaled()`
@@ -197,42 +218,79 @@ fn packed_cache_matches_three_pass_reference_pow2() {
 #[test]
 fn packed_cache_matches_three_pass_reference_odd_geometries() {
     let odd = CacheConfig { size: 3 * 5 * CACHE_LINE, ways: 5, latency: 1.0 };
-    lockstep(&odd, 7, 40_000, 48, true);
+    lockstep(&odd, 7, 40_000, &span(48), true);
     let direct = CacheConfig { size: 8 * CACHE_LINE, ways: 1, latency: 1.0 };
-    lockstep(&direct, 11, 20_000, 32, true);
+    lockstep(&direct, 11, 20_000, &span(32), true);
+}
+
+/// The simulated machine's own L1d, L2 and L3 at full size, at the
+/// default 1/16 profile and at the golden 1/512 profile, where L1d is a
+/// single 12-way set and L2 two 20-way sets.
+#[test]
+fn packed_cache_matches_three_pass_reference_machine_geometries() {
+    for k in [1, 16, 512] {
+        let hw = xeon_gold_6326().scaled(k);
+        for cfg in [&hw.l1d, &hw.l2, &hw.l3] {
+            let pool = hot_sets(cfg);
+            for seed in [3, 0xA11CE] {
+                lockstep(cfg, seed ^ k as u64, 20_000, &pool, true);
+            }
+        }
+    }
+    let golden = xeon_gold_6326().scaled(512);
+    assert_eq!((golden.l1d.sets(), golden.l1d.ways), (1, 12));
+    assert_eq!((golden.l2.sets(), golden.l2.ways), (2, 20));
+}
+
+/// 64 ways, the widest set the dirty mask holds: only here do a hit and
+/// an eviction at the last position touch the mask's top bit. Three sets
+/// also take the modulo set selection.
+#[test]
+fn packed_cache_matches_three_pass_reference_64_ways() {
+    let cfg = CacheConfig { size: 3 * 64 * CACHE_LINE, ways: 64, latency: 1.0 };
+    for seed in [5, 0x6464] {
+        lockstep(&cfg, seed, 100_000, &span(3 * 64 * 3), true);
+    }
 }
 
 /// LRU ordering: after touching a full set in a known order, inserts must
-/// evict in exactly that order (oldest stamp first).
+/// evict in exactly that order (oldest first), each with the dirtiness it
+/// was inserted with. At 64 ways the touches hit every position of the
+/// dirty mask, the top bit included.
 #[test]
 fn lru_evicts_in_recency_order() {
-    let ways = 8u64;
-    let cfg = CacheConfig { size: 2 * ways as usize * CACHE_LINE, ways: ways as usize, latency: 1.0 };
-    let mut c = Cache::new(&cfg);
-    let mut x = 0x1234u64;
-    for round in 0..200 {
-        c.flush();
-        // Fill set 0 (even lines; sets = 2), then re-touch in a random order.
-        let lines: Vec<u64> = (0..ways).map(|i| i * 2).collect();
-        for &l in &lines {
-            assert_eq!(c.insert(l, false), Evicted::None, "round {round}: filling an empty set evicts nothing");
-        }
-        let mut order = lines.clone();
-        // Fisher-Yates with the LCG.
-        for i in (1..order.len()).rev() {
-            order.swap(i, (lcg(&mut x) % (i as u64 + 1)) as usize);
-        }
-        for &l in &order {
-            assert!(c.access(l, false), "round {round}: touched line must hit");
-        }
-        // Fresh conflicting lines must now evict in exactly touch order.
-        for (k, &expect) in order.iter().enumerate() {
-            let fresh = 1000 + 2 * (round * ways + k as u64);
-            assert_eq!(
-                c.insert(fresh, false),
-                Evicted::Clean(expect),
-                "round {round}: eviction {k} must follow the recency order"
-            );
+    for ways in [8u64, 64] {
+        let cfg =
+            CacheConfig { size: 2 * ways as usize * CACHE_LINE, ways: ways as usize, latency: 1.0 };
+        let mut c = Cache::new(&cfg);
+        let mut x = 0x1234u64;
+        for round in 0..200 {
+            c.flush();
+            // Fill set 0 (even lines; sets = 2), every third line dirty,
+            // then re-touch in a random order.
+            let lines: Vec<u64> = (0..ways).map(|i| i * 2).collect();
+            let dirty = |l: u64| (l / 2).is_multiple_of(3);
+            for &l in &lines {
+                assert_eq!(c.insert(l, dirty(l)), Evicted::None, "round {round}: filling an empty set evicts nothing");
+            }
+            let mut order = lines.clone();
+            // Fisher-Yates with the LCG.
+            for i in (1..order.len()).rev() {
+                order.swap(i, (lcg(&mut x) % (i as u64 + 1)) as usize);
+            }
+            for &l in &order {
+                assert!(c.access(l, false), "round {round}: touched line must hit");
+            }
+            // Fresh conflicting lines must now evict in exactly touch order.
+            for (k, &expect) in order.iter().enumerate() {
+                let fresh = 1000 + 2 * (round * ways + k as u64);
+                let want = if dirty(expect) { Evicted::Dirty(expect) } else { Evicted::Clean(expect) };
+                assert_eq!(
+                    c.insert(fresh, false),
+                    want,
+                    "{ways} ways, round {round}: eviction {k} must follow the recency order"
+                );
+            }
         }
     }
 }
@@ -252,7 +310,7 @@ fn dirty_bits_propagate_through_eviction_cascades() {
     let mut writebacks = 0u32;
     for op in 0..60_000 {
         let line = lcg(&mut x) % 96;
-        let write = lcg(&mut x) % 3 == 0;
+        let write = lcg(&mut x).is_multiple_of(3);
         let hit = l1.access(line, write);
         assert_eq!(hit, r1.access(line, write), "op {op}: L1 hit state diverged");
         if !hit {
