@@ -1,8 +1,8 @@
 //! Criterion benches over the operator implementations (small inputs).
 //!
 //! These measure the *simulator's* execution speed per operator — useful
-//! for keeping the reproduction fast — while the `src/bin/figNN` binaries
-//! report the *simulated* (paper-comparable) numbers. One bench group per
+//! for keeping the reproduction fast — while `all_figures` reports the
+//! *simulated* (paper-comparable) numbers. One bench group per
 //! experiment family.
 
 use criterion::{criterion_group, criterion_main, Criterion};

@@ -8,8 +8,7 @@
 //! * `lint-workspace` — wall-clock of a full `sgx-lint` pass over
 //!   `crates/` (ms);
 //! * `dataflow-pass` — facts/sec of the sgx-lint dataflow engine alone
-//!   (field writes, receiver/type aliases, enum defs, variant uses) over
-//!   the workspace token streams;
+//!   (field writes and receiver aliases) over the workspace token streams;
 //! * `join-smoke` — simulator events/sec while running the PHT join on a
 //!   small relation pair;
 //! * `scan-smoke` — simulator events/sec for a parallel linear read;
@@ -41,7 +40,10 @@ use sgx_sim::counters::Counters;
 use sgx_sim::machine::Machine;
 use sgx_sim::mem::Setting;
 use std::path::PathBuf;
-// sgx-lint: allow(nondeterminism) host wall-clock IS the metric here — events/sec of the simulator itself
+#[expect(
+    clippy::disallowed_types,
+    reason = "host wall-clock IS the metric here — events/sec of the simulator itself"
+)]
 use std::time::Instant;
 
 /// Simulated micro-operations in a counter delta.
@@ -52,7 +54,10 @@ fn events(d: &Counters) -> u64 {
 /// Time one run of `f` on a machine and return events/sec.
 fn rate(m: &mut Machine, f: impl FnOnce(&mut Machine)) -> f64 {
     let before = m.counters().clone();
-    // sgx-lint: allow(nondeterminism) timing the host's simulation rate is the benchmark
+    #[expect(
+        clippy::disallowed_types,
+        reason = "timing the host's simulation rate is the benchmark"
+    )]
     let t0 = Instant::now();
     f(m);
     let secs = t0.elapsed().as_secs_f64().max(1e-9);
@@ -61,7 +66,7 @@ fn rate(m: &mut Machine, f: impl FnOnce(&mut Machine)) -> f64 {
 
 /// One lint pass over the workspace sources, in milliseconds.
 fn lint_workspace_ms() -> f64 {
-    // sgx-lint: allow(nondeterminism) timing the lint pass is the benchmark
+    #[expect(clippy::disallowed_types, reason = "timing the lint pass is the benchmark")]
     let t0 = Instant::now();
     let reports = sgx_lint::analyze_paths(&[PathBuf::from("crates")]);
     let ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -73,7 +78,7 @@ fn lint_workspace_ms() -> f64 {
 /// over pre-tokenized workspace sources (tokenization excluded — this
 /// isolates the pass the semantic rules lean on).
 fn dataflow_rate(lexed: &[sgx_lint::tokenizer::Lexed]) -> f64 {
-    // sgx-lint: allow(nondeterminism) timing the dataflow pass is the benchmark
+    #[expect(clippy::disallowed_types, reason = "timing the dataflow pass is the benchmark")]
     let t0 = Instant::now();
     let mut facts = 0u64;
     for lx in lexed {
@@ -81,9 +86,6 @@ fn dataflow_rate(lexed: &[sgx_lint::tokenizer::Lexed]) -> f64 {
         let span = (0, toks.len());
         facts += sgx_lint::dataflow::field_writes(toks, span).len() as u64;
         facts += sgx_lint::dataflow::receiver_aliases(toks, span).len() as u64;
-        facts += sgx_lint::dataflow::type_aliases(toks).len() as u64;
-        facts += sgx_lint::dataflow::parse_enums(toks).len() as u64;
-        facts += sgx_lint::dataflow::variant_uses(toks).len() as u64;
     }
     let secs = t0.elapsed().as_secs_f64().max(1e-9);
     facts as f64 / secs
@@ -141,7 +143,7 @@ fn service_smoke() -> (f64, f64) {
             deadline_cycles: (m * 300.0) as u64,
         },
     ];
-    // sgx-lint: allow(nondeterminism) timing the host's DES rate is the benchmark
+    #[expect(clippy::disallowed_types, reason = "timing the host's DES rate is the benchmark")]
     let t0 = Instant::now();
     let out = sgx_serve::run_service(&cfg, &tenants, &costs);
     let secs = t0.elapsed().as_secs_f64().max(1e-9);

@@ -25,7 +25,10 @@ use sgx_bench_core::profiles::BenchProfile;
 use sgx_serve::{run_service, Arrival, ServiceOutcome};
 use sgx_sim::config::xeon_gold_6326;
 use sgx_sim::Setting;
-// sgx-lint: allow(nondeterminism) host wall-clock feeds stderr rates only, never the JSON report
+#[expect(
+    clippy::disallowed_types,
+    reason = "host wall-clock feeds stderr rates only, never the JSON report"
+)]
 use std::time::Instant;
 
 fn parse_f64(v: Option<String>, what: &str) -> f64 {
@@ -73,7 +76,7 @@ fn main() {
         stress.epc_level,
         setting.label()
     );
-    // sgx-lint: allow(nondeterminism) calibration wall-clock goes to stderr only
+    #[expect(clippy::disallowed_types, reason = "calibration wall-clock goes to stderr only")]
     let t0 = Instant::now();
     let cal = calibrate(&p, setting, stress);
     eprintln!("service_bench: calibration took {:.1} ms", t0.elapsed().as_secs_f64() * 1e3);
@@ -104,7 +107,10 @@ fn main() {
         }
     }
 
-    // sgx-lint: allow(nondeterminism) DES wall-clock feeds the stderr events/sec rate only
+    #[expect(
+        clippy::disallowed_types,
+        reason = "DES wall-clock feeds the stderr events/sec rate only"
+    )]
     let t0 = Instant::now();
     let out = run_service(&cfg, &ts, &cal.costs);
     let secs = t0.elapsed().as_secs_f64().max(1e-9);

@@ -51,7 +51,10 @@ use sgx_sim::counters::Counters;
 use sgx_sim::machine::Machine;
 use sgx_sim::mem::Setting;
 use std::path::PathBuf;
-// sgx-lint: allow(nondeterminism) host wall-clock IS the metric here — events/sec of the simulator itself
+#[expect(
+    clippy::disallowed_types,
+    reason = "host wall-clock IS the metric here — events/sec of the simulator itself"
+)]
 use std::time::Instant;
 
 /// Simulated micro-operations in a counter delta.
@@ -70,7 +73,10 @@ fn machine(oracle: bool) -> Machine {
 /// Time `f` on `m` and return events/sec of the simulated work it did.
 fn rate(m: &mut Machine, f: impl FnOnce(&mut Machine)) -> f64 {
     let before = m.counters().clone();
-    // sgx-lint: allow(nondeterminism) timing the host's simulation rate is the benchmark
+    #[expect(
+        clippy::disallowed_types,
+        reason = "timing the host's simulation rate is the benchmark"
+    )]
     let t0 = Instant::now();
     f(m);
     let secs = t0.elapsed().as_secs_f64().max(1e-9);
@@ -219,8 +225,11 @@ fn storage_path(oracle: bool) -> f64 {
     })
 }
 
+/// One kernel: takes the `--oracle` flag, returns events/sec.
+type Kernel = fn(bool) -> f64;
+
 /// The suite, in reporting order.
-const KERNELS: &[(&str, fn(bool) -> f64)] = &[
+const KERNELS: &[(&str, Kernel)] = &[
     ("join-smoke", join_smoke),
     ("scan-smoke", scan_smoke),
     ("pht-build", pht_build),

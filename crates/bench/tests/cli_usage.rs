@@ -1,4 +1,4 @@
-//! Usage handling of the figure binaries: `--help` prints the options and
+//! Usage handling of `all_figures`: `--help` prints the options and
 //! exits 0, an unknown option exits 2, and neither runs a figure.
 //!
 //! Each case runs in a directory of its own, so a figure the binary
@@ -8,16 +8,15 @@ use std::path::PathBuf;
 use std::process::{Command, Output};
 
 const ALL_FIGURES: &str = env!("CARGO_BIN_EXE_all_figures");
-const FIG05: &str = env!("CARGO_BIN_EXE_fig05_random_access_micro");
 
-/// Run `bin` with `args` in a fresh directory named after `case`; return
-/// its output and whether it left any figure output behind.
-fn run(case: &str, bin: &str, args: &[&str]) -> (Output, bool) {
+/// Run `all_figures` with `args` in a fresh directory named after `case`;
+/// return its output and whether it left any figure output behind.
+fn run(case: &str, args: &[&str]) -> (Output, bool) {
     let dir: PathBuf =
         std::env::temp_dir().join(format!("cli-usage-{}-{case}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create the case directory");
-    let out = Command::new(bin)
+    let out = Command::new(ALL_FIGURES)
         .args(args)
         .current_dir(&dir)
         .output()
@@ -34,14 +33,10 @@ fn stdout(out: &Output) -> String {
 #[test]
 fn help_prints_the_options_and_runs_nothing() {
     // `--only`/`--scale` keep a regression that ignores --help short.
-    let (out, emitted) = run(
-        "all-help",
-        ALL_FIGURES,
-        &["--only", "fig05", "--scale", "512", "--help"],
-    );
+    let (out, emitted) = run("help", &["--only", "fig05", "--scale", "512", "--help"]);
     assert_eq!(out.status.code(), Some(0));
     let text = stdout(&out);
-    for option in ["--jobs", "--only", "--profile", "--scale"] {
+    for option in ["--jobs", "--only", "--profile", "--reps", "--scale"] {
         assert!(
             text.contains(option),
             "all_figures --help must list {option}: {text}"
@@ -52,47 +47,24 @@ fn help_prints_the_options_and_runs_nothing() {
         "no figure may be printed: {text}"
     );
     assert!(!emitted, "no figure may be written");
-
-    let (out, emitted) = run("fig05-help", FIG05, &["--scale", "512", "--help"]);
-    assert_eq!(out.status.code(), Some(0));
-    let text = stdout(&out);
-    assert!(
-        text.contains("--reps"),
-        "the figure binary's --help must list --reps: {text}"
-    );
-    assert!(
-        !text.contains("Random memory access"),
-        "no figure may be printed: {text}"
-    );
-    assert!(!emitted, "no figure may be written");
 }
 
 #[test]
 fn unknown_options_exit_2_and_run_nothing() {
-    // `--job` is a typo of `--jobs`.
-    let (out, emitted) = run(
-        "all-typo",
-        ALL_FIGURES,
-        &["--only", "fig05", "--scale", "512", "--job", "2"],
-    );
-    assert_eq!(out.status.code(), Some(2));
-    assert!(
-        stdout(&out).is_empty(),
-        "no figure may be printed: {}",
-        stdout(&out)
-    );
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("--job"),
-        "the error must name the option"
-    );
-    assert!(!emitted, "no figure may be written");
-
-    let (out, emitted) = run("fig05-typo", FIG05, &["--scale", "512", "--rep", "1"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(
-        stdout(&out).is_empty(),
-        "no figure may be printed: {}",
-        stdout(&out)
-    );
-    assert!(!emitted, "no figure may be written");
+    // `--job` is a typo of `--jobs` (a harness option), `--rep` one of
+    // `--reps` (a profile option).
+    for (case, typo, value) in [("job-typo", "--job", "2"), ("rep-typo", "--rep", "1")] {
+        let (out, emitted) = run(case, &["--only", "fig05", "--scale", "512", typo, value]);
+        assert_eq!(out.status.code(), Some(2), "{typo}");
+        assert!(
+            stdout(&out).is_empty(),
+            "no figure may be printed: {}",
+            stdout(&out)
+        );
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains(typo),
+            "the error must name the option {typo}"
+        );
+        assert!(!emitted, "no figure may be written");
+    }
 }

@@ -1,7 +1,7 @@
 //! SVG rendering for [`Figure`]s: grouped bar charts with error bars,
 //! matching the paper's presentation. Pure-std string generation — no
-//! plotting dependency — so `cargo run -p bench --bin figNN` drops a
-//! ready-to-view `.svg` next to the `.json`.
+//! plotting dependency — so `cargo run -p bench --bin all_figures -- --only
+//! <id>` drops a ready-to-view `.svg` next to the `.json`.
 
 use crate::report::Figure;
 use sgx_sim::profile::CostCategory;
@@ -30,7 +30,7 @@ const PROFILE_PALETTE: [&str; 9] = [
 /// input (an all-NaN or overflowed series) degrades to the 1.0 default so
 /// the axis math downstream never divides by NaN/Inf.
 fn nice_ceil(v: f64) -> f64 {
-    if !(v > 0.0) || !v.is_finite() {
+    if !v.is_finite() || v <= 0.0 {
         return 1.0;
     }
     let mag = 10f64.powf(v.log10().floor());

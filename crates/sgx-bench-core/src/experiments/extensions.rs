@@ -162,7 +162,10 @@ pub fn ablation_swwcb(p: &BenchProfile) -> Figure {
             for i in range.clone() {
                 running[(src.peek(i).key & mask) as usize] += 1;
             }
-            // sgx-lint: allow(panic-in-library) parallel() runs each worker once, so its scratch is still reserved
+            #[expect(
+                clippy::expect_used,
+                reason = "parallel() runs each worker once, so its scratch is still reserved"
+            )]
             let ((fills, buf), cursors) = scratch[w].take().expect("one backing per worker");
             match cursors {
                 // The write-combining variant reserved no cursor arrays.

@@ -3,10 +3,10 @@
 //!
 //! Every function is parameterized by a [`BenchProfile`](crate::profiles::BenchProfile), so the same code
 //! runs the paper-exact sizes (`--full`) and the proportionally scaled
-//! default. The `bench` crate's `src/bin/figNN_*.rs` binaries are thin
-//! wrappers; the workspace integration tests run these functions on a tiny
-//! profile and assert the qualitative shapes (who wins, orderings,
-//! crossovers) hold.
+//! default. The `bench` crate's `all_figures` harness runs them through
+//! the [`runner`](crate::runner) registry; the workspace integration tests
+//! run these functions on a tiny profile and assert the qualitative shapes
+//! (who wins, orderings, crossovers) hold.
 //!
 //! Where every point of a figure builds a machine of its own, the points
 //! run as one `crate::sweep` on the job's thread budget, listed in the

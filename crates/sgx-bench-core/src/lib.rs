@@ -12,7 +12,7 @@
 //!
 //! and adds the experiment plumbing: benchmark [`profiles`] (paper-exact
 //! vs proportionally scaled), repetition statistics, and the
-//! [`report::Figure`] data model each `bench/src/bin/figNN` harness emits.
+//! [`report::Figure`] data model every `all_figures` job emits.
 //!
 //! ## Quickstart
 //!
@@ -32,7 +32,13 @@
 //! println!("throughput: {:.1} M rows/s", stats.mrows_per_sec(r.len(), s.len(), 2.9));
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #![warn(missing_docs)]
 
 pub mod chart;

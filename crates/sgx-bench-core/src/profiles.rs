@@ -8,7 +8,8 @@
 use sgx_sim::config::{scaled_profile, xeon_gold_6326};
 use sgx_sim::HwConfig;
 
-/// Command-line options shared by all figure binaries.
+/// The profile options of `all_figures` (`--full`, `--reps N`,
+/// `--scale N`).
 #[derive(Debug, Clone)]
 pub struct RunOpts {
     /// Run paper-exact sizes on the unscaled machine (slow).
@@ -61,11 +62,6 @@ impl RunOpts {
             }
         }
         opts
-    }
-
-    /// Parse from the process arguments.
-    pub fn parse() -> RunOpts {
-        RunOpts::parse_from(std::env::args().skip(1))
     }
 
     /// Resolve to a benchmark profile.

@@ -269,50 +269,74 @@ impl Figure {
     }
 }
 
-/// The nine cycle bins of one phase as a JSON object, every
-/// `CategoryCycles` field read by name — this function (with
-/// [`profile_phase_rows`]) is the cross-crate read the workspace lint's
-/// counter-conservation rule demands for the profiler's bins.
+/// The nine cycle bins of one phase as a JSON object. The destructuring
+/// names every `CategoryCycles` bin, so a new bin does not compile until
+/// it is reported here.
 fn category_cycles_json(c: &CategoryCycles) -> Value {
+    let CategoryCycles { compute, cache, dram, mee, epc_paging, edmm, transition, upi, fault } = *c;
     Value::Obj(vec![
-        ("compute".into(), Value::Num(c.compute)),
-        ("cache".into(), Value::Num(c.cache)),
-        ("dram".into(), Value::Num(c.dram)),
-        ("mee".into(), Value::Num(c.mee)),
-        ("epc_paging".into(), Value::Num(c.epc_paging)),
-        ("edmm".into(), Value::Num(c.edmm)),
-        ("transition".into(), Value::Num(c.transition)),
-        ("upi".into(), Value::Num(c.upi)),
-        ("fault".into(), Value::Num(c.fault)),
+        ("compute".into(), Value::Num(compute)),
+        ("cache".into(), Value::Num(cache)),
+        ("dram".into(), Value::Num(dram)),
+        ("mee".into(), Value::Num(mee)),
+        ("epc_paging".into(), Value::Num(epc_paging)),
+        ("edmm".into(), Value::Num(edmm)),
+        ("transition".into(), Value::Num(transition)),
+        ("upi".into(), Value::Num(upi)),
+        ("fault".into(), Value::Num(fault)),
     ])
 }
 
 /// All 21 counters as a JSON object (u64 counts are exact in f64 far
 /// beyond any simulated run; the JSON printer writes integral values as
-/// `N.0`).
+/// `N.0`). The destructuring names every counter, so a new one does not
+/// compile until it is reported here.
 fn counters_json(c: &Counters) -> Value {
+    let Counters {
+        loads,
+        stores,
+        l1_hits,
+        l2_hits,
+        l3_hits,
+        dram_fills,
+        prefetched_fills,
+        epc_fills,
+        remote_fills,
+        writebacks,
+        stream_lines,
+        transitions,
+        futex_waits,
+        edmm_pages,
+        epc_page_faults,
+        enclave_groups,
+        tlb_misses,
+        alu_ops,
+        vec_ops,
+        aex_events,
+        ocall_retries,
+    } = *c;
     Value::Obj(vec![
-        ("loads".into(), Value::Num(c.loads as f64)),
-        ("stores".into(), Value::Num(c.stores as f64)),
-        ("l1_hits".into(), Value::Num(c.l1_hits as f64)),
-        ("l2_hits".into(), Value::Num(c.l2_hits as f64)),
-        ("l3_hits".into(), Value::Num(c.l3_hits as f64)),
-        ("dram_fills".into(), Value::Num(c.dram_fills as f64)),
-        ("prefetched_fills".into(), Value::Num(c.prefetched_fills as f64)),
-        ("epc_fills".into(), Value::Num(c.epc_fills as f64)),
-        ("remote_fills".into(), Value::Num(c.remote_fills as f64)),
-        ("writebacks".into(), Value::Num(c.writebacks as f64)),
-        ("stream_lines".into(), Value::Num(c.stream_lines as f64)),
-        ("transitions".into(), Value::Num(c.transitions as f64)),
-        ("futex_waits".into(), Value::Num(c.futex_waits as f64)),
-        ("edmm_pages".into(), Value::Num(c.edmm_pages as f64)),
-        ("epc_page_faults".into(), Value::Num(c.epc_page_faults as f64)),
-        ("enclave_groups".into(), Value::Num(c.enclave_groups as f64)),
-        ("tlb_misses".into(), Value::Num(c.tlb_misses as f64)),
-        ("alu_ops".into(), Value::Num(c.alu_ops as f64)),
-        ("vec_ops".into(), Value::Num(c.vec_ops as f64)),
-        ("aex_events".into(), Value::Num(c.aex_events as f64)),
-        ("ocall_retries".into(), Value::Num(c.ocall_retries as f64)),
+        ("loads".into(), Value::Num(loads as f64)),
+        ("stores".into(), Value::Num(stores as f64)),
+        ("l1_hits".into(), Value::Num(l1_hits as f64)),
+        ("l2_hits".into(), Value::Num(l2_hits as f64)),
+        ("l3_hits".into(), Value::Num(l3_hits as f64)),
+        ("dram_fills".into(), Value::Num(dram_fills as f64)),
+        ("prefetched_fills".into(), Value::Num(prefetched_fills as f64)),
+        ("epc_fills".into(), Value::Num(epc_fills as f64)),
+        ("remote_fills".into(), Value::Num(remote_fills as f64)),
+        ("writebacks".into(), Value::Num(writebacks as f64)),
+        ("stream_lines".into(), Value::Num(stream_lines as f64)),
+        ("transitions".into(), Value::Num(transitions as f64)),
+        ("futex_waits".into(), Value::Num(futex_waits as f64)),
+        ("edmm_pages".into(), Value::Num(edmm_pages as f64)),
+        ("epc_page_faults".into(), Value::Num(epc_page_faults as f64)),
+        ("enclave_groups".into(), Value::Num(enclave_groups as f64)),
+        ("tlb_misses".into(), Value::Num(tlb_misses as f64)),
+        ("alu_ops".into(), Value::Num(alu_ops as f64)),
+        ("vec_ops".into(), Value::Num(vec_ops as f64)),
+        ("aex_events".into(), Value::Num(aex_events as f64)),
+        ("ocall_retries".into(), Value::Num(ocall_retries as f64)),
     ])
 }
 

@@ -32,11 +32,8 @@
 use std::cell::Cell;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-// Wall-clock timing feeds the manifest's `seconds` diagnostics only,
-// never a simulated measurement; the alias keeps the nondeterministic
-// type visibly quarantined at this one import.
-// sgx-lint: allow(nondeterminism) harness-only wall-clock for manifest timings
-use std::time::Instant as WallClock;
+#[expect(clippy::disallowed_types, reason = "harness-only wall-clock for manifest timings")]
+use std::time::Instant;
 
 use crate::json::Value;
 use crate::profiles::BenchProfile;
@@ -213,7 +210,7 @@ pub fn run_registry(registry: &[FigureJob], profile: &BenchProfile, cfg: &RunCon
         for _ in 1..workers {
             let spawned = std::thread::Builder::new()
                 .stack_size(WORKER_STACK)
-                .spawn_scoped(s, || drain());
+                .spawn_scoped(s, drain);
             match spawned {
                 Ok(h) => handles.push(h),
                 // The calling thread still drains the whole queue below,
@@ -249,7 +246,8 @@ pub fn run_registry(registry: &[FigureJob], profile: &BenchProfile, cfg: &RunCon
 /// counter capture.
 fn run_one(job: &FigureJob, profile: &BenchProfile, cfg: &RunConfig) -> JobOutcome {
     eprintln!("[{}] running...", job.id);
-    let started = WallClock::now();
+    #[expect(clippy::disallowed_types, reason = "harness-only wall-clock for manifest timings")]
+    let started = Instant::now();
     // Reset the session accumulators so earlier machines dropped on this
     // thread are not attributed to this job, and arm (or disarm) cycle
     // attribution for the machines this job builds.
@@ -259,8 +257,8 @@ fn run_one(job: &FigureJob, profile: &BenchProfile, cfg: &RunConfig) -> JobOutco
     let run = job.run;
     let inject = cfg.fail_injection.as_deref() == Some(job.id);
     let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
+        #[expect(clippy::panic, reason = "fault-injection hook, caught by this catch_unwind")]
         if inject {
-            // sgx-lint: allow(panic-in-library) fault-injection hook, caught by this catch_unwind
             panic!("injected failure via ALL_FIGURES_FAIL={}", job.id);
         }
         run(profile)

@@ -167,7 +167,6 @@ mod tests {
     #[test]
     fn sample_takes_median_and_real_spread() {
         let mut vals = [5.0, 1.0, 9.0, 3.0, 7.0].into_iter();
-        // sgx-lint: allow(panic-in-library) test iterator sized to the rep count
         let s = sample(0, 5, || vals.next().expect("enough reps"));
         assert_eq!(s.median, 5.0);
         assert_eq!(s.min, 1.0);

@@ -9,7 +9,13 @@
 //! accesses are dependent DRAM loads — the access pattern that determines
 //! INL's enclave behaviour.
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #![warn(missing_docs)]
 
 use sgx_sim::{Core, Machine, SimVec};

@@ -192,7 +192,7 @@ mod tests {
 
     #[test]
     fn hash32_stays_in_range_and_spreads() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for k in 0..10_000u32 {
             let h = hash32(k, 8);
             assert!(h < 256);

@@ -113,7 +113,10 @@ pub fn crk_join(
                 new_bounds.push(bounds[seg]);
                 new_bounds.push(splits[seg]);
             }
-            // sgx-lint: allow(panic-in-library) bounds always ends with n by construction (seeded two lines up, re-pushed here)
+            #[expect(
+                clippy::expect_used,
+                reason = "bounds always ends with n by construction (seeded two lines up, re-pushed here)"
+            )]
             new_bounds.push(*bounds.last().expect("bounds never empty"));
             *bounds = new_bounds;
         }

@@ -205,7 +205,7 @@ mod tests {
         let flat = gen_fk_zipf(&mut m, 20_000, 1000, 0.0, 5);
         let skew = gen_fk_zipf(&mut m, 20_000, 1000, 1.2, 5);
         let top_share = |rel: &sgx_sim::SimVec<Row>| {
-            let mut counts = std::collections::HashMap::new();
+            let mut counts = std::collections::BTreeMap::new();
             for r in rel.as_slice_untracked() {
                 *counts.entry(r.key).or_insert(0usize) += 1;
             }

@@ -21,7 +21,13 @@
 //! [`JoinStats`] carry simulated timings, per-phase breakdowns
 //! (Figs 4 & 6), and a checksum tests verify against [`data::reference_join`].
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #![warn(missing_docs)]
 
 pub mod cht;

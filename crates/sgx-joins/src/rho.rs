@@ -155,12 +155,12 @@ pub fn seq_scatter(
         });
     }
     // Flush partial buffers.
-    for p in 0..fanout {
+    for (p, offset) in offsets.iter_mut().enumerate().take(fanout) {
         let rem = (counts.peek(p) as usize) % WCB_ROWS;
         if rem > 0 {
             let rows: Vec<Row> = (0..rem).map(|k| buffers.peek(p * WCB_ROWS + k)).collect();
-            flush_line(c, dst, offsets[p], &rows);
-            offsets[p] += rem;
+            flush_line(c, dst, *offset, &rows);
+            *offset += rem;
         }
     }
 }
@@ -369,8 +369,7 @@ pub(crate) fn join_partition(
                 fill = 0;
             }
         });
-        for bi in 0..fill {
-            let (srow, h) = batch[bi];
+        for &(srow, h) in &batch[..fill] {
             let first = heads.get(c, h as usize);
             walk(c, first, srow);
         }

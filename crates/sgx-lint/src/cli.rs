@@ -90,7 +90,7 @@ pub fn run(args: impl Iterator<Item = String>) -> ExitCode {
             },
             "--help" | "-h" => {
                 println!(
-                    "usage: sgx-lint [--format text|json] [--baseline file.json] [paths...]\n       sgx-lint --score-corpus <dir>\n       sgx-lint robustness [flags]   (see `sgx-lint robustness --help`)\n\nLints workspace Rust sources for model-integrity violations.\nPer-file rules: untracked-access, nondeterminism, counter-truncation,\npanic-in-library, unsafe-code, swallowed-error.\nWorkspace rules: untracked-slice-taint, counter-conservation,\nfault-tick-coverage, calibration-provenance, charge-escape,\ndes-invariant.\nDefault scan root: crates"
+                    "usage: sgx-lint [--format text|json] [--baseline file.json] [paths...]\n       sgx-lint --score-corpus <dir>\n       sgx-lint robustness [flags]   (see `sgx-lint robustness --help`)\n\nLints workspace Rust sources for model-integrity violations.\nPer-file rules: untracked-access, counter-truncation, swallowed-error.\nWorkspace rules: untracked-slice-taint, fault-tick-coverage,\ncalibration-provenance, charge-escape.\nrustc and clippy enforce unsafe code, determinism, panics and counter\ncoverage (see clippy.toml and the workspace lints).\nDefault scan root: crates"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -341,7 +341,7 @@ fn run_robustness(mut args: std::iter::Peekable<impl Iterator<Item = String>>) -
             }
             "--help" | "-h" => {
                 println!(
-                    "usage: sgx-lint robustness [--corpus DIR] [--seed N] [--depth N] [--seqlen N]\n                           [--jobs N] [--floor PCT] [--weaken KNOB[,KNOB]]\n                           [--emit-variants DIR] [--format text|json]\n\nGenerates seeded semantics-preserving variants of every corpus case and\nreports rapx-bench-style robust-detection (RD) per rule and per transform.\nExit 1 when --floor is set and total RD falls below it.\nKnown --weaken knobs: taint-indirection (cap taint walk depth),\ntaint-alias (disable alias resolution in taint and conservation).\n--emit-variants writes one directory per variant: {{case}}__{{label}}/<file>."
+                    "usage: sgx-lint robustness [--corpus DIR] [--seed N] [--depth N] [--seqlen N]\n                           [--jobs N] [--floor PCT] [--weaken KNOB[,KNOB]]\n                           [--emit-variants DIR] [--format text|json]\n\nGenerates seeded semantics-preserving variants of every corpus case and\nreports rapx-bench-style robust-detection (RD) per rule and per transform.\nExit 1 when --floor is set and total RD falls below it.\nKnown --weaken knobs: taint-indirection (cap taint walk depth),\ntaint-alias (disable let-alias resolution in the taint rule).\n--emit-variants writes one directory per variant: {{case}}__{{label}}/<file>."
                 );
                 return ExitCode::SUCCESS;
             }
@@ -464,7 +464,7 @@ mod tests {
 
     #[test]
     fn json_report_roundtrips_and_orders_findings() {
-        let fs = vec![finding("b.rs", "unsafe-code", 2), finding("a.rs", "nondeterminism", 9)];
+        let fs = vec![finding("b.rs", "charge-escape", 2), finding("a.rs", "swallowed-error", 9)];
         let doc = report_value(&fs, 2, 1, 0);
         let back = Value::parse(&doc.pretty()).unwrap();
         assert_eq!(back.get("total").and_then(Value::as_f64), Some(2.0));
@@ -481,7 +481,7 @@ mod tests {
         let good = dir.join("good.json");
         std::fs::write(
             &good,
-            "{\"baseline\": [{\"path\": \"a.rs\", \"rule\": \"unsafe-code\", \"line\": 3.0, \"reason\": \"vetted FFI shim\"}]}",
+            "{\"baseline\": [{\"path\": \"a.rs\", \"rule\": \"charge-escape\", \"line\": 3.0, \"reason\": \"vetted wall-clock bypass\"}]}",
         )
         .unwrap();
         let entries = load_baseline(&good).unwrap();

@@ -25,6 +25,8 @@ pub struct RuleScore {
     pub fn_: usize,
     /// Findings reported on negative cases (noise).
     pub fp: usize,
+    /// Negative cases labeled with this rule.
+    pub negatives: usize,
 }
 
 /// Whole-corpus scorecard.
@@ -64,7 +66,7 @@ impl Score {
 }
 
 /// Extract the labeled rule from a corpus filename like
-/// `nondeterminism_2.rs`. Shared with the robustness scorer.
+/// `swallowed-error_2.rs`. Shared with the robustness scorer.
 pub(crate) fn labeled_rule(file: &Path) -> Option<String> {
     let stem = file.file_stem()?.to_str()?;
     let (rule, _n) = stem.rsplit_once('_')?;
@@ -104,6 +106,7 @@ pub fn score(dir: &Path) -> Result<Score, String> {
                     entry.fn_ += 1;
                 }
             } else {
+                entry.negatives += 1;
                 // Any finding at all on a negative case is noise; charge it
                 // to the rule that produced it.
                 if report.findings.is_empty() {
@@ -125,8 +128,8 @@ mod tests {
     #[test]
     fn filename_labeling() {
         assert_eq!(
-            labeled_rule(Path::new("corpus/positive/nondeterminism_2.rs")),
-            Some("nondeterminism".to_string())
+            labeled_rule(Path::new("corpus/positive/swallowed-error_2.rs")),
+            Some("swallowed-error".to_string())
         );
         assert_eq!(
             labeled_rule(Path::new("counter-truncation_10.rs")),
@@ -139,9 +142,10 @@ mod tests {
     #[test]
     fn perfect_requires_no_misses_and_no_noise() {
         let mut s = Score::default();
-        s.per_rule.insert("unsafe-code".into(), RuleScore { tp: 3, fn_: 0, fp: 0 });
+        s.per_rule.insert("charge-escape".into(), RuleScore { tp: 3, fn_: 0, fp: 0, negatives: 2 });
         assert!(s.perfect());
-        s.per_rule.insert("nondeterminism".into(), RuleScore { tp: 2, fn_: 1, fp: 0 });
+        s.per_rule
+            .insert("swallowed-error".into(), RuleScore { tp: 2, fn_: 1, fp: 0, negatives: 3 });
         assert!(!s.perfect());
         assert!(s.table().contains("MISSES"));
     }

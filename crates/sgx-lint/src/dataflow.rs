@@ -18,14 +18,6 @@
 //!   self.counters;` style reborrows, so a write through `c` still
 //!   resolves to the `counters` chain. Bounded, per-function, def-use
 //!   only: exactly the laundering the alias variants generate.
-//! * [`type_aliases`] + [`resolve_alias`] — `type CountersAlias =
-//!   Counters;` declarations, so `impl CountersAlias` blocks resolve to
-//!   the underlying struct (the ROADMAP item 5 blind spot in
-//!   counter-conservation's own-impl detection).
-//! * [`parse_enums`] + [`variant_uses`] — enum variant constructions vs
-//!   match-arm handlers (`EvKind::Arrive { .. } =>`), for the
-//!   des-invariant event-totality check: every event kind a DES enqueues
-//!   must have an explicit arm in the event loop.
 //!
 //! Everything here is deliberately *syntactic* and bounded (fixed
 //! iteration caps, no recursion), matching the crate's "fast, offline,
@@ -42,9 +34,9 @@ fn p(t: &Tok, c: u8) -> bool {
     t.kind == TokKind::Punct(c)
 }
 
-/// Maximum alias-chain hops [`resolve_alias`] / [`resolve_receiver`]
-/// follow. Deep enough for any human-written chain; bounds adversarial
-/// `type A = B; type B = C; …` cycles.
+/// Maximum alias-chain hops [`resolve_receiver`] follows. Deep enough for
+/// any human-written chain; bounds adversarial `let a = b; let b = a;`
+/// cycles.
 const MAX_ALIAS_HOPS: usize = 8;
 
 /// One assignment site: a dotted/indexed chain ending in an assignment
@@ -229,202 +221,6 @@ pub fn resolve_receiver(chain: &[String], aliases: &BTreeMap<String, Vec<String>
     out
 }
 
-/// `type Alias = Target;` declarations in the token stream (any scope).
-/// Only the plain single-identifier form matters to the rules; generic or
-/// path-qualified targets record their first identifier, which is simply
-/// never a conserved struct name.
-pub fn type_aliases(toks: &[Tok]) -> BTreeMap<String, String> {
-    let mut out = BTreeMap::new();
-    for i in 0..toks.len() {
-        if !is(&toks[i], "type") {
-            continue;
-        }
-        // Not `impl Trait for X { type Assoc … }` paths like `T::type`.
-        if i > 0 && p(&toks[i - 1], b':') {
-            continue;
-        }
-        let Some(name) = toks.get(i + 1) else { continue };
-        if name.kind != TokKind::Ident {
-            continue;
-        }
-        let mut j = i + 2;
-        if toks.get(j).is_some_and(|t| p(t, b'<')) {
-            j = skip_balanced(toks, j, b'<', b'>');
-        }
-        if !toks.get(j).is_some_and(|t| p(t, b'=')) {
-            continue;
-        }
-        if let Some(target) = toks.get(j + 1) {
-            if target.kind == TokKind::Ident {
-                out.entry(name.text.clone()).or_insert_with(|| target.text.clone());
-            }
-        }
-    }
-    out
-}
-
-/// Resolve `name` through `type` aliases (bounded walk). Returns the final
-/// underlying name — `name` itself when it is not an alias.
-pub fn resolve_alias<'a>(map: &'a BTreeMap<String, String>, name: &'a str) -> &'a str {
-    let mut cur = name;
-    for _ in 0..MAX_ALIAS_HOPS {
-        match map.get(cur) {
-            Some(next) if next != cur => cur = next,
-            _ => break,
-        }
-    }
-    cur
-}
-
-/// One `enum` item (name + variant names). [`crate::parse`] only models
-/// fns/structs/impls; the des-invariant totality check needs enums too.
-#[derive(Debug, Clone)]
-pub struct EnumItem {
-    /// Enum name.
-    pub name: String,
-    /// 1-based line of the `enum` keyword.
-    pub line: u32,
-    /// Variant names in declaration order.
-    pub variants: Vec<String>,
-}
-
-/// Parse every `enum Name { Variant, Variant(…), Variant { … }, … }` in
-/// the token stream.
-pub fn parse_enums(toks: &[Tok]) -> Vec<EnumItem> {
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while i < toks.len() {
-        if !is(&toks[i], "enum") || !toks.get(i + 1).is_some_and(|t| t.kind == TokKind::Ident) {
-            i += 1;
-            continue;
-        }
-        let name = toks[i + 1].text.clone();
-        let line = toks[i].line;
-        let mut j = i + 2;
-        if toks.get(j).is_some_and(|t| p(t, b'<')) {
-            j = skip_balanced(toks, j, b'<', b'>');
-        }
-        if !toks.get(j).is_some_and(|t| p(t, b'{')) {
-            i += 1;
-            continue;
-        }
-        let close = skip_balanced(toks, j, b'{', b'}') - 1;
-        let mut variants = Vec::new();
-        let mut k = j + 1;
-        while k < close {
-            // Variant attributes.
-            if p(&toks[k], b'#') && toks.get(k + 1).is_some_and(|t| p(t, b'[')) {
-                k = skip_balanced(toks, k + 1, b'[', b']');
-                continue;
-            }
-            if toks[k].kind == TokKind::Ident {
-                variants.push(toks[k].text.clone());
-                // Skip the payload / discriminant to the next top-level comma.
-                let mut depth = 0i32;
-                k += 1;
-                while k < close {
-                    match toks[k].kind {
-                        TokKind::Punct(b'(') | TokKind::Punct(b'[') | TokKind::Punct(b'{') => {
-                            depth += 1
-                        }
-                        TokKind::Punct(b')') | TokKind::Punct(b']') | TokKind::Punct(b'}') => {
-                            depth -= 1
-                        }
-                        TokKind::Punct(b',') if depth == 0 => {
-                            k += 1;
-                            break;
-                        }
-                        _ => {}
-                    }
-                    k += 1;
-                }
-                continue;
-            }
-            k += 1;
-        }
-        out.push(EnumItem { name, line, variants });
-        i = close + 1;
-    }
-    out
-}
-
-/// How one `Enum::Variant` path is used.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PathUse {
-    /// Expression position: the variant is constructed.
-    Construct,
-    /// Pattern position: an explicit `match` arm (`… =>`, an or-pattern
-    /// `… |`, or a guarded arm `… if cond =>`).
-    MatchArm,
-}
-
-/// One `Enum::Variant` occurrence.
-#[derive(Debug, Clone)]
-pub struct VariantUse {
-    /// Enum path head (`EvKind` in `EvKind::Arrive`).
-    pub enum_name: String,
-    /// Variant name.
-    pub variant: String,
-    /// 1-based line of the variant identifier.
-    pub line: u32,
-    /// Token index of the enum-name identifier (for mask lookups).
-    pub tok: usize,
-    /// Construction vs match arm.
-    pub usage: PathUse,
-}
-
-/// Find every `Name::Variant` path and classify it. The classifier looks
-/// *past* one balanced payload group (`{ … }` / `( … )`) after the
-/// variant: `=>`, `|`, or a match guard `if` mean pattern position,
-/// anything else is a construction.
-pub fn variant_uses(toks: &[Tok]) -> Vec<VariantUse> {
-    let mut out = Vec::new();
-    for i in 0..toks.len() {
-        let t = &toks[i];
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        // `Name :: Variant`, where `Name` is not itself a path segment.
-        if i > 0 && p(&toks[i - 1], b':') {
-            continue;
-        }
-        if !(toks.get(i + 1).is_some_and(|n| p(n, b':'))
-            && toks.get(i + 2).is_some_and(|n| p(n, b':'))
-            && toks.get(i + 3).is_some_and(|n| n.kind == TokKind::Ident))
-        {
-            continue;
-        }
-        let variant = &toks[i + 3];
-        // Longer paths (`a::b::c`) are module paths, not enum variants.
-        if toks.get(i + 4).is_some_and(|n| p(n, b':')) {
-            continue;
-        }
-        let mut k = i + 4;
-        if toks.get(k).is_some_and(|n| p(n, b'{')) {
-            k = skip_balanced(toks, k, b'{', b'}');
-        } else if toks.get(k).is_some_and(|n| p(n, b'(')) {
-            k = skip_balanced(toks, k, b'(', b')');
-        }
-        let usage = if (toks.get(k).is_some_and(|n| p(n, b'='))
-            && toks.get(k + 1).is_some_and(|n| p(n, b'>')))
-            || toks.get(k).is_some_and(|n| p(n, b'|'))
-            || toks.get(k).is_some_and(|n| is(n, "if"))
-        {
-            PathUse::MatchArm
-        } else {
-            PathUse::Construct
-        };
-        out.push(VariantUse {
-            enum_name: t.text.clone(),
-            variant: variant.text.clone(),
-            line: variant.line,
-            tok: i,
-            usage,
-        });
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -472,60 +268,5 @@ mod tests {
         let hit = w.iter().find(|x| x.compound).unwrap();
         let resolved = resolve_receiver(&hit.chain, &al);
         assert_eq!(resolved, ["self", "m", "counters", "loads"]);
-    }
-
-    #[test]
-    fn alias_resolution_is_bounded_on_cycles() {
-        let lx = tokenize("type A = B; type B = A;");
-        let map = type_aliases(&lx.tokens);
-        // Terminates; lands on one of the cycle members.
-        let r = resolve_alias(&map, "A");
-        assert!(r == "A" || r == "B");
-        let lx = tokenize("type CountersAlias = Counters;\ntype Deep = CountersAlias;");
-        let map = type_aliases(&lx.tokens);
-        assert_eq!(resolve_alias(&map, "Deep"), "Counters");
-        assert_eq!(resolve_alias(&map, "Counters"), "Counters");
-    }
-
-    #[test]
-    fn associated_types_do_not_alias_structs() {
-        let lx = tokenize("impl Iterator for X { type Item = Counters; fn next(&mut self) -> Option<Counters> { None } }");
-        let map = type_aliases(&lx.tokens);
-        // Recorded, but harmless: `Item` is never an impl self-type.
-        assert_eq!(resolve_alias(&map, "Item"), "Counters");
-    }
-
-    #[test]
-    fn enums_with_payloads_and_attributes() {
-        let lx = tokenize(
-            "#[derive(Debug)]\nenum EvKind {\n  Arrive { tenant: usize, session: usize },\n  #[allow(dead_code)]\n  JobDone(usize, Vec<u8>),\n  Halt = 3,\n}",
-        );
-        let enums = parse_enums(&lx.tokens);
-        assert_eq!(enums.len(), 1);
-        assert_eq!(enums[0].name, "EvKind");
-        assert_eq!(enums[0].variants, ["Arrive", "JobDone", "Halt"]);
-    }
-
-    #[test]
-    fn constructions_vs_match_arms() {
-        let src = "fn f(&mut self) {\n  self.push(EvKind::Arrive { tenant, session });\n  match ev.kind {\n    EvKind::Arrive { tenant, session } => self.on_arrive(tenant, session),\n    EvKind::JobDone(s, w) if s > 0 => self.done(s, w),\n    EvKind::Halt | EvKind::Drain => {}\n  }\n}";
-        let lx = tokenize(src);
-        let uses = variant_uses(&lx.tokens);
-        let of = |v: &str| -> Vec<PathUse> {
-            uses.iter().filter(|u| u.variant == v).map(|u| u.usage).collect()
-        };
-        assert_eq!(of("Arrive"), [PathUse::Construct, PathUse::MatchArm]);
-        assert_eq!(of("JobDone"), [PathUse::MatchArm]);
-        assert_eq!(of("Halt"), [PathUse::MatchArm]);
-        assert_eq!(of("Drain"), [PathUse::MatchArm]);
-    }
-
-    #[test]
-    fn module_paths_are_not_variants() {
-        let lx = tokenize("fn f() { std::mem::take(&mut x); sgx_sim::stream_unit(s, t, k); }");
-        let uses = variant_uses(&lx.tokens);
-        assert!(uses.iter().all(|u| u.enum_name != "std"), "{uses:?}");
-        // Two-segment paths like `sgx_sim::stream_unit` do match the shape;
-        // the rules filter by known enum names, so this stays harmless.
     }
 }

@@ -1,26 +1,21 @@
-//! Rule engine: applies the six model-integrity rules to a tokenized
-//! file, honoring `#[cfg(test)]` regions and allow-markers.
+//! Rule engine: applies the three token-level model-integrity rules to a
+//! tokenized file, honoring `#[cfg(test)]` regions and allow-markers.
 
 use crate::tokenizer::{tokenize, Comment, Lexed, Tok, TokKind};
 use std::collections::BTreeMap;
 
-/// The rule names, in reporting order. The first six are token-level
-/// (this module); the last six are semantic, backed by the cross-file
+/// The rule names, in reporting order. The first three are token-level
+/// (this module); the last four are semantic, backed by the cross-file
 /// call graph ([`crate::semantic`]) and the dataflow extraction
 /// ([`crate::dataflow`]).
-pub const RULES: [&str; 12] = [
+pub const RULES: [&str; 7] = [
     "untracked-access",
-    "nondeterminism",
     "counter-truncation",
-    "panic-in-library",
-    "unsafe-code",
     "swallowed-error",
     "untracked-slice-taint",
-    "counter-conservation",
     "fault-tick-coverage",
     "calibration-provenance",
     "charge-escape",
-    "des-invariant",
 ];
 
 /// Pseudo-rule reported for malformed/unknown allow-markers. Not
@@ -78,10 +73,6 @@ pub(crate) struct Markers {
     /// module set: every compound cycle/clock/counter mutation must reach
     /// `commit` through in-set call chains).
     pub charge_module: bool,
-    /// File carries the `des-module` pragma (opts into the des-invariant
-    /// rule: event totality, counter↔reconcile coverage, no ambient
-    /// entropy).
-    pub des_module: bool,
 }
 
 /// Parse `sgx-lint:` markers out of the comments; malformed markers become
@@ -123,14 +114,8 @@ pub(crate) fn parse_markers(
             markers.charge_module = true;
             continue;
         }
-        // File pragma: opts the file into the des-invariant rule (the
-        // deterministic discrete-event service engine).
-        if rest == "des-module" || rest.starts_with("des-module ") {
-            markers.des_module = true;
-            continue;
-        }
         let Some(args) = rest.strip_prefix("allow(") else {
-            bad("marker must be `sgx-lint: allow(<rule>) <reason>` or a file pragma (`sgx-lint: calibration-file`, `fault-tick-module`, `charge-module`, `des-module`)", findings);
+            bad("marker must be `sgx-lint: allow(<rule>) <reason>` or a file pragma (`sgx-lint: calibration-file`, `fault-tick-module`, `charge-module`)", findings);
             continue;
         };
         let Some(close) = args.find(')') else {
@@ -313,14 +298,9 @@ pub fn analyze_lexed(path: &str, class: FileClass, lexed: &Lexed) -> FileReport 
     let p = |t: &Tok, c: u8| t.kind == TokKind::Punct(c);
 
     let lib_like = matches!(class, FileClass::OperatorLib | FileClass::Lib | FileClass::Bin);
-    let panic_applies = matches!(class, FileClass::OperatorLib | FileClass::Lib);
+    let lib_only = matches!(class, FileClass::OperatorLib | FileClass::Lib);
 
     for (i, t) in toks.iter().enumerate() {
-        // unsafe-code applies everywhere, including test regions.
-        if is(t, "unsafe") {
-            hit(&mut raw, t.line, "unsafe-code", "`unsafe` block/fn/impl — the simulator workspace is safe Rust by contract".into());
-            continue;
-        }
         if in_test[i] || class == FileClass::Test {
             continue;
         }
@@ -339,19 +319,6 @@ pub fn analyze_lexed(path: &str, class: FileClass, lexed: &Lexed) -> FileReport 
                         t.text
                     ),
                 );
-            }
-            // --- nondeterminism (all non-test code) ---
-            "thread_rng" | "ThreadRng" | "from_entropy" | "random_seed" if lib_like => {
-                hit(&mut raw, t.line, "nondeterminism", format!("`{}` draws OS entropy — seed a `StdRng::seed_from_u64` instead so runs are reproducible", t.text));
-            }
-            "Instant" | "SystemTime" if lib_like => {
-                hit(&mut raw, t.line, "nondeterminism", format!("`{}` reads the wall clock — the cycle model, not host time, is the measurement instrument", t.text));
-            }
-            "HashMap" | "HashSet" if lib_like => {
-                hit(&mut raw, t.line, "nondeterminism", format!("default-hasher `{}` has run-dependent iteration order (RandomState) — use BTreeMap/BTreeSet or annotate why order is never observed", t.text));
-            }
-            "RandomState" if lib_like => {
-                hit(&mut raw, t.line, "nondeterminism", "`RandomState` is seeded from OS entropy per process".into());
             }
             // --- counter-truncation (all non-test code) ---
             "as" if lib_like => {
@@ -387,23 +354,9 @@ pub fn analyze_lexed(path: &str, class: FileClass, lexed: &Lexed) -> FileReport 
                     );
                 }
             }
-            // --- panic-in-library (library code only) ---
-            "unwrap" | "expect" if panic_applies => {
-                // Method position only: `.unwrap(` / `.expect(`.
-                let dotted = i > 0 && p(&toks[i - 1], b'.');
-                let called = toks.get(i + 1).is_some_and(|n| p(n, b'('));
-                if dotted && called {
-                    hit(&mut raw, t.line, "panic-in-library", format!("`.{}()` can panic in library code — propagate a Result or document the invariant with an allow-marker", t.text));
-                }
-            }
-            "panic" | "todo" | "unimplemented" if panic_applies => {
-                if toks.get(i + 1).is_some_and(|n| p(n, b'!')) {
-                    hit(&mut raw, t.line, "panic-in-library", format!("`{}!` aborts the simulation from library code — return an error or document why it is unreachable", t.text));
-                }
-            }
             // --- swallowed-error (library code only) ---
             // Pattern A: `let _ = <fallible call>(...);` discards a Result.
-            "let" if panic_applies => {
+            "let" if lib_only => {
                 let underscore = toks.get(i + 1).is_some_and(|n| is(n, "_"));
                 let assigned = toks.get(i + 2).is_some_and(|n| p(n, b'='));
                 if !(underscore && assigned) {
@@ -435,7 +388,7 @@ pub fn analyze_lexed(path: &str, class: FileClass, lexed: &Lexed) -> FileReport 
                 }
             }
             // Pattern B: a bare trailing `.ok();` swallows a Result.
-            "ok" if panic_applies => {
+            "ok" if lib_only => {
                 let dotted = i > 0 && p(&toks[i - 1], b'.');
                 let bare_call = toks.get(i + 1).is_some_and(|n| p(n, b'('))
                     && toks.get(i + 2).is_some_and(|n| p(n, b')'))
@@ -492,36 +445,40 @@ mod tests {
     #[test]
     fn allow_marker_suppresses_same_and_next_line() {
         let src = "\
-// sgx-lint: allow(nondeterminism) insert-only set, order never observed
-use std::collections::HashSet;
+// sgx-lint: allow(swallowed-error) best-effort probe, failure is benign
+fn f(s: &str) { let _ = s.parse::<u32>(); }
+
+fn g(s: &str) { let _ = s.parse::<u8>(); } // sgx-lint: allow(swallowed-error) same
+
+fn h(s: &str) { let _ = s.parse::<u16>(); }
 ";
         let r = analyze_source("x.rs", FileClass::Lib, src);
-        assert!(r.findings.is_empty(), "{:?}", r.findings);
-        assert_eq!(r.suppressed, 1);
+        assert_eq!(r.suppressed, 2);
+        assert_eq!(rules_of(&r), ["swallowed-error"], "{:?}", r.findings);
+        assert_eq!(r.findings[0].line, 6);
     }
 
     #[test]
     fn marker_without_reason_is_a_finding() {
-        let src = "let x = 1; // sgx-lint: allow(unsafe-code)\n";
+        let src = "let x = 1; // sgx-lint: allow(swallowed-error)\n";
         let r = analyze_source("x.rs", FileClass::Lib, src);
         assert_eq!(rules_of(&r), [BAD_MARKER]);
         let unk = analyze_source("x.rs", FileClass::Lib, "// sgx-lint: allow(no-such-rule) because\n");
         assert_eq!(rules_of(&unk), [BAD_MARKER]);
+        // Rules the compiler and clippy enforce are not sgx-lint rules.
+        let moved = analyze_source("x.rs", FileClass::Lib, "// sgx-lint: allow(unsafe-code) vetted\n");
+        assert_eq!(rules_of(&moved), [BAD_MARKER]);
     }
 
     #[test]
-    fn cfg_test_regions_are_exempt_except_unsafe() {
-        let src = "\
-#[cfg(test)]
-mod tests {
-    fn f() { let t = std::time::Instant::now(); t.elapsed(); x.unwrap(); }
-}
-";
-        let r = analyze_source("x.rs", FileClass::Lib, src);
+    fn cfg_test_regions_are_exempt() {
+        let body = "fn f(s: &str, c: &Counters) -> u32 { let _ = s.parse::<u32>(); c.cycles as u32 }";
+        let src = format!("#[cfg(test)]\nmod tests {{\n    {body}\n}}\n#[test]\n{body}\n");
+        let r = analyze_source("x.rs", FileClass::Lib, &src);
         assert!(r.findings.is_empty(), "{:?}", r.findings);
-        let with_unsafe = format!("{src}\n#[cfg(test)]\nmod t2 {{ fn g() {{ unsafe {{ }} }} }}\n");
-        let r2 = analyze_source("x.rs", FileClass::Lib, &with_unsafe);
-        assert_eq!(rules_of(&r2), ["unsafe-code"]);
+        let outside = format!("{src}{body}\n");
+        let r2 = analyze_source("x.rs", FileClass::Lib, &outside);
+        assert_eq!(rules_of(&r2), ["counter-truncation", "swallowed-error"], "{:?}", r2.findings);
     }
 
     #[test]
@@ -537,18 +494,6 @@ mod tests {
         let f64_ok =
             analyze_source("x.rs", FileClass::Lib, "fn f(c: u64) -> f64 { c.cycles as f64 }");
         assert!(f64_ok.findings.is_empty());
-    }
-
-    #[test]
-    fn panic_rule_details() {
-        let src = "fn f(o: Option<u32>) -> u32 { o.unwrap() }";
-        assert_eq!(rules_of(&analyze_source("x.rs", FileClass::Lib, src)), ["panic-in-library"]);
-        assert!(analyze_source("x.rs", FileClass::Bin, src).findings.is_empty());
-        // `unwrap_or` must not match.
-        let or = "fn f(o: Option<u32>) -> u32 { o.unwrap_or(0) }";
-        assert!(analyze_source("x.rs", FileClass::Lib, or).findings.is_empty());
-        let mac = "fn f() { panic!(\"boom\") }";
-        assert_eq!(rules_of(&analyze_source("x.rs", FileClass::Lib, mac)), ["panic-in-library"]);
     }
 
     #[test]
@@ -596,8 +541,8 @@ fn f() { std::fs::remove_file(\"x\").ok(); }
 
     #[test]
     fn string_and_comment_content_never_fires() {
-        let src = "// thread_rng Instant unsafe unwrap\nfn f() -> &'static str { \"HashMap panic! unsafe\" }";
-        let r = analyze_source("x.rs", FileClass::Lib, src);
+        let src = "// as_slice_untracked() let _ = s.parse(); cycles as u32\nfn f() -> &'static str { \"v.as_slice_untracked() x.ok(); cycles as u32\" }";
+        let r = analyze_source("x.rs", FileClass::OperatorLib, src);
         assert!(r.findings.is_empty(), "{:?}", r.findings);
     }
 }

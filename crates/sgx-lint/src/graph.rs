@@ -11,7 +11,7 @@ use crate::engine::{self, FileClass, Finding};
 use crate::parse::{self, Items};
 use crate::tokenizer::{tokenize, Lexed};
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// One file, fully preprocessed.
 pub struct FileCtx {
@@ -21,9 +21,6 @@ pub struct FileCtx {
     pub label: String,
     /// Rule-scope class from [`crate::classify`].
     pub class: FileClass,
-    /// Owning crate (`sgx-sim` for `crates/sgx-sim/src/x.rs`, `tests` for
-    /// repo-root integration tests, `""` for loose files).
-    pub crate_name: String,
     /// Token stream + comments.
     pub lexed: Lexed,
     /// Per-token `#[cfg(test)]`/`#[test]` mask.
@@ -41,9 +38,6 @@ pub struct FileCtx {
     /// True when the file carries the `// sgx-lint: charge-module`
     /// pragma (joins the charge-escape module set).
     pub charge_module: bool,
-    /// True when the file carries the `// sgx-lint: des-module` pragma
-    /// (opts into the des-invariant rule).
-    pub des_module: bool,
 }
 
 /// The whole scanned set.
@@ -52,18 +46,6 @@ pub struct Workspace {
     pub files: Vec<FileCtx>,
     /// Function symbol table: name → `(file index, fn index)` candidates.
     pub fns: BTreeMap<String, Vec<(usize, usize)>>,
-}
-
-/// Derive the owning crate from a workspace-relative path.
-pub fn crate_of(path: &Path) -> String {
-    let comps: Vec<&str> = path.iter().filter_map(|c| c.to_str()).collect();
-    if let Some(w) = comps.windows(2).find(|w| w[0] == "crates") {
-        return w[1].to_string();
-    }
-    if comps.contains(&"tests") {
-        return "tests".to_string();
-    }
-    String::new()
 }
 
 impl Workspace {
@@ -79,12 +61,10 @@ impl Workspace {
             let label = path.to_string_lossy().into_owned();
             let mut scratch: Vec<Finding> = Vec::new();
             let markers = engine::parse_markers(&label, &lexed.comments, &mut scratch);
-            let crate_name = crate_of(&path);
             files.push(FileCtx {
                 path,
                 label,
                 class,
-                crate_name,
                 lexed,
                 mask,
                 items,
@@ -92,7 +72,6 @@ impl Workspace {
                 calibration: markers.calibration_file,
                 fault_tick_module: markers.fault_tick_module,
                 charge_module: markers.charge_module,
-                des_module: markers.des_module,
             });
         }
         let mut fns: BTreeMap<String, Vec<(usize, usize)>> = BTreeMap::new();
@@ -169,13 +148,6 @@ mod tests {
     }
 
     #[test]
-    fn crate_names_from_paths() {
-        assert_eq!(crate_of(Path::new("crates/sgx-sim/src/machine.rs")), "sgx-sim");
-        assert_eq!(crate_of(Path::new("tests/integration_joins.rs")), "tests");
-        assert_eq!(crate_of(Path::new("loose.rs")), "");
-    }
-
-    #[test]
     fn symbol_table_spans_files() {
         let w = ws(&[
             ("crates/a/src/lib.rs", FileClass::Lib, "fn shared() {} fn only_a() {}"),
@@ -220,11 +192,11 @@ mod tests {
         let w = ws(&[(
             "crates/a/src/lib.rs",
             FileClass::Lib,
-            "// sgx-lint: allow(unsafe-code) vetted intrinsic\nfn f() {}\n",
+            "// sgx-lint: allow(untracked-access) uncharged oracle\nfn f() {}\n",
         )]);
-        assert!(w.allowed(0, 1, "unsafe-code"));
-        assert!(w.allowed(0, 2, "unsafe-code"));
-        assert!(!w.allowed(0, 3, "unsafe-code"));
-        assert!(!w.allowed(0, 1, "nondeterminism"));
+        assert!(w.allowed(0, 1, "untracked-access"));
+        assert!(w.allowed(0, 2, "untracked-access"));
+        assert!(!w.allowed(0, 3, "untracked-access"));
+        assert!(!w.allowed(0, 1, "swallowed-error"));
     }
 }

@@ -2,29 +2,35 @@
 //!
 //! The whole reproduction rests on one invariant (DESIGN.md §1 "Honesty
 //! note"): every byte an operator touches must flow through the
-//! `SimVec`/machine event stream, deterministically. One raw-slice loop or
-//! one `thread_rng()` silently de-calibrates every figure derived from the
-//! cost model. This crate is a dependency-free static-analysis pass over
-//! the workspace's own sources that mechanically enforces that invariant.
+//! `SimVec`/machine event stream, deterministically. One raw-slice loop
+//! silently de-calibrates every figure derived from the cost model. This
+//! crate is a dependency-free static-analysis pass over the workspace's
+//! own sources that mechanically enforces the parts of that invariant the
+//! toolchain cannot see.
 //!
 //! ## Rules
 //!
 //! | rule | what it flags |
 //! |------|---------------|
 //! | `untracked-access` | `as_slice_untracked`/`as_mut_slice_untracked` in operator-crate library code (bypasses the event stream) |
-//! | `nondeterminism` | `thread_rng`, `Instant`/`SystemTime`, default-hasher `HashMap`/`HashSet` in library code |
 //! | `counter-truncation` | narrowing `as u32`/`as usize`/… casts applied to cycle/byte counters |
-//! | `panic-in-library` | `unwrap()`/`expect()`/`panic!`/`todo!`/`unimplemented!` in non-test library code |
-//! | `unsafe-code` | any `unsafe` outside the allow-list (everywhere, including tests) |
 //! | `swallowed-error` | `let _ = <fallible call>(…)` and bare `.ok();` in non-test library code (discards a Result) |
 //! | `untracked-slice-taint` | a slice born from `as_slice_untracked` flowing into a function that indexes/iterates it (cross-file call-graph taint) |
-//! | `counter-conservation` | `Counters`/`CategoryCycles` fields never written (dead) or never read outside the defining crate (unattributed) — impl blocks behind `type` aliases resolve to the underlying struct |
 //! | `fault-tick-coverage` | cycle-charging functions in the fault-tick module set (`fault_tick`-defining files + `// sgx-lint: fault-tick-module` files) that never reach `fault_tick` |
 //! | `calibration-provenance` | numeric constants in `// sgx-lint: calibration-file` files without a `paper:`/`uarch:` comment |
 //! | `charge-escape` | compound cycle/clock/counter mutations in `// sgx-lint: charge-module` files that never reach `Core::commit` through the in-set call closure (a charge bypassing the choke point) |
-//! | `des-invariant` | in `// sgx-lint: des-module` files: enqueued `*Kind` event variants without an explicit event-loop arm, `*Counters` field increments absent from every `reconcile` conservation check, and ambient entropy sources |
 //!
-//! The first six rules are token-level and per-file; the last six are
+//! The toolchain enforces the rest, so none of it is repeated here:
+//!
+//! | invariant | enforced by |
+//! |-----------|-------------|
+//! | no `unsafe` on any target | `unsafe_code = "forbid"` in the root `Cargo.toml`'s `[workspace.lints.rust]` |
+//! | deterministic runs | `disallowed-types` in `clippy.toml` (`HashMap`, `HashSet`, `RandomState`, `Instant`, `SystemTime`); the vendored `rand` has no entropy source |
+//! | no panics in library code | `#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, …)]` at each library root |
+//! | every service event handled | `#![deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]` in `sgx-serve` |
+//! | every counter merged, reported and reconciled | `Counters`, `CategoryCycles` and `ServiceCounters` destructured without `..`, plus the written-counter test in `tests/integration_counters.rs` |
+//!
+//! The first three rules are token-level and per-file; the last four are
 //! *semantic*: [`analyze_paths`] lexes and item-parses every file once,
 //! builds a workspace-wide symbol table and call graph ([`graph`]), runs
 //! the dataflow extraction ([`dataflow`]) where a rule needs def-use or
@@ -35,7 +41,7 @@
 //! preceding line, with a mandatory reason:
 //!
 //! ```text
-//! // sgx-lint: allow(nondeterminism) insert-only set, iteration order never observed
+//! // sgx-lint: allow(untracked-access) uncharged reference oracle, runs outside the timed region
 //! ```
 //!
 //! Run as `cargo run -p sgx-lint -- [--format text|json] [--baseline
@@ -53,7 +59,13 @@
 //! rename exists precisely so the bulk escape hatch is grep- and
 //! lint-visible while `peek`/`poke` stay cheap to audit by hand.
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #![warn(missing_docs)]
 
 pub mod cli;

@@ -126,10 +126,10 @@ fn p(t: &Tok, c: u8) -> bool {
 /// comparison `<` cannot eat the file.
 fn skip_generics(toks: &[Tok], i: usize) -> usize {
     let mut depth = 0i32;
-    for j in i..(i + 256).min(toks.len()) {
-        if p(&toks[j], b'<') {
+    for (j, t) in toks.iter().enumerate().take(i + 256).skip(i) {
+        if p(t, b'<') {
             depth += 1;
-        } else if p(&toks[j], b'>') {
+        } else if p(t, b'>') {
             depth -= 1;
             if depth <= 0 {
                 return j + 1;

@@ -32,12 +32,11 @@ use std::path::PathBuf;
 /// The pinned CI subset: small, dependency-light library files that are
 /// clean under solo analysis and exercise distinct rule families
 /// (counter structs, percentile math, service spec/DES config types,
-/// the variant generator's own RNG). `numa.rs` and `des.rs` are
-/// deliberately marker- and pragma-bearing (charge-module with an
-/// allow(charge-escape) waiver; des-module): they prove the transforms
-/// keep marker/pragma adjacency intact. `cache.rs` and `fastdiv.rs`
-/// cover the hot-path rewrite's packed-metadata cache and the
-/// Lemire-style fastmod helper. Kept deliberately short — the full
+/// the variant generator's own RNG). `numa.rs` is deliberately marker-
+/// and pragma-bearing (charge-module with an allow(charge-escape)
+/// waiver): it proves the transforms keep marker/pragma adjacency
+/// intact. `cache.rs` and `fastdiv.rs` cover the hot-path rewrite's
+/// packed-metadata cache and the Lemire-style fastmod helper. Kept deliberately short — the full
 /// workspace sweep is a manual `sgx-lint selfcheck crates/...` away.
 pub const DEFAULT_FILES: [&str; 8] = [
     "crates/sgx-serve/src/counters.rs",
@@ -315,7 +314,7 @@ mod tests {
         let dir = std::env::temp_dir().join("sgx_lint_selfcheck_test");
         std::fs::create_dir_all(&dir).unwrap();
         let dirty = dir.join("lib.rs");
-        std::fs::write(&dirty, "pub fn f(x: Option<u64>) -> u64 { x.unwrap() }\n").unwrap();
+        std::fs::write(&dirty, "pub fn f(s: &str) { let _ = s.parse::<u32>(); }\n").unwrap();
         let err = run(&[dirty], &Options::default()).unwrap_err();
         assert!(err.contains("not clean"), "unexpected error: {err}");
 
@@ -325,7 +324,7 @@ mod tests {
         let marked = dir.join("marked.rs");
         std::fs::write(
             &marked,
-            "// sgx-lint: allow(panic-in-library) test fixture\npub fn f(x: Option<u64>) -> u64 { x.unwrap() }\npub fn g() -> u64 { 1 }\npub fn h() -> u64 { g() + 1 }\n",
+            "// sgx-lint: allow(swallowed-error) test fixture\npub fn f(s: &str) { let _ = s.parse::<u32>(); }\npub fn g() -> u64 { 1 }\npub fn h() -> u64 { g() + 1 }\n",
         )
         .unwrap();
         let report = run(&[marked], &Options::default()).expect("marker-bearing file is accepted");

@@ -1,18 +1,12 @@
 //! Semantic rules on the workspace call graph ([`crate::graph`]).
 //!
-//! Six rules, each answering a question the per-file token pass cannot:
+//! Four rules, each answering a question the per-file token pass cannot:
 //!
 //! * **untracked-slice-taint** — does a slice born from
 //!   `as_slice_untracked` *flow into another function* that indexes or
 //!   iterates it? The token rule sees the escape hatch itself; this rule
 //!   follows the value across the call edge, so a helper loop over
 //!   untracked bytes cannot hide behind a clean-looking call site.
-//! * **counter-conservation** — is every `Counters` / `CategoryCycles`
-//!   field both charged (written somewhere in non-test code) and
-//!   attributed (read outside the crate that defines it)? A counter
-//!   failing either half silently skews the enclave-vs-native ratios
-//!   every figure is built on, and a dead profiler bin would leak cycles
-//!   out of the per-phase breakdown.
 //! * **fault-tick-coverage** — does every cycle-charging function in the
 //!   fault-tick *module set* (files defining `fn fault_tick` plus files
 //!   opting in via `// sgx-lint: fault-tick-module`) reach `fault_tick`,
@@ -29,12 +23,6 @@
 //!   that bypasses the choke point corrupts enclave-vs-native
 //!   attribution without failing a single test — exactly the silent
 //!   failure mode the hot-path optimization program must not introduce.
-//! * **des-invariant** — in `// sgx-lint: des-module` files (the service
-//!   DES), three determinism/conservation obligations: every `*Kind`
-//!   event variant that is constructed has an explicit match arm (no
-//!   wildcard-swallowed events); every `*Counters` field incremented is
-//!   read by a `reconcile` conservation check; no ambient entropy
-//!   sources (the DES draws randomness only from its seeded generator).
 //!
 //! All findings honor the same `// sgx-lint: allow(<rule>) <reason>`
 //! markers as the token rules (applied by the caller via
@@ -45,7 +33,7 @@ use crate::engine::{FileClass, Finding};
 use crate::graph::Workspace;
 use crate::parse::Arg;
 use crate::tokenizer::{Tok, TokKind};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 fn is(t: &Tok, s: &str) -> bool {
     t.kind == TokKind::Ident && t.text == s
@@ -92,11 +80,9 @@ pub fn run(ws: &Workspace) -> Vec<(usize, Finding)> {
 pub fn run_cfg(ws: &Workspace, cfg: &Config) -> Vec<(usize, Finding)> {
     let mut out = Vec::new();
     untracked_slice_taint(ws, cfg, &mut out);
-    counter_conservation(ws, cfg, &mut out);
     fault_tick_coverage(ws, &mut out);
     calibration_provenance(ws, &mut out);
     charge_escape(ws, &mut out);
-    des_invariant(ws, &mut out);
     out
 }
 
@@ -366,176 +352,6 @@ fn untracked_slice_taint(ws: &Workspace, cfg: &Config, out: &mut Vec<(usize, Fin
                     if flagged {
                         break;
                     }
-                }
-            }
-        }
-    }
-}
-
-// ------------------------------------------------------- conservation --
-
-/// Field-access classification at a `.field` site.
-#[derive(PartialEq)]
-enum Access {
-    Write,
-    Read,
-}
-
-/// Classify the access at token `i` (an Ident preceded by `.`): plain
-/// assignment and compound assignment are writes; everything else
-/// (including `==` comparisons) reads.
-fn access_kind(toks: &[Tok], i: usize) -> Access {
-    let Some(n1) = toks.get(i + 1) else { return Access::Read };
-    if p(n1, b'=') {
-        return if toks.get(i + 2).is_some_and(|n| p(n, b'=')) {
-            Access::Read // `==`
-        } else {
-            Access::Write
-        };
-    }
-    if matches!(n1.kind, TokKind::Punct(b'+') | TokKind::Punct(b'-') | TokKind::Punct(b'*') | TokKind::Punct(b'/'))
-        && toks.get(i + 2).is_some_and(|n| p(n, b'='))
-    {
-        return Access::Write;
-    }
-    Access::Read
-}
-
-/// Struct names the conservation rule applies to: the event counters and
-/// the profiler's per-category cycle bins. Both are ledgers whose fields
-/// exist only to be charged and then surfaced in a figure or profile.
-const CONSERVED_STRUCTS: [&str; 2] = ["Counters", "CategoryCycles"];
-
-/// Rule: counter-conservation. Every field of a non-test conserved struct
-/// (`Counters`, `CategoryCycles`) must be written in non-test code
-/// (charged) and read outside the defining crate (attributed). When the
-/// scanned set spans only one crate — a subtree lint or a single corpus
-/// file — the attribution check falls back to "read outside the struct's
-/// own definition and `impl` blocks", so partial scans stay useful
-/// without false-flagging every field. Impl blocks written against a
-/// `type` alias of the struct resolve to the underlying name (via
-/// [`dataflow::type_aliases`]) when `cfg.taint_aliases` is on, so an
-/// `impl CountersAlias { fn total(…) }` cannot launder bookkeeping reads
-/// into attribution.
-fn counter_conservation(ws: &Workspace, cfg: &Config, out: &mut Vec<(usize, Finding)>) {
-    let crates: BTreeSet<&str> =
-        ws.files.iter().map(|f| f.crate_name.as_str()).collect();
-    let multi_crate = crates.len() > 1;
-    // Workspace-merged `type` alias map, for resolving own-impl blocks
-    // declared against `type X = Counters;` style aliases. Merged across
-    // files because in the single-crate fallback names resolve
-    // workspace-wide (the same policy as call edges) — an alias defined
-    // in one file still claims an `impl` written in another.
-    let aliases: BTreeMap<String, String> = if cfg.taint_aliases {
-        let mut merged = BTreeMap::new();
-        for f in &ws.files {
-            merged.extend(dataflow::type_aliases(&f.lexed.tokens));
-        }
-        merged
-    } else {
-        BTreeMap::new()
-    };
-    for (fi, f) in ws.files.iter().enumerate() {
-        if f.class == FileClass::Test {
-            continue;
-        }
-        for st in f
-            .items
-            .structs
-            .iter()
-            .filter(|s| CONSERVED_STRUCTS.contains(&s.name.as_str()))
-        {
-            for field in &st.fields {
-                let mut written = false;
-                let mut attributed = false;
-                for (oi, other) in ws.files.iter().enumerate() {
-                    let toks = &other.lexed.tokens;
-                    // Token ranges that don't count as attribution: the
-                    // struct definition itself and its own `impl` blocks
-                    // (a counter summing itself into `accesses()` is
-                    // bookkeeping, not a figure). Only meaningful in the
-                    // single-crate fallback; impls are matched in every
-                    // scanned file, so splitting the impl away from the
-                    // struct — or hiding it behind a `type` alias — does
-                    // not turn bookkeeping into attribution.
-                    let own_ranges: Vec<(usize, usize)> = if multi_crate {
-                        Vec::new()
-                    } else {
-                        let impls = other
-                            .items
-                            .impls
-                            .iter()
-                            .filter(|im| {
-                                dataflow::resolve_alias(&aliases, &im.type_name) == st.name
-                            })
-                            .map(|im| im.body);
-                        if oi == fi {
-                            std::iter::once(st.body).chain(impls).collect()
-                        } else {
-                            impls.collect()
-                        }
-                    };
-                    for (ti, t) in toks.iter().enumerate() {
-                        if !is(t, &field.name) || ti == 0 || !p(&toks[ti - 1], b'.') {
-                            continue;
-                        }
-                        let in_test =
-                            other.mask.get(ti).copied().unwrap_or(false) || other.class == FileClass::Test;
-                        match access_kind(toks, ti) {
-                            Access::Write => {
-                                // Charges must come from non-test code.
-                                if !in_test {
-                                    written = true;
-                                }
-                            }
-                            Access::Read => {
-                                let in_own =
-                                    own_ranges.iter().any(|&(s, e)| ti >= s && ti < e);
-                                // Attribution must come from outside the
-                                // defining crate (multi-crate scan) or at
-                                // least from outside the struct's own
-                                // impl (single-crate fallback). Test reads
-                                // count — integration tests asserting
-                                // conservation laws ARE attribution.
-                                let external = if multi_crate {
-                                    other.crate_name != f.crate_name
-                                } else {
-                                    !in_own
-                                };
-                                if external {
-                                    attributed = true;
-                                }
-                            }
-                        }
-                    }
-                }
-                if !written {
-                    out.push((
-                        fi,
-                        finding(
-                            &f.label,
-                            field.line,
-                            "counter-conservation",
-                            format!(
-                                "counter field `{}` is never written in non-test code — a dead counter misattributes whatever cost it was meant to carry",
-                                field.name
-                            ),
-                        ),
-                    ));
-                } else if !attributed {
-                    out.push((
-                        fi,
-                        finding(
-                            &f.label,
-                            field.line,
-                            "counter-conservation",
-                            format!(
-                                "counter field `{}` is charged but never read outside `{}` — unattributed charges are invisible to every figure",
-                                field.name,
-                                if f.crate_name.is_empty() { "its crate" } else { &f.crate_name }
-                            ),
-                        ),
-                    ));
                 }
             }
         }
@@ -813,172 +629,6 @@ fn charge_escape(ws: &Workspace, out: &mut Vec<(usize, Finding)>) {
     }
 }
 
-// -------------------------------------------------------- des invariant --
-
-/// Ambient entropy idents a deterministic DES must never touch: every
-/// random decision has to come from the seeded generator, or replays (and
-/// `--jobs` shards) diverge.
-const ENTROPY_SOURCES: [&str; 5] = ["random", "gen_range", "gen_bool", "getrandom", "OsRng"];
-
-/// Rule: des-invariant, over `// sgx-lint: des-module` files (the
-/// discrete-event service core). Three obligations:
-///
-/// 1. **Event totality** — every variant of a `*Kind` enum that is
-///    constructed (enqueued) in the set has an explicit match arm
-///    somewhere in the set. A wildcard arm does not count: it is exactly
-///    how an unhandled event silently drops work.
-/// 2. **Counter ↔ reconcile conservation** — every `*Counters` field a
-///    set file increments (compound field write, receiver-qualified so
-///    plain locals don't match) is read by some non-test `reconcile`
-///    function in the scanned workspace. Vacuously satisfied when the
-///    scan contains no `*Counters` struct or no `reconcile` function
-///    (partial scans stay useful).
-/// 3. **Seeded randomness only** — no ambient entropy idents.
-fn des_invariant(ws: &Workspace, out: &mut Vec<(usize, Finding)>) {
-    let set: Vec<usize> = ws
-        .files
-        .iter()
-        .enumerate()
-        .filter(|(_, f)| f.class != FileClass::Test && f.des_module)
-        .map(|(fi, _)| fi)
-        .collect();
-    if set.is_empty() {
-        return;
-    }
-
-    // (1) Event totality over `*Kind` enums defined in the set.
-    let kind_enums: BTreeSet<String> = set
-        .iter()
-        .flat_map(|&fi| dataflow::parse_enums(&ws.files[fi].lexed.tokens))
-        .filter(|e| e.name.ends_with("Kind"))
-        .map(|e| e.name)
-        .collect();
-    let mut constructed: BTreeMap<(String, String), (usize, u32)> = BTreeMap::new();
-    let mut handled: BTreeSet<(String, String)> = BTreeSet::new();
-    for &fi in &set {
-        let f = &ws.files[fi];
-        for u in dataflow::variant_uses(&f.lexed.tokens) {
-            if !kind_enums.contains(&u.enum_name) {
-                continue;
-            }
-            let key = (u.enum_name, u.variant);
-            match u.usage {
-                dataflow::PathUse::Construct => {
-                    if !f.mask.get(u.tok).copied().unwrap_or(false) {
-                        constructed.entry(key).or_insert((fi, u.line));
-                    }
-                }
-                dataflow::PathUse::MatchArm => {
-                    handled.insert(key);
-                }
-            }
-        }
-    }
-    for ((enum_name, variant), (fi, line)) in &constructed {
-        if handled.contains(&(enum_name.clone(), variant.clone())) {
-            continue;
-        }
-        out.push((
-            *fi,
-            finding(
-                &ws.files[*fi].label,
-                *line,
-                "des-invariant",
-                format!(
-                    "event `{enum_name}::{variant}` is enqueued but has no explicit event-loop arm — a wildcard-swallowed event drops work the counters can never reconcile"
-                ),
-            ),
-        ));
-    }
-
-    // (2) Counter ↔ reconcile conservation.
-    let counter_fields: BTreeSet<String> = ws
-        .files
-        .iter()
-        .flat_map(|f| f.items.structs.iter())
-        .filter(|st| st.name.ends_with("Counters"))
-        .flat_map(|st| st.fields.iter().map(|fl| fl.name.clone()))
-        .collect();
-    let mut reconciled: BTreeSet<String> = BTreeSet::new();
-    let mut have_reconcile = false;
-    for f in &ws.files {
-        if f.class == FileClass::Test {
-            continue;
-        }
-        for item in &f.items.fns {
-            if !item.name.contains("reconcile")
-                || f.mask.get(item.kw_tok).copied().unwrap_or(false)
-            {
-                continue;
-            }
-            have_reconcile = true;
-            for t in &f.lexed.tokens[item.body.0..item.body.1.min(f.lexed.tokens.len())] {
-                if t.kind == TokKind::Ident {
-                    reconciled.insert(t.text.clone());
-                }
-            }
-        }
-    }
-    if !counter_fields.is_empty() && have_reconcile {
-        for &fi in &set {
-            let f = &ws.files[fi];
-            let toks = &f.lexed.tokens;
-            for item in &f.items.fns {
-                for w in dataflow::field_writes(toks, item.body) {
-                    // Field writes only (`chain.len() >= 2`): a plain
-                    // local that happens to share a counter's name is not
-                    // a ledger increment.
-                    if !w.compound
-                        || w.chain.len() < 2
-                        || f.mask.get(w.tok).copied().unwrap_or(false)
-                    {
-                        continue;
-                    }
-                    let Some(last) = w.chain.last() else { continue };
-                    if counter_fields.contains(last) && !reconciled.contains(last) {
-                        out.push((
-                            fi,
-                            finding(
-                                &f.label,
-                                w.line,
-                                "des-invariant",
-                                format!(
-                                    "counter field `{last}` is incremented here but read by no `reconcile` conservation check — an unreconciled counter can leak or double-count events undetected"
-                                ),
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
-    }
-
-    // (3) Seeded randomness only.
-    for &fi in &set {
-        let f = &ws.files[fi];
-        for (ti, t) in f.lexed.tokens.iter().enumerate() {
-            if t.kind != TokKind::Ident
-                || f.mask.get(ti).copied().unwrap_or(false)
-                || !ENTROPY_SOURCES.contains(&t.text.as_str())
-            {
-                continue;
-            }
-            out.push((
-                fi,
-                finding(
-                    &f.label,
-                    t.line,
-                    "des-invariant",
-                    format!(
-                        "ambient entropy source `{}` in a des-module file — the DES must draw every random decision from its seeded generator or replays and `--jobs` shards diverge",
-                        t.text
-                    ),
-                ),
-            ));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1111,105 +761,6 @@ mod tests {
     }
 
     #[test]
-    fn conservation_flags_dead_and_unattributed() {
-        let w = ws(&[
-            (
-                "crates/sgx-sim/src/counters.rs",
-                FileClass::Lib,
-                "pub struct Counters { pub loads: u64, pub dead: u64, pub ghost: u64 }",
-            ),
-            (
-                "crates/sgx-sim/src/machine.rs",
-                FileClass::Lib,
-                "fn charge(c: &mut Counters) { c.loads += 1; c.ghost += 1; }",
-            ),
-            (
-                "crates/sgx-bench-core/src/fig.rs",
-                FileClass::Lib,
-                "fn surface(c: &Counters) -> u64 { c.loads }",
-            ),
-        ]);
-        let found = run(&w);
-        let msgs: Vec<&str> = found.iter().map(|(_, f)| f.message.as_str()).collect();
-        assert_eq!(found.len(), 2, "{msgs:?}");
-        assert!(msgs.iter().any(|m| m.contains("`dead`") && m.contains("never written")));
-        assert!(msgs.iter().any(|m| m.contains("`ghost`") && m.contains("never read")));
-    }
-
-    #[test]
-    fn conservation_covers_profiler_category_bins() {
-        // The rule applies to `CategoryCycles` exactly as to `Counters`:
-        // a bin nobody charges is dead, a charged bin nobody surfaces is
-        // unattributed. Reads inside `impl CategoryCycles` (the struct's
-        // own `total()`) do not attribute.
-        let bad = ws(&[
-            (
-                "crates/sgx-sim/src/profile.rs",
-                FileClass::Lib,
-                "pub struct CategoryCycles { pub mee: f64, pub dead: f64, pub ghost: f64 }\nimpl CategoryCycles { fn total(&self) -> f64 { self.mee + self.dead + self.ghost } }\nfn charge(c: &mut CategoryCycles) { c.mee += 1.0; c.ghost += 1.0; }",
-            ),
-            (
-                "crates/sgx-bench-core/src/report.rs",
-                FileClass::Lib,
-                "fn surface(c: &CategoryCycles) -> f64 { c.mee }",
-            ),
-        ]);
-        let found = run(&bad);
-        let msgs: Vec<&str> = found.iter().map(|(_, f)| f.message.as_str()).collect();
-        assert_eq!(found.len(), 2, "{msgs:?}");
-        assert!(msgs.iter().any(|m| m.contains("`dead`") && m.contains("never written")));
-        assert!(msgs.iter().any(|m| m.contains("`ghost`") && m.contains("never read")));
-        let good = ws(&[
-            (
-                "crates/sgx-sim/src/profile.rs",
-                FileClass::Lib,
-                "pub struct CategoryCycles { pub mee: f64 }\nfn charge(c: &mut CategoryCycles) { c.mee += 1.0; }",
-            ),
-            (
-                "crates/sgx-bench-core/src/report.rs",
-                FileClass::Lib,
-                "fn surface(c: &CategoryCycles) -> f64 { c.mee }",
-            ),
-        ]);
-        assert!(run(&good).is_empty(), "{:?}", run(&good));
-    }
-
-    #[test]
-    fn conservation_counts_test_reads_as_attribution() {
-        let w = ws(&[
-            (
-                "crates/sgx-sim/src/counters.rs",
-                FileClass::Lib,
-                "pub struct Counters { pub loads: u64 }\nfn charge(c: &mut Counters) { c.loads += 1; }",
-            ),
-            (
-                "tests/integration_counters.rs",
-                FileClass::Test,
-                "fn check(c: &Counters) { assert!(c.loads > 0); }",
-            ),
-        ]);
-        assert!(run(&w).is_empty());
-    }
-
-    #[test]
-    fn conservation_single_file_fallback() {
-        // Single corpus file: reads inside impl Counters don't attribute;
-        // a read elsewhere in the file does.
-        let bad = ws(&[(
-            "counter-conservation_1.rs",
-            FileClass::OperatorLib,
-            "pub struct Counters { pub loads: u64 }\nimpl Counters { fn total(&self) -> u64 { self.loads } }\nfn charge(c: &mut Counters) { c.loads += 1; }",
-        )]);
-        assert_eq!(rules(&run(&bad)), ["counter-conservation"]);
-        let good = ws(&[(
-            "counter-conservation_2.rs",
-            FileClass::OperatorLib,
-            "pub struct Counters { pub loads: u64 }\nfn charge(c: &mut Counters) { c.loads += 1; }\nfn figure(c: &Counters) -> u64 { c.loads }",
-        )]);
-        assert!(run(&good).is_empty(), "{:?}", run(&good));
-    }
-
-    #[test]
     fn fault_tick_coverage_flags_untick_charges() {
         let w = ws(&[(
             "crates/sgx-sim/src/machine.rs",
@@ -1276,21 +827,6 @@ mod tests {
     }
 
     #[test]
-    fn conservation_resolves_impl_type_aliases() {
-        // Reads inside `impl CountersAlias` are the struct's own
-        // bookkeeping and must not attribute — the alias cannot launder
-        // them. The weaken knob restores the pre-hardening blind spot.
-        let bad = ws(&[(
-            "counter-conservation_4.rs",
-            FileClass::OperatorLib,
-            "pub struct Counters { pub loads: u64 }\ntype CountersAlias = Counters;\nimpl CountersAlias { fn total(&self) -> u64 { self.loads } }\nfn charge(c: &mut Counters) { c.loads += 1; }",
-        )]);
-        assert_eq!(rules(&run(&bad)), ["counter-conservation"], "{:?}", run(&bad));
-        let weak = Config { taint_aliases: false, ..Config::default() };
-        assert!(run_cfg(&bad, &weak).is_empty());
-    }
-
-    #[test]
     fn charge_escape_flags_choke_point_bypass() {
         // `commit` and its callee `apply` are the choke point (exempt);
         // `resolve` reaches it (clean); `leak` charges a clock without
@@ -1339,65 +875,5 @@ mod tests {
             "impl M { fn leak(&mut self) { self.core_clock += 1.0; } }",
         )]);
         assert!(run(&w).is_empty(), "{:?}", run(&w));
-    }
-
-    #[test]
-    fn des_invariant_event_totality() {
-        // `Drop` is enqueued but only a wildcard arm would catch it.
-        let w = ws(&[(
-            "crates/sgx-serve/src/des.rs",
-            FileClass::Lib,
-            "// sgx-lint: des-module\nenum EvKind { Arrive, Drop }\nimpl E {\nfn go(&mut self, k: EvKind) { self.push(EvKind::Arrive); self.push(EvKind::Drop);\n  match k { EvKind::Arrive => {}, _ => {} } }\n}",
-        )]);
-        let found = run(&w);
-        assert_eq!(rules(&found), ["des-invariant"], "{found:?}");
-        assert!(found[0].1.message.contains("`EvKind::Drop`"), "{}", found[0].1.message);
-    }
-
-    #[test]
-    fn des_invariant_counter_reconcile_conservation() {
-        // `done` is asserted by `reconcile` (clean); `retries` is
-        // incremented but reconciled nowhere (flagged); the *local*
-        // `retries` accumulator is not a ledger write (clean).
-        let w = ws(&[(
-            "crates/sgx-serve/src/des.rs",
-            FileClass::Lib,
-            "// sgx-lint: des-module\npub struct ServiceCounters { pub done: u64, pub retries: u64 }\nfn reconcile(c: &ServiceCounters) { assert_eq!(c.done, 1); }\nimpl E {\nfn step(&mut self) { self.c.done += 1; self.c.retries += 1; }\nfn local(&mut self) { let mut retries = 0; retries += 1; let _ = retries; }\n}",
-        )]);
-        let found = run(&w);
-        assert_eq!(rules(&found), ["des-invariant"], "{found:?}");
-        assert!(found[0].1.message.contains("`retries`"), "{}", found[0].1.message);
-        assert_eq!(found.len(), 1);
-    }
-
-    #[test]
-    fn des_invariant_conservation_is_vacuous_without_reconcile() {
-        // No `reconcile` fn in the scan: sub-check (2) cannot apply —
-        // partial scans (a solo des.rs under selfcheck) stay clean.
-        let w = ws(&[(
-            "crates/sgx-serve/src/des.rs",
-            FileClass::Lib,
-            "// sgx-lint: des-module\npub struct ServiceCounters { pub done: u64 }\nimpl E { fn step(&mut self) { self.c.done += 1; } }",
-        )]);
-        assert!(run(&w).is_empty(), "{:?}", run(&w));
-    }
-
-    #[test]
-    fn des_invariant_flags_ambient_entropy() {
-        let w = ws(&[(
-            "crates/sgx-serve/src/des.rs",
-            FileClass::Lib,
-            "// sgx-lint: des-module\nimpl E { fn pick(&mut self) -> u64 { self.rng.gen_range(0, 9) } }",
-        )]);
-        let found = run(&w);
-        assert_eq!(rules(&found), ["des-invariant"], "{found:?}");
-        assert!(found[0].1.message.contains("`gen_range`"));
-        // Without the pragma the rule is out of scope.
-        let off = ws(&[(
-            "crates/sgx-serve/src/des.rs",
-            FileClass::Lib,
-            "impl E { fn pick(&mut self) -> u64 { self.rng.gen_range(0, 9) } }",
-        )]);
-        assert!(run(&off).is_empty());
     }
 }

@@ -56,7 +56,7 @@ impl Rng {
     }
 
     /// Next raw 64-bit value.
-    pub fn next(&mut self) -> u64 {
+    pub fn next_u64(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -66,7 +66,7 @@ impl Rng {
 
     /// Uniform-ish value in `0..n` (n must be > 0).
     pub fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
+        (self.next_u64() % n as u64) as usize
     }
 }
 
@@ -83,7 +83,7 @@ pub fn fnv1a(s: &str) -> u64 {
 
 /// Mix a global seed with a per-case hash into one stream seed.
 pub fn mix(seed: u64, salt: u64) -> u64 {
-    Rng::new(seed ^ salt.rotate_left(17)).next()
+    Rng::new(seed ^ salt.rotate_left(17)).next_u64()
 }
 
 // ------------------------------------------------------------ transforms --
@@ -295,43 +295,21 @@ const KEYWORDS: [&str; 40] = [
 /// Names at least one rule keys on — renaming these would change what the
 /// lint *should* report, so the variant would no longer be
 /// semantics-preserving from the rules' point of view.
-const RULE_ANCHORS: [&str; 29] = [
+const RULE_ANCHORS: [&str; 8] = [
     "as_slice_untracked",
     "as_mut_slice_untracked",
-    "thread_rng",
-    "ThreadRng",
-    "from_entropy",
-    "Instant",
-    "SystemTime",
-    "HashMap",
-    "HashSet",
-    "RandomState",
-    "unwrap",
-    "expect",
-    "panic",
-    "todo",
-    "unimplemented",
     "ok",
     "fault_tick",
-    "Counters",
-    "CategoryCycles",
     "main",
     "f64",
     "commit",
     "wall",
-    "reconcile",
-    "random",
-    "gen_range",
-    "gen_bool",
-    "getrandom",
-    "OsRng",
 ];
 
 /// Is `name` off-limits for renaming? Keywords, rule anchors, narrowing
-/// target types, slice consumers, fallible-call names, `try_*`, anything
-/// counter-ish (`crate::engine::counter_ish` — `cycles`, `*_bytes`,
-/// `elapsed`, …), and `*Kind` event enums (the des-invariant totality
-/// check scopes by that suffix).
+/// target types, slice consumers, fallible-call names, `try_*`, and
+/// anything counter-ish (`crate::engine::counter_ish` — `cycles`,
+/// `*_bytes`, `elapsed`, …).
 pub fn protected(name: &str) -> bool {
     KEYWORDS.contains(&name)
         || RULE_ANCHORS.contains(&name)
@@ -340,7 +318,6 @@ pub fn protected(name: &str) -> bool {
         || crate::engine::FALLIBLE_CALLS.contains(&name)
         || crate::engine::counter_ish(name)
         || name.starts_with("try_")
-        || name.ends_with("Kind")
 }
 
 /// Suffix pool for renamed identifiers.
@@ -829,8 +806,8 @@ fn nest(src: &str, depth: usize) -> Option<String> {
 /// calibration file must not add numeric-literal lines — it cannot, being
 /// a comment, but keep the text clean anyway).
 const DECOY_COMMENTS: [&str; 4] = [
-    "// decoy: thread_rng unwrap unsafe as_slice_untracked — comment noise, not code",
-    "/* decoy block: Instant SystemTime HashMap panic */",
+    "// decoy: let _ = parse() .ok(); as_slice_untracked — comment noise, not code",
+    "/* decoy block: as_mut_slice_untracked cycles as u32 commit */",
     "// decoy: cycles counter bytes elapsed fault_tick — words the rules key on",
     "",
 ];
@@ -857,8 +834,8 @@ fn noise(src: &str, rng: &mut Rng) -> Option<String> {
                 _ => {}
             }
         }
-        for l in (cur_line + 1)..depth_at.len() {
-            depth_at[l] = depth;
+        for d in depth_at.iter_mut().skip(cur_line + 1) {
+            *d = depth;
         }
     }
     // Lines interior to a multi-line token (raw strings): conservatively,
@@ -920,7 +897,7 @@ fn noise(src: &str, rng: &mut Rng) -> Option<String> {
             let a = (b'a' + (rng.below(26) as u8)) as char;
             let b = (b'a' + (rng.below(26) as u8)) as char;
             let name = fresh(format!("NOISE_{a}{b}"), &mut used);
-            (idx, format!("const {name}: &str = r\"decoy as_slice_untracked thread_rng unsafe panic unwrap cycles\";\n"))
+            (idx, format!("const {name}: &str = r\"decoy as_slice_untracked let _ = parse() .ok(); cycles as u32\";\n"))
         });
     let mut out = String::with_capacity(src.len() + 256);
     for (idx, line) in lines.iter().enumerate() {
@@ -1115,8 +1092,7 @@ fn dyncall(src: &str) -> Option<String> {
 
 /// The module-set pragmas that travel with *both* halves of a split: set
 /// membership was a property of the whole file, so each half keeps it.
-const SET_PRAGMAS: [&str; 3] =
-    ["// sgx-lint: fault-tick-module", "// sgx-lint: charge-module", "// sgx-lint: des-module"];
+const SET_PRAGMAS: [&str; 2] = ["// sgx-lint: fault-tick-module", "// sgx-lint: charge-module"];
 
 /// Split a case into a two-file variant workspace: wrap (depth 1) first
 /// so a call chain exists to sever, then cut the top-level item chunks at
@@ -1338,9 +1314,9 @@ pub fn unrelated() -> u64 {
 
     #[test]
     fn nest_wraps_body_below_file_docs() {
-        let src = "//! docs\n\n// sgx-lint: allow(unsafe-code) audited\nfn f() { unsafe { } }\n";
+        let src = "//! docs\n\n// sgx-lint: allow(swallowed-error) audited\nfn f(s: &str) { let _ = s.parse::<u32>(); }\n";
         let out = apply(src, &Transform::Nest { depth: 2 }).unwrap();
-        assert!(out.contains("mod shell_0 {\nmod shell_1 {\n// sgx-lint: allow(unsafe-code)"), "{out}");
+        assert!(out.contains("mod shell_0 {\nmod shell_1 {\n// sgx-lint: allow(swallowed-error)"), "{out}");
         assert!(out.starts_with("//! docs"), "{out}");
         assert!(out.ends_with("}\n}\n"), "{out}");
         // The marker still suppresses: no findings on the nested variant.
@@ -1377,22 +1353,22 @@ pub fn unrelated() -> u64 {
         assert_eq!(Transform::Xsplit { seed: 4 }.kind(), "xsplit");
     }
 
-    const CONSERVATION_CASE: &str = "\
-pub struct Counters { pub loads: u64 }
-impl Counters { fn total(&self) -> u64 { self.loads } }
-fn charge(c: &mut Counters) { c.loads += 1; }
+    const CHARGE_CASE: &str = "\
+// sgx-lint: charge-module
+pub struct Ledger { pub cycles: f64 }
+impl Ledger { fn commit(&mut self) { self.cycles += 1.0; } }
+fn leak(l: &mut Ledger) { l.cycles += 2.0; }
 ";
 
     #[test]
     fn alias_reroutes_references_but_keeps_the_definition() {
-        let out = apply(CONSERVATION_CASE, &Transform::Alias { seed: 2 }).unwrap();
-        assert!(out.contains("pub struct Counters {"), "{out}");
-        assert!(out.contains("pub type Counters_"), "{out}");
-        assert!(!out.contains("impl Counters {"), "impl should go through the alias: {out}");
-        assert!(!out.contains("&mut Counters)"), "signature should go through the alias: {out}");
-        // The own-impl read still does not attribute: the alias-resolved
-        // rule keeps flagging the unattributed charge.
-        assert_eq!(lint_rules(&out), ["counter-conservation"], "{out}");
+        let out = apply(CHARGE_CASE, &Transform::Alias { seed: 2 }).unwrap();
+        assert!(out.contains("pub struct Ledger {"), "{out}");
+        assert!(out.contains("pub type Ledger_"), "{out}");
+        assert!(!out.contains("impl Ledger {"), "impl should go through the alias: {out}");
+        assert!(!out.contains("&mut Ledger)"), "signature should go through the alias: {out}");
+        // The verdict is unchanged: the charge still bypasses `commit`.
+        assert_eq!(lint_rules(&out), ["charge-escape"], "{out}");
     }
 
     #[test]

@@ -122,9 +122,18 @@ fn emit_variants_writes_one_directory_per_variant() {
         .expect("emit dir exists")
         .filter_map(|e| e.ok())
         .collect();
-    // Every variant is a directory named {case}__{label}; 63 cases × ~a
-    // dozen applicable variants each. Spot-check volume and labeling.
-    assert!(entries.len() > 500, "only {} variants emitted", entries.len());
+    // Every variant is a directory named {case}__{label}. Nest, noise and
+    // compose (two variants each) apply to every case, so each corpus
+    // case yields at least six. Spot-check volume and labeling.
+    let cases: usize = ["positive", "negative"]
+        .iter()
+        .map(|side| std::fs::read_dir(corpus_dir().join(side)).expect("corpus side").count())
+        .sum();
+    assert!(
+        entries.len() >= 6 * cases,
+        "only {} variants emitted for {cases} corpus cases",
+        entries.len()
+    );
     assert!(
         entries.iter().all(|e| e.file_type().map(|t| t.is_dir()).unwrap_or(false)),
         "flat files in the emit dir — expected one directory per variant"

@@ -16,7 +16,13 @@
 //! the simulator reproduces the paper's measured ratios, which is the
 //! load-bearing evidence for every higher-level experiment.
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #![warn(missing_docs)]
 
 pub mod histogram;

@@ -11,7 +11,13 @@
 //! vector operation. Their outputs go to write-only sinks that keep a
 //! digest, which tests check against the scalar oracle.
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #![warn(missing_docs)]
 
 pub mod linear;

@@ -31,7 +31,6 @@
 //!   EPC-pressure level or the socket queue depth crosses its threshold,
 //!   new queries run the degraded (cheaper, result-identical) variant.
 
-// sgx-lint: des-module
 use crate::costs::{CostTable, PlanVariant};
 use crate::counters::ServiceCounters;
 use crate::spec::{Arrival, ServiceConfig, TenantSpec};
@@ -374,7 +373,6 @@ impl<'a> Engine<'a> {
             return;
         };
         let tenant = run.job.tenant;
-        // sgx-lint: allow(des-invariant) retry attempts are informational (surfaced in the tail-latency report), not conserved: retried work is counted once at completion
         self.per_tenant[tenant].retries += run.retries;
         match run.outcome {
             Outcome::Completed => {

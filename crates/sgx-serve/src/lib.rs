@@ -30,7 +30,18 @@
 //! integer arithmetic over a totally ordered event queue: byte-identical
 //! across runs, hosts, and `--jobs` values.
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
+// Every event kind gets an explicit arm in the event loop: a wildcard
+// arm would silently swallow a new kind the counters never reconcile.
+// Clippy reports a wildcard that stands for exactly one variant under
+// the second lint, so both are denied.
+#![deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
 #![warn(missing_docs)]
 
 pub mod costs;

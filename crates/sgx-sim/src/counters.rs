@@ -85,29 +85,54 @@ impl Counters {
     /// Conservation contract (tested in `tests/integration_counters.rs`
     /// and `tests/integration_equivalence.rs`): merging the per-job
     /// counters of a partitioned run equals the counters of the whole
-    /// run, whatever the partition.
+    /// run, whatever the partition. The destructuring names every field,
+    /// so a new counter does not compile until it is merged here (and in
+    /// [`Counters::any`] and [`Counters::report`]).
     pub fn merge(&mut self, other: &Counters) {
-        self.loads += other.loads;
-        self.stores += other.stores;
-        self.l1_hits += other.l1_hits;
-        self.l2_hits += other.l2_hits;
-        self.l3_hits += other.l3_hits;
-        self.dram_fills += other.dram_fills;
-        self.prefetched_fills += other.prefetched_fills;
-        self.epc_fills += other.epc_fills;
-        self.remote_fills += other.remote_fills;
-        self.writebacks += other.writebacks;
-        self.stream_lines += other.stream_lines;
-        self.transitions += other.transitions;
-        self.futex_waits += other.futex_waits;
-        self.edmm_pages += other.edmm_pages;
-        self.epc_page_faults += other.epc_page_faults;
-        self.enclave_groups += other.enclave_groups;
-        self.tlb_misses += other.tlb_misses;
-        self.alu_ops += other.alu_ops;
-        self.vec_ops += other.vec_ops;
-        self.aex_events += other.aex_events;
-        self.ocall_retries += other.ocall_retries;
+        let Counters {
+            loads,
+            stores,
+            l1_hits,
+            l2_hits,
+            l3_hits,
+            dram_fills,
+            prefetched_fills,
+            epc_fills,
+            remote_fills,
+            writebacks,
+            stream_lines,
+            transitions,
+            futex_waits,
+            edmm_pages,
+            epc_page_faults,
+            enclave_groups,
+            tlb_misses,
+            alu_ops,
+            vec_ops,
+            aex_events,
+            ocall_retries,
+        } = *other;
+        self.loads += loads;
+        self.stores += stores;
+        self.l1_hits += l1_hits;
+        self.l2_hits += l2_hits;
+        self.l3_hits += l3_hits;
+        self.dram_fills += dram_fills;
+        self.prefetched_fills += prefetched_fills;
+        self.epc_fills += epc_fills;
+        self.remote_fills += remote_fills;
+        self.writebacks += writebacks;
+        self.stream_lines += stream_lines;
+        self.transitions += transitions;
+        self.futex_waits += futex_waits;
+        self.edmm_pages += edmm_pages;
+        self.epc_page_faults += epc_page_faults;
+        self.enclave_groups += enclave_groups;
+        self.tlb_misses += tlb_misses;
+        self.alu_ops += alu_ops;
+        self.vec_ops += vec_ops;
+        self.aex_events += aex_events;
+        self.ocall_retries += ocall_retries;
     }
 
     /// Field-wise difference `self - since`. Counters are monotone (every
@@ -143,27 +168,50 @@ impl Counters {
 
     /// True when at least one counter is nonzero.
     pub fn any(&self) -> bool {
-        (self.loads
-            | self.stores
-            | self.l1_hits
-            | self.l2_hits
-            | self.l3_hits
-            | self.dram_fills
-            | self.prefetched_fills
-            | self.epc_fills
-            | self.remote_fills
-            | self.writebacks
-            | self.stream_lines
-            | self.transitions
-            | self.futex_waits
-            | self.edmm_pages
-            | self.epc_page_faults
-            | self.enclave_groups
-            | self.tlb_misses
-            | self.alu_ops
-            | self.vec_ops
-            | self.aex_events
-            | self.ocall_retries)
+        let Counters {
+            loads,
+            stores,
+            l1_hits,
+            l2_hits,
+            l3_hits,
+            dram_fills,
+            prefetched_fills,
+            epc_fills,
+            remote_fills,
+            writebacks,
+            stream_lines,
+            transitions,
+            futex_waits,
+            edmm_pages,
+            epc_page_faults,
+            enclave_groups,
+            tlb_misses,
+            alu_ops,
+            vec_ops,
+            aex_events,
+            ocall_retries,
+        } = *self;
+        (loads
+            | stores
+            | l1_hits
+            | l2_hits
+            | l3_hits
+            | dram_fills
+            | prefetched_fills
+            | epc_fills
+            | remote_fills
+            | writebacks
+            | stream_lines
+            | transitions
+            | futex_waits
+            | edmm_pages
+            | epc_page_faults
+            | enclave_groups
+            | tlb_misses
+            | alu_ops
+            | vec_ops
+            | aex_events
+            | ocall_retries)
             != 0
     }
 
@@ -184,29 +232,52 @@ impl Counters {
     /// Formatted multi-line report (the `perf stat`-style dump examples
     /// print after a run).
     pub fn report(&self) -> String {
+        let Counters {
+            loads,
+            stores,
+            l1_hits,
+            l2_hits,
+            l3_hits,
+            dram_fills,
+            prefetched_fills,
+            epc_fills,
+            remote_fills,
+            writebacks,
+            stream_lines,
+            transitions,
+            futex_waits,
+            edmm_pages,
+            epc_page_faults,
+            enclave_groups,
+            tlb_misses,
+            alu_ops,
+            vec_ops,
+            aex_events,
+            ocall_retries,
+        } = *self;
         let mut out = String::new();
         let rows: [(&str, u64); 21] = [
-            ("loads", self.loads),
-            ("stores", self.stores),
-            ("L1 hits", self.l1_hits),
-            ("L2 hits", self.l2_hits),
-            ("L3 hits", self.l3_hits),
-            ("DRAM fills", self.dram_fills),
-            ("  prefetched", self.prefetched_fills),
-            ("  EPC (MEE)", self.epc_fills),
-            ("  remote (UPI)", self.remote_fills),
-            ("writebacks", self.writebacks),
-            ("stream lines", self.stream_lines),
-            ("transitions", self.transitions),
-            ("futex waits", self.futex_waits),
-            ("EDMM pages", self.edmm_pages),
-            ("EPC page faults", self.epc_page_faults),
-            ("TLB misses", self.tlb_misses),
-            ("ALU ops", self.alu_ops),
-            ("vector ops", self.vec_ops),
-            ("enclave issue groups", self.enclave_groups),
-            ("AEX events", self.aex_events),
-            ("OCALL retries", self.ocall_retries),
+            ("loads", loads),
+            ("stores", stores),
+            ("L1 hits", l1_hits),
+            ("L2 hits", l2_hits),
+            ("L3 hits", l3_hits),
+            ("DRAM fills", dram_fills),
+            ("  prefetched", prefetched_fills),
+            ("  EPC (MEE)", epc_fills),
+            ("  remote (UPI)", remote_fills),
+            ("writebacks", writebacks),
+            ("stream lines", stream_lines),
+            ("transitions", transitions),
+            ("futex waits", futex_waits),
+            ("EDMM pages", edmm_pages),
+            ("EPC page faults", epc_page_faults),
+            ("TLB misses", tlb_misses),
+            ("ALU ops", alu_ops),
+            ("vector ops", vec_ops),
+            ("enclave issue groups", enclave_groups),
+            ("AEX events", aex_events),
+            ("OCALL retries", ocall_retries),
         ];
         for (name, v) in rows {
             if v > 0 {

@@ -192,15 +192,17 @@ impl Machine {
     }
 
     /// Run single-threaded code on a specific core.
+    #[expect(
+        clippy::expect_used,
+        reason = "FnOnce-through-Option shim; parallel() calls each worker exactly once, so the one-element core list ran exactly once"
+    )]
     pub fn run_on<R>(&mut self, core_id: usize, f: impl FnOnce(&mut Core) -> R) -> R {
         let mut f = Some(f);
         let mut out = None;
         self.parallel(&[core_id], |core| {
-            // sgx-lint: allow(panic-in-library) FnOnce-through-Option shim; parallel() calls each worker exactly once
             let f = f.take().expect("single-core phase runs the closure once");
             out = Some(f(core));
         });
-        // sgx-lint: allow(panic-in-library) same invariant: the one-element core list ran exactly once
         out.expect("single-core closure always runs")
     }
 
@@ -495,7 +497,10 @@ impl<'m> Core<'m> {
         assert!(self.group.is_none(), "issue groups do not nest");
         self.group = Some(GroupAcc::default());
         let r = f(self);
-        // sgx-lint: allow(panic-in-library) set to Some two lines above; groups cannot nest (asserted on entry)
+        #[expect(
+            clippy::expect_used,
+            reason = "set to Some two lines above; groups cannot nest (asserted on entry)"
+        )]
         let g = self.group.take().expect("group still open");
         self.close_group(g);
         r

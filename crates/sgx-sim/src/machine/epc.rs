@@ -62,9 +62,12 @@ impl Machine {
 
     /// Reserve `bytes` of simulated address space in `region`; the
     /// infallible allocators' shared panic on EPC exhaustion.
+    #[expect(
+        clippy::panic,
+        reason = "documented API contract: alloc_on and alloc_sink panic on EPC exhaustion, try_alloc_on is the fallible twin"
+    )]
     fn reserve(&mut self, bytes: usize, region: Region) -> u64 {
         self.try_reserve(bytes, region).unwrap_or_else(|| {
-            // sgx-lint: allow(panic-in-library) documented API contract: alloc_on and alloc_sink panic on EPC exhaustion, try_alloc_on is the fallible twin
             panic!(
                 "EPC capacity exceeded on node {} ({} bytes per socket)",
                 region.node(),

@@ -138,10 +138,10 @@ impl CostCategory {
 }
 
 /// Cycles attributed to each [`CostCategory`] within one phase. The named
-/// fields mirror `Counters` on purpose: the workspace lint's
-/// counter-conservation rule covers this struct too, proving every
-/// category is both written by the attribution path and read by the
-/// report layer.
+/// fields mirror `Counters` on purpose. [`CategoryCycles::merge`] and the
+/// report layer's JSON destructure the struct without `..`, so a new bin
+/// does not compile until it is merged and reported, and
+/// `tests/integration_counters.rs` checks that every bin is written.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct CategoryCycles {
     /// Cycles of ALU/vector/branch/issue work.
@@ -198,15 +198,17 @@ impl CategoryCycles {
 
     /// Field-wise sum: add every bin of `other` into `self`.
     pub fn merge(&mut self, other: &CategoryCycles) {
-        self.compute += other.compute;
-        self.cache += other.cache;
-        self.dram += other.dram;
-        self.mee += other.mee;
-        self.epc_paging += other.epc_paging;
-        self.edmm += other.edmm;
-        self.transition += other.transition;
-        self.upi += other.upi;
-        self.fault += other.fault;
+        let CategoryCycles { compute, cache, dram, mee, epc_paging, edmm, transition, upi, fault } =
+            *other;
+        self.compute += compute;
+        self.cache += cache;
+        self.dram += dram;
+        self.mee += mee;
+        self.epc_paging += epc_paging;
+        self.edmm += edmm;
+        self.transition += transition;
+        self.upi += upi;
+        self.fault += fault;
     }
 
     /// Total cycles over all bins (fixed summation order).

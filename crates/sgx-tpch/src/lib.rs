@@ -11,7 +11,13 @@
 //! compression ([`compress`]), and the sealed storage data path
 //! ([`storage`]).
 
-#![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #![warn(missing_docs)]
 
 pub mod aggregate;

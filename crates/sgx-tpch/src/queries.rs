@@ -133,8 +133,11 @@ fn join(
 /// The materialized tuple table of a join executed with
 /// `count_only = false`. One checked accessor shared by every plan
 /// instead of a copy-pasted `expect` per site.
+#[expect(
+    clippy::expect_used,
+    reason = "join() always materializes when asked; a None output is a simulator bug, not an input condition"
+)]
 fn materialized_output(j: &JoinStats) -> &SimVec<JoinTuple> {
-    // sgx-lint: allow(panic-in-library) join() always materializes when asked; a None output is a simulator bug, not an input condition
     j.output.as_ref().expect("materializing join returns output")
 }
 

@@ -1,10 +1,12 @@
 //! Counter-attribution tests: every `Counters` field the simulator charges
 //! is surfaced and constrained here, so a counter cannot silently decouple
-//! from the figures. This file is also the attribution witness for the
-//! `counter-conservation` lint rule — each field read below proves the
-//! charge is observable outside `sgx-sim`.
+//! from the figures. `every_counter_and_cost_bin_is_written` replays the
+//! scenarios below under one profiled session and requires every counter
+//! and every `CategoryCycles` bin to be nonzero: a dead counter fails it,
+//! and a new field does not compile until it is covered there.
 
 use sgx_bench_core::prelude::*;
+use sgx_bench_core::sgx_scans::ScanStats;
 use sgx_bench_core::sgx_sim::config::xeon_gold_6326;
 use sgx_bench_core::sgx_sim::sync::SdkMutexQueue;
 use sgx_bench_core::sgx_sim::FaultProfile;
@@ -30,14 +32,19 @@ fn churn(m: &mut Machine, n: usize, ops: usize) {
     });
 }
 
+/// Enclave churn over a footprint that spills every cache level and the TLB.
+fn hierarchy_run() -> Counters {
+    let mut m = Machine::new(tiny_hw(), Setting::SgxDataInEnclave);
+    churn(&mut m, 200_000, 120_000);
+    m.counters().clone()
+}
+
 /// Memory-hierarchy conservation: every charged access resolves in at most
 /// one cache level, fill sub-categories never exceed total fills, and the
 /// enclave working set really pays MEE fills.
 #[test]
 fn hierarchy_counters_conserve() {
-    let mut m = Machine::new(tiny_hw(), Setting::SgxDataInEnclave);
-    churn(&mut m, 200_000, 120_000);
-    let c = m.counters();
+    let c = hierarchy_run();
     assert_eq!(c.accesses(), c.loads + c.stores);
     assert!(c.loads > 0 && c.stores > 0);
     let resolved = c.l1_hits + c.l2_hits + c.l3_hits + c.dram_fills;
@@ -55,10 +62,8 @@ fn hierarchy_counters_conserve() {
     assert!(c.tlb_misses <= c.accesses());
 }
 
-/// Compute counters are exact: `compute`/`vec_compute` attribute one op
-/// per op, and issue groups are counted per enclave close.
-#[test]
-fn compute_and_group_counters_are_exact() {
+/// 123 ALU ops, 45 vector ops and 7 enclave issue groups.
+fn compute_run() -> Counters {
     let mut m = Machine::new(tiny_hw(), Setting::SgxDataInEnclave);
     let v = m.alloc::<u64>(1024);
     m.run(|c| {
@@ -71,23 +76,37 @@ fn compute_and_group_counters_are_exact() {
             });
         }
     });
-    let c = m.counters();
+    m.counters().clone()
+}
+
+/// Compute counters are exact: `compute`/`vec_compute` attribute one op
+/// per op, and issue groups are counted per enclave close.
+#[test]
+fn compute_and_group_counters_are_exact() {
+    let c = compute_run();
     assert_eq!(c.alu_ops, 123);
     assert_eq!(c.vec_ops, 45);
     assert_eq!(c.enclave_groups, 7, "one count per closed enclave issue group");
+}
+
+const STREAM_ELEMS: usize = 64_000;
+
+/// A native sequential stream over `STREAM_ELEMS` u64s.
+fn stream_run() -> Counters {
+    let mut m = Machine::new(tiny_hw(), Setting::PlainCpu);
+    let v = m.alloc::<u64>(STREAM_ELEMS);
+    m.run(|c| {
+        v.read_stream(c, 0..STREAM_ELEMS, |_, _, _| {});
+    });
+    m.counters().clone()
 }
 
 /// Stream reads move whole cache lines: the `stream_lines` counter tracks
 /// the streamed footprint, and sequential fills engage the prefetcher.
 #[test]
 fn stream_lines_cover_the_streamed_footprint() {
-    let n = 64_000usize;
-    let mut m = Machine::new(tiny_hw(), Setting::PlainCpu);
-    let v = m.alloc::<u64>(n);
-    m.run(|c| {
-        v.read_stream(c, 0..n, |_, _, _| {});
-    });
-    let c = m.counters();
+    let n = STREAM_ELEMS;
+    let c = stream_run();
     let lines = (n * 8 / 64) as u64;
     assert!(c.stream_lines >= lines, "streamed {} of {lines} lines", c.stream_lines);
     assert!(c.stream_lines <= 2 * lines + 2, "streamed {} of {lines} lines", c.stream_lines);
@@ -117,17 +136,22 @@ fn transition_counters_are_exact() {
     assert_eq!(native.counters().aex_events, 0);
 }
 
-/// SDK-mutex contention: every futex sleep in enclave mode is an OCALL
-/// round trip, so `transitions >= 2 * futex_waits`.
-#[test]
-fn futex_waits_are_charged_under_contention() {
+/// Four enclave workers contending for one SDK mutex.
+fn futex_run() -> Counters {
     let mut m = Machine::new(tiny_hw(), Setting::SgxDataInEnclave);
     let v = m.alloc::<u64>(4096);
     let mut q = SdkMutexQueue::default();
     m.parallel_tasks(&[0, 1, 2, 3], &mut q, 400, |c, t| {
         let _ = v.get(c, (t * 13) % 4096);
     });
-    let c = m.counters();
+    m.counters().clone()
+}
+
+/// SDK-mutex contention: every futex sleep in enclave mode is an OCALL
+/// round trip, so `transitions >= 2 * futex_waits`.
+#[test]
+fn futex_waits_are_charged_under_contention() {
+    let c = futex_run();
     assert!(c.futex_waits > 0, "4 workers on one mutex must contend");
     assert!(
         c.transitions >= 2 * c.futex_waits,
@@ -137,41 +161,53 @@ fn futex_waits_are_charged_under_contention() {
     );
 }
 
+const EDMM_ELEMS: usize = 16_384; // 128 KiB = 32 pages of u64s
+
+/// Seal after some churn, then touch `EDMM_ELEMS` freshly allocated u64s.
+/// Returns the EDMM page count at sealing and the final counters.
+fn edmm_run() -> (u64, Counters) {
+    let mut m = Machine::new(tiny_hw(), Setting::SgxDataInEnclave);
+    churn(&mut m, 8_192, 4_000);
+    m.seal_enclave();
+    let at_seal = m.counters().edmm_pages;
+    let mut v = m.alloc::<u64>(EDMM_ELEMS);
+    m.run(|c| {
+        for i in 0..EDMM_ELEMS {
+            v.set(c, i, i as u64);
+        }
+    });
+    (at_seal, m.counters().clone())
+}
+
 /// EDMM: pages allocated after sealing are committed on first touch, one
 /// count per page; pre-seal pages are free.
 #[test]
 fn edmm_pages_count_post_seal_touches() {
-    let mut m = Machine::new(tiny_hw(), Setting::SgxDataInEnclave);
-    churn(&mut m, 8_192, 4_000);
-    m.seal_enclave();
-    assert_eq!(m.counters().edmm_pages, 0, "sealing alone commits nothing");
-    let n = 16_384usize; // 128 KiB = 32 pages of u64s
-    let mut v = m.alloc::<u64>(n);
-    m.run(|c| {
-        for i in 0..n {
-            v.set(c, i, i as u64);
-        }
-    });
-    let c = m.counters();
-    let pages = (n * 8 / 4096) as u64;
+    let (at_seal, c) = edmm_run();
+    assert_eq!(at_seal, 0, "sealing alone commits nothing");
+    let pages = (EDMM_ELEMS * 8 / 4096) as u64;
     assert!(c.edmm_pages >= pages, "touched {pages} post-seal pages, counted {}", c.edmm_pages);
     assert!(c.edmm_pages <= pages + 2);
+}
+
+/// SGXv1 churn over twice the resident EPC budget.
+fn paging_run() -> Counters {
+    let hw = tiny_hw().sgxv1();
+    let over_budget = hw.paging.resident_bytes / 8 * 2;
+    let mut m = Machine::new(hw, Setting::SgxDataInEnclave);
+    churn(&mut m, over_budget, 60_000);
+    m.counters().clone()
 }
 
 /// SGXv1 paging: a working set beyond the resident budget faults.
 #[test]
 fn epc_page_faults_fire_beyond_residency() {
-    let hw = tiny_hw().sgxv1();
-    let over_budget = (hw.paging.resident_bytes / 8) as usize * 2;
-    let mut m = Machine::new(hw, Setting::SgxDataInEnclave);
-    churn(&mut m, over_budget, 60_000);
-    let c = m.counters();
+    let c = paging_run();
     assert!(c.epc_page_faults > 0, "working set 2x the resident budget must page");
 }
 
-/// NUMA: data homed on the remote socket fills over UPI.
-#[test]
-fn remote_fills_cross_sockets() {
+/// Random reads from socket 0 of data homed on node 1.
+fn remote_run() -> Counters {
     let mut m = Machine::new(tiny_hw(), Setting::PlainCpu);
     let n = 100_000usize;
     let v = m.alloc_on_node::<u64>(n, 1);
@@ -182,7 +218,13 @@ fn remote_fills_cross_sockets() {
             let _ = v.get(c, (x >> 33) as usize % n);
         }
     });
-    let c = m.counters();
+    m.counters().clone()
+}
+
+/// NUMA: data homed on the remote socket fills over UPI.
+#[test]
+fn remote_fills_cross_sockets() {
+    let c = remote_run();
     assert!(c.remote_fills > 0, "remote-homed data must fill over UPI");
     assert!(c.remote_fills <= c.dram_fills);
 }
@@ -231,20 +273,23 @@ fn assert_conserves(p: &profile::Profile, c: &Counters, label: &str) {
     assert!(charged > 0.0, "{label}: the workload must charge real cycles");
 }
 
+/// An enclave RHO join of 4,000 × 16,000 rows.
+fn rho_join_run(threads: usize, radix_bits: u32) -> JoinStats {
+    let mut m = Machine::new(tiny_hw(), Setting::SgxDataInEnclave);
+    let r = gen_pk_relation(&mut m, 4000, 1);
+    let s = gen_fk_relation(&mut m, 16_000, 4000, 2);
+    sgx_bench_core::sgx_joins::rho::rho_join(
+        &mut m,
+        &r,
+        &s,
+        &JoinConfig::new(threads).with_radix_bits(radix_bits),
+    )
+}
+
 /// Join workload: every RHO phase appears, and the whole run conserves.
 #[test]
 fn profile_conserves_for_rho_join() {
-    let (p, c, stats) = with_profile(|| {
-        let mut m = Machine::new(tiny_hw(), Setting::SgxDataInEnclave);
-        let r = gen_pk_relation(&mut m, 4000, 1);
-        let s = gen_fk_relation(&mut m, 16_000, 4000, 2);
-        sgx_bench_core::sgx_joins::rho::rho_join(
-            &mut m,
-            &r,
-            &s,
-            &JoinConfig::new(2).with_radix_bits(6),
-        )
-    });
+    let (p, c, stats) = with_profile(|| rho_join_run(2, 6));
     assert!(stats.matches > 0);
     assert_conserves(&p, &c, "rho_join");
     for phase in ["hist_r", "copy_r", "hist_s", "copy_s", "build", "probe"] {
@@ -255,22 +300,18 @@ fn profile_conserves_for_rho_join() {
     assert!(mee > 0.0, "enclave-resident join data must pay MEE cycles");
 }
 
+/// A two-thread enclave bit-vector scan with one warm-up pass.
+fn column_scan_run() -> ScanStats {
+    let mut m = Machine::new(tiny_hw(), Setting::SgxDataInEnclave);
+    let col = gen_column(&mut m, 1 << 20, 3);
+    column_scan(&mut m, &col, 32, 96, ScanOutput::BitVector, &ScanConfig::new(2).with_warmup(1))
+}
+
 /// Scan workload: measured passes land in the "scan" scope, warm-up work
 /// stays unscoped, and the run conserves.
 #[test]
 fn profile_conserves_for_column_scan() {
-    let (p, c, stats) = with_profile(|| {
-        let mut m = Machine::new(tiny_hw(), Setting::SgxDataInEnclave);
-        let col = gen_column(&mut m, 1 << 20, 3);
-        column_scan(
-            &mut m,
-            &col,
-            32,
-            96,
-            ScanOutput::BitVector,
-            &ScanConfig::new(2).with_warmup(1),
-        )
-    });
+    let (p, c, stats) = with_profile(column_scan_run);
     assert!(stats.matches > 0);
     assert_conserves(&p, &c, "column_scan");
     let scan = p.phases.get("scan").expect("measured passes carry the scan scope");
@@ -282,16 +323,22 @@ fn profile_conserves_for_column_scan() {
     );
 }
 
+/// Enclave churn under an AEX storm, optionally after one ECALL.
+fn aex_storm_run(ecall: bool) -> Counters {
+    let mut m = Machine::new(tiny_hw(), Setting::SgxDataInEnclave);
+    m.install_faults(FaultProfile::new(11).with_aex_storm(20_000.0));
+    if ecall {
+        m.ecall();
+    }
+    churn(&mut m, 50_000, 80_000);
+    m.counters().clone()
+}
+
 /// Faulted run: AEX handler time lands in the fault bin, transitions in
 /// the transition bin, and the storm still conserves exactly.
 #[test]
 fn profile_conserves_under_aex_storm() {
-    let (p, c, ()) = with_profile(|| {
-        let mut m = Machine::new(tiny_hw(), Setting::SgxDataInEnclave);
-        m.install_faults(FaultProfile::new(11).with_aex_storm(20_000.0));
-        m.ecall();
-        churn(&mut m, 50_000, 80_000);
-    });
+    let (p, c, _) = with_profile(|| aex_storm_run(true));
     assert!(c.aex_events > 0, "the storm must fire for this test to mean anything");
     assert_conserves(&p, &c, "aex_storm");
     let fault: f64 = p.phases.values().map(|ph| ph.cycles.fault).sum();
@@ -306,17 +353,7 @@ fn profile_conserves_under_aex_storm() {
 /// breakdown's probe figure, which additionally includes dequeue waits.
 #[test]
 fn profile_build_phase_matches_fig6_breakdown() {
-    let (p, _c, stats) = with_profile(|| {
-        let mut m = Machine::new(tiny_hw(), Setting::SgxDataInEnclave);
-        let r = gen_pk_relation(&mut m, 4000, 1);
-        let s = gen_fk_relation(&mut m, 16_000, 4000, 2);
-        sgx_bench_core::sgx_joins::rho::rho_join(
-            &mut m,
-            &r,
-            &s,
-            &JoinConfig::new(1).with_radix_bits(4),
-        )
-    });
+    let (p, _c, stats) = with_profile(|| rho_join_run(1, 4));
     let build_prof = p.phases["build"].cycles.total();
     let build_stat = stats.phase("build");
     assert!(build_stat > 0.0);
@@ -335,10 +372,7 @@ fn profile_build_phase_matches_fig6_breakdown() {
 /// two-crossing enclave round trip.
 #[test]
 fn aex_events_attribute_their_transitions() {
-    let mut m = Machine::new(tiny_hw(), Setting::SgxDataInEnclave);
-    m.install_faults(FaultProfile::new(11).with_aex_storm(20_000.0));
-    churn(&mut m, 50_000, 80_000);
-    let c = m.counters();
+    let c = aex_storm_run(false);
     assert!(c.aex_events > 0, "a storm over a long phase must fire");
     assert!(
         c.transitions >= 2 * c.aex_events,
@@ -346,4 +380,117 @@ fn aex_events_attribute_their_transitions() {
         c.transitions,
         c.aex_events
     );
+}
+
+/// Sixteen OCALLs against a fault engine that fails half of the attempts.
+fn ocall_retry_run() -> Counters {
+    let mut m = Machine::new(tiny_hw(), Setting::SgxDataInEnclave);
+    m.install_faults(FaultProfile::new(11).with_ocall_faults(0.5, 3, 2_000.0));
+    m.run(|c| {
+        for _ in 0..16 {
+            c.ocall();
+        }
+    });
+    m.counters().clone()
+}
+
+/// Every counter and every cost-category bin is written by some scenario
+/// of this file. The scenarios run under one profiled session, so their
+/// machines' counters and phase bins add up there. Both structs are
+/// destructured without `..`: a new field does not compile until this
+/// test covers it, and a dead one fails it.
+#[test]
+fn every_counter_and_cost_bin_is_written() {
+    let (p, c, _) = with_profile(|| {
+        hierarchy_run();
+        compute_run();
+        stream_run();
+        futex_run();
+        edmm_run();
+        paging_run();
+        remote_run();
+        aex_storm_run(true);
+        ocall_retry_run();
+        rho_join_run(2, 6);
+        column_scan_run();
+    });
+    let Counters {
+        loads,
+        stores,
+        l1_hits,
+        l2_hits,
+        l3_hits,
+        dram_fills,
+        prefetched_fills,
+        epc_fills,
+        remote_fills,
+        writebacks,
+        stream_lines,
+        transitions,
+        futex_waits,
+        edmm_pages,
+        epc_page_faults,
+        enclave_groups,
+        tlb_misses,
+        alu_ops,
+        vec_ops,
+        aex_events,
+        ocall_retries,
+    } = c;
+    let counters = [
+        ("loads", loads),
+        ("stores", stores),
+        ("l1_hits", l1_hits),
+        ("l2_hits", l2_hits),
+        ("l3_hits", l3_hits),
+        ("dram_fills", dram_fills),
+        ("prefetched_fills", prefetched_fills),
+        ("epc_fills", epc_fills),
+        ("remote_fills", remote_fills),
+        ("writebacks", writebacks),
+        ("stream_lines", stream_lines),
+        ("transitions", transitions),
+        ("futex_waits", futex_waits),
+        ("edmm_pages", edmm_pages),
+        ("epc_page_faults", epc_page_faults),
+        ("enclave_groups", enclave_groups),
+        ("tlb_misses", tlb_misses),
+        ("alu_ops", alu_ops),
+        ("vec_ops", vec_ops),
+        ("aex_events", aex_events),
+        ("ocall_retries", ocall_retries),
+    ];
+    for (name, v) in counters {
+        assert!(v > 0, "counter `{name}` is never written");
+    }
+
+    let mut bins = profile::CategoryCycles::default();
+    for phase in p.phases.values() {
+        bins.merge(&phase.cycles);
+    }
+    let profile::CategoryCycles {
+        compute,
+        cache,
+        dram,
+        mee,
+        epc_paging,
+        edmm,
+        transition,
+        upi,
+        fault,
+    } = bins;
+    let bins = [
+        ("compute", compute),
+        ("cache", cache),
+        ("dram", dram),
+        ("mee", mee),
+        ("epc_paging", epc_paging),
+        ("edmm", edmm),
+        ("transition", transition),
+        ("upi", upi),
+        ("fault", fault),
+    ];
+    for (name, v) in bins {
+        assert!(v > 0.0, "cost bin `{name}` is never written");
+    }
 }

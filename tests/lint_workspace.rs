@@ -2,10 +2,12 @@
 //!
 //! Runs the analyzer over every `crates/*/src` tree plus the repo-root
 //! `tests/` and fails on any unsuppressed finding. New model-integrity
-//! violations — untracked `SimVec` access in operator hot paths,
-//! nondeterministic inputs, counter truncation, library panics, unsafe
-//! code — therefore break `cargo test` unless they carry a reasoned
-//! `// sgx-lint: allow(<rule>) <reason>` marker.
+//! violations — untracked `SimVec` access in operator hot paths, counter
+//! truncation, swallowed errors, charges that bypass `Core::commit` —
+//! therefore break `cargo test` unless they carry a reasoned
+//! `// sgx-lint: allow(<rule>) <reason>` marker. Unsafe code,
+//! nondeterministic inputs and library panics are rustc's and clippy's
+//! to reject (`cargo clippy --workspace --all-targets -- -D warnings`).
 
 use std::path::Path;
 

@@ -132,7 +132,7 @@ proptest! {
         let mut expanded: Vec<i32> = Vec::new();
         m.run(|c| {
             col.scan_runs(c, &mut |_c, v, l| {
-                expanded.extend(std::iter::repeat(v).take(l as usize));
+                expanded.extend(std::iter::repeat_n(v, l as usize));
             });
         });
         prop_assert_eq!(expanded, values);

@@ -18,7 +18,7 @@ fn naive(samples: &[u64], permille: u64) -> Option<u64> {
     sorted.sort_unstable();
     // 1-based nearest rank: ceil(p/1000 * n).
     let n = sorted.len() as u64;
-    let rank = (permille * n + 999) / 1000;
+    let rank = (permille * n).div_ceil(1000);
     Some(sorted[(rank - 1) as usize])
 }
 
