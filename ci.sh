@@ -342,6 +342,9 @@ fi
 echo "== ci: benchmark self-test (a flipped digest must exit 1, retagged goldens exit 2)"
 python3 perfbench/run.py --self-test
 
+echo "== ci: benchmark unit tests (perfbench is a workspace of its own)"
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
 # With `--only <one job>`, run_registry clamps the worker count to the
 # number of selected jobs, so both runs below use one worker whatever
 # `--jobs` says: this smoke and the storage-path one are two-run

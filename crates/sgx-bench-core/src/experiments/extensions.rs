@@ -5,8 +5,8 @@
 
 use crate::experiments::push_grid;
 use crate::profiles::BenchProfile;
+use crate::repeat_grid;
 use crate::report::Figure;
-use crate::{repeat, repeat_grid};
 use sgx_joins::rho::{rho_join, seq_scatter_direct};
 use sgx_joins::{gen_fk_relation, gen_fk_zipf, gen_pk_relation, JoinConfig, Row};
 use sgx_scans::{column_scan, packed_scan_count, PackedColumn, ScanConfig, ScanOutput};
@@ -246,25 +246,24 @@ pub fn ext_packed_scan(p: &BenchProfile) -> Figure {
         "G values/s",
     )
     .with_xs(widths.iter().map(|b| b.to_string()));
-    for setting in [Setting::PlainCpu, Setting::SgxDataInEnclave] {
-        let points = widths
-            .iter()
-            .map(|&bits| {
-                Some(repeat(p.reps, |seed| {
-                    let mut m = Machine::new(p.hw.clone(), setting);
-                    let mut x = seed | 1;
-                    let col = PackedColumn::pack_with(&mut m, n, bits, |_| {
-                        x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                        ((x >> 33) as u32) & ((1u32 << bits.min(31)) - 1)
-                    });
-                    let cores: Vec<usize> = (0..threads).collect();
-                    let (_, cycles) = packed_scan_count(&mut m, &col, 1, 100, &cores);
-                    n as f64 / (cycles / (p.hw.freq_ghz * 1e9)) / 1e9
-                }))
-            })
-            .collect();
-        fig.push_series(setting.label(), points);
-    }
+    let settings = [Setting::PlainCpu, Setting::SgxDataInEnclave];
+    let configs: Vec<(Setting, u32)> =
+        settings.iter().flat_map(|&setting| widths.map(|bits| (setting, bits))).collect();
+    // A point's packed column shrinks with its width, so the caller claims
+    // the two 32-bit columns first.
+    let packed_bytes = |&(_, bits): &(Setting, u32)| n.div_ceil(PackedColumn::per_word(bits)) * 8;
+    let stats = repeat_grid(p.reps, &configs, packed_bytes, |&(setting, bits), seed| {
+        let mut m = Machine::new(p.hw.clone(), setting);
+        let mut x = seed | 1;
+        let col = PackedColumn::pack_with(&mut m, n, bits, |_| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+            ((x >> 33) as u32) & ((1u32 << bits.min(31)) - 1)
+        });
+        let cores: Vec<usize> = (0..threads).collect();
+        let (_, cycles) = packed_scan_count(&mut m, &col, 1, 100, &cores);
+        n as f64 / (cycles / (p.hw.freq_ghz * 1e9)) / 1e9
+    });
+    push_grid(&mut fig, &settings.map(Setting::label), &stats);
     fig.note("narrower packing = fewer MEE-decrypted lines per value; the enclave gap stays a few percent at every width");
     fig
 }
@@ -304,7 +303,7 @@ pub fn ext_dual_socket_scan(p: &BenchProfile) -> Figure {
         cycles += parts.iter().cloned().fold(0.0, f64::max);
         total_bytes as f64 / (cycles / (p.hw.freq_ghz * 1e9)) / 1e9
     };
-    let single = repeat(p.reps, |seed| {
+    let single = |seed: u64| -> f64 {
         // One socket scans both halves locally (sequentially).
         let mut m = Machine::new(p.hw.clone(), Setting::SgxDataInEnclave);
         let mut col = m.alloc_on::<u8>(bytes, Region::Epc(0));
@@ -316,26 +315,17 @@ pub fn ext_dual_socket_scan(p: &BenchProfile) -> Figure {
         let cfg = ScanConfig::new(t);
         let stats = column_scan(&mut m, &col, 32, 96, ScanOutput::BitVector, &cfg);
         stats.gb_per_sec(p.hw.freq_ghz)
+    };
+    // The deployments in the figure's order, by the node that holds the
+    // second socket's half: single socket, striped, lopsided.
+    let second_half = [None, Some(Region::Epc(1)), Some(Region::Epc(0))];
+    let stats = repeat_grid(p.reps, &second_half, |_| bytes, |&second, seed| match second {
+        None => single(seed),
+        Some(region) => {
+            run(vec![(Region::Epc(0), (0..t).collect()), (region, (t..2 * t).collect())], seed)
+        }
     });
-    let striped = repeat(p.reps, |seed| {
-        run(
-            vec![
-                (Region::Epc(0), (0..t).collect()),
-                (Region::Epc(1), (t..2 * t).collect()),
-            ],
-            seed,
-        )
-    });
-    let lopsided = repeat(p.reps, |seed| {
-        run(
-            vec![
-                (Region::Epc(0), (0..t).collect()),
-                (Region::Epc(0), (t..2 * t).collect()),
-            ],
-            seed,
-        )
-    });
-    fig.push_series("throughput", vec![Some(single), Some(striped), Some(lopsided)]);
+    push_grid(&mut fig, &["throughput"], &stats);
     fig.note("NUMA-aware striping doubles aggregate scan bandwidth; when allocations land on one node (the §4.3 placement problem) the remote half pays the UPI/UCE path and drags the aggregate down");
     fig
 }

@@ -1,9 +1,10 @@
 //! Scan experiments: Figs 12–16.
 
+use crate::experiments::push_grid;
 use crate::profiles::BenchProfile;
 use crate::report::{Figure, Stat};
 use crate::sweep::sweep;
-use crate::{rep_seeds, repeat};
+use crate::{rep_seeds, repeat_grid};
 use sgx_scans::linear::{linear_read, linear_write, LinearConfig, Width};
 use sgx_scans::{column_scan, gen_column, ScanConfig, ScanOutput};
 use sgx_sim::{Machine, Setting};
@@ -21,24 +22,21 @@ pub fn fig12_scan_single(p: &BenchProfile) -> Figure {
         "GB/s",
     )
     .with_xs(sizes.iter().map(|(l, _)| *l));
-    for setting in Setting::all() {
-        let points = sizes
-            .iter()
-            .map(|&(_, bytes)| {
-                Some(repeat(p.reps, |seed| {
-                    let mut m = Machine::new(p.hw.clone(), setting);
-                    let col = gen_column(&mut m, bytes, seed);
-                    // The paper warms up 10x and measures 1000 scans; a
-                    // handful of measured passes give identical means in
-                    // the deterministic simulator.
-                    let cfg = ScanConfig::new(1).with_warmup(2).with_repeats(4);
-                    column_scan(&mut m, &col, 32, 96, ScanOutput::BitVector, &cfg)
-                        .gb_per_sec(p.hw.freq_ghz)
-                }))
-            })
-            .collect();
-        fig.push_series(setting.label(), points);
-    }
+    let settings = Setting::all();
+    let configs: Vec<(Setting, usize)> = settings
+        .iter()
+        .flat_map(|&setting| sizes.map(|(_, bytes)| (setting, bytes)))
+        .collect();
+    let stats = repeat_grid(p.reps, &configs, |&(_, bytes)| bytes, |&(setting, bytes), seed| {
+        let mut m = Machine::new(p.hw.clone(), setting);
+        let col = gen_column(&mut m, bytes, seed);
+        // The paper warms up 10x and measures 1000 scans; a handful of
+        // measured passes give identical means in the deterministic
+        // simulator.
+        let cfg = ScanConfig::new(1).with_warmup(2).with_repeats(4);
+        column_scan(&mut m, &col, 32, 96, ScanOutput::BitVector, &cfg).gb_per_sec(p.hw.freq_ghz)
+    });
+    push_grid(&mut fig, &settings.map(Setting::label), &stats);
     fig.note("paper: in-cache parity; ~3% slowdown for EPC data beyond L3");
     fig
 }
@@ -51,21 +49,16 @@ pub fn fig13_scan_scaling(p: &BenchProfile) -> Figure {
     let mut fig =
         Figure::new("fig13", "Column scan thread scaling", "threads", "GB/s")
             .with_xs(threads.iter().map(|t| t.to_string()));
-    for setting in [Setting::PlainCpu, Setting::SgxDataInEnclave] {
-        let points = threads
-            .iter()
-            .map(|&t| {
-                Some(repeat(p.reps, |seed| {
-                    let mut m = Machine::new(p.hw.clone(), setting);
-                    let col = gen_column(&mut m, bytes, seed);
-                    let cfg = ScanConfig::new(t.min(p.hw.cores_per_socket));
-                    column_scan(&mut m, &col, 32, 96, ScanOutput::BitVector, &cfg)
-                        .gb_per_sec(p.hw.freq_ghz)
-                }))
-            })
-            .collect();
-        fig.push_series(setting.label(), points);
-    }
+    let settings = [Setting::PlainCpu, Setting::SgxDataInEnclave];
+    let configs: Vec<(Setting, usize)> =
+        settings.iter().flat_map(|&setting| threads.map(|t| (setting, t))).collect();
+    let stats = repeat_grid(p.reps, &configs, |_| bytes, |&(setting, t), seed| {
+        let mut m = Machine::new(p.hw.clone(), setting);
+        let col = gen_column(&mut m, bytes, seed);
+        let cfg = ScanConfig::new(t.min(p.hw.cores_per_socket));
+        column_scan(&mut m, &col, 32, 96, ScanOutput::BitVector, &cfg).gb_per_sec(p.hw.freq_ghz)
+    });
+    push_grid(&mut fig, &settings.map(Setting::label), &stats);
     fig.note("paper: identical scaling; both saturate the memory bandwidth at 16 threads");
     fig
 }
@@ -131,32 +124,32 @@ pub fn fig15_linear(p: &BenchProfile) -> Figure {
         "relative",
     )
     .with_xs(sizes.iter().map(|(l, _)| *l));
-    for (label, read, width) in [
+    let kernels = [
         ("64-bit read", true, Width::Bits64),
         ("512-bit read", true, Width::Bits512),
         ("64-bit write", false, Width::Bits64),
         ("512-bit write", false, Width::Bits512),
-    ] {
-        let points = sizes
-            .iter()
-            .map(|&(_, elems)| {
-                Some(repeat(p.reps, |_seed| {
-                    let run = |setting: Setting| {
-                        let mut m = Machine::new(p.hw.clone(), setting);
-                        let mut v = m.alloc::<u64>(elems.max(64));
-                        let cfg = LinearConfig::new(threads).with_warmup(1);
-                        if read {
-                            linear_read(&mut m, &v, width, &cfg)
-                        } else {
-                            linear_write(&mut m, &mut v, width, &cfg)
-                        }
-                    };
-                    run(Setting::PlainCpu) / run(Setting::SgxDataInEnclave)
-                }))
-            })
-            .collect();
-        fig.push_series(label, points);
-    }
+    ];
+    let configs: Vec<(bool, Width, usize)> = kernels
+        .iter()
+        .flat_map(|&(_, read, width)| sizes.map(|(_, elems)| (read, width, elems.max(64))))
+        .collect();
+    // A point builds the plain machine, then the enclave machine, and
+    // returns their ratio.
+    let stats = repeat_grid(p.reps, &configs, |&(.., elems)| elems * 8, |&(read, width, elems), _| {
+        let run = |setting: Setting| {
+            let mut m = Machine::new(p.hw.clone(), setting);
+            let mut v = m.alloc::<u64>(elems);
+            let cfg = LinearConfig::new(threads).with_warmup(1);
+            if read {
+                linear_read(&mut m, &v, width, &cfg)
+            } else {
+                linear_write(&mut m, &mut v, width, &cfg)
+            }
+        };
+        run(Setting::PlainCpu) / run(Setting::SgxDataInEnclave)
+    });
+    push_grid(&mut fig, &kernels.map(|(label, ..)| label), &stats);
     fig.note("paper: worst case 5.5% for 64-bit reads, ~2% for linear writes");
     fig
 }
@@ -171,33 +164,27 @@ pub fn fig16_numa_scan(p: &BenchProfile) -> Figure {
     let mut fig =
         Figure::new("fig16", "Cross-NUMA column scan throughput", "threads", "GB/s")
             .with_xs(threads.iter().map(|t| t.to_string()));
-    for (label, setting, remote) in [
+    let series = [
         ("local, plain CPU", Setting::PlainCpu, false),
         ("cross-NUMA, plain CPU", Setting::PlainCpu, true),
         ("cross-NUMA, SGX", Setting::SgxDataInEnclave, true),
-    ] {
-        let points = threads
-            .iter()
-            .map(|&t| {
-                let t = t.min(p.hw.cores_per_socket);
-                Some(repeat(p.reps, |seed| {
-                    let mut m = Machine::new(p.hw.clone(), setting);
-                    // Data always lives on node 0; remote runs pin the scan
-                    // threads to socket 1, crossing the UPI.
-                    let col = gen_column(&mut m, bytes, seed);
-                    let cores: Vec<usize> = if remote {
-                        socket1[..t].to_vec()
-                    } else {
-                        (0..t).collect()
-                    };
-                    let cfg = ScanConfig::new(t).on_cores(cores);
-                    column_scan(&mut m, &col, 32, 96, ScanOutput::BitVector, &cfg)
-                        .gb_per_sec(p.hw.freq_ghz)
-                }))
-            })
-            .collect();
-        fig.push_series(label, points);
-    }
+    ];
+    let configs: Vec<(Setting, bool, usize)> = series
+        .iter()
+        .flat_map(|&(_, setting, remote)| {
+            threads.map(|t| (setting, remote, t.min(p.hw.cores_per_socket)))
+        })
+        .collect();
+    let stats = repeat_grid(p.reps, &configs, |_| bytes, |&(setting, remote, t), seed| {
+        let mut m = Machine::new(p.hw.clone(), setting);
+        // Data always lives on node 0; remote runs pin the scan threads to
+        // socket 1, crossing the UPI.
+        let col = gen_column(&mut m, bytes, seed);
+        let cores: Vec<usize> = if remote { socket1[..t].to_vec() } else { (0..t).collect() };
+        let cfg = ScanConfig::new(t).on_cores(cores);
+        column_scan(&mut m, &col, 32, 96, ScanOutput::BitVector, &cfg).gb_per_sec(p.hw.freq_ghz)
+    });
+    push_grid(&mut fig, &series.map(|(label, ..)| label), &stats);
     fig.note("paper: UCE costs 23% at 1 thread, shrinking to 4% at 16 threads where the UPI itself is the bound (67.2 GB/s)");
     fig
 }

@@ -11,9 +11,10 @@
 //! enclave: fewer sealed bytes to decrypt *and* fewer EPC lines to
 //! stream during the scan.
 
+use crate::experiments::push_grid;
 use crate::profiles::BenchProfile;
-use crate::repeat;
-use crate::report::Figure;
+use crate::repeat_grid;
+use crate::report::{Figure, Stat};
 use sgx_sim::{Machine, Setting};
 use sgx_tpch::storage::{clustered_column, seal_column, storage_path_query, StorageFormat};
 
@@ -49,23 +50,27 @@ pub fn ext_storage_path(p: &BenchProfile) -> Figure {
 
     let formats = [StorageFormat::Plain, StorageFormat::Dict, StorageFormat::Rle];
     let settings = [Setting::PlainCpu, Setting::SgxDataInEnclave];
+    let configs: Vec<(Setting, StorageFormat, usize)> = settings
+        .iter()
+        .flat_map(|&setting| {
+            formats.iter().flat_map(move |&format| PAPER_MB.map(|mb| (setting, format, mb)))
+        })
+        .collect();
+    let column_bytes = |&(.., mb): &(Setting, StorageFormat, usize)| p.mb(mb);
+    let stats = repeat_grid(p.reps, &configs, column_bytes, |&(setting, format, mb), seed| {
+        run_once(p, setting, format, (p.mb(mb) / 4).max(64), seed)
+    });
+    let labels: Vec<String> = settings
+        .iter()
+        .flat_map(|s| formats.map(|format| format!("{}, {}", format.label(), s.label())))
+        .collect();
+    push_grid(&mut fig, &labels.iter().map(String::as_str).collect::<Vec<_>>(), &stats);
     // means[si][fi][xi] backs the shape assertions below.
-    let mut means = vec![vec![vec![0.0f64; PAPER_MB.len()]; formats.len()]; settings.len()];
-    for (si, &setting) in settings.iter().enumerate() {
-        for (fi, &format) in formats.iter().enumerate() {
-            let points: Vec<_> = PAPER_MB
-                .iter()
-                .enumerate()
-                .map(|(xi, &mb)| {
-                    let elems = (p.mb(mb) / 4).max(64);
-                    let s = repeat(p.reps, |seed| run_once(p, setting, format, elems, seed));
-                    means[si][fi][xi] = s.mean;
-                    Some(s)
-                })
-                .collect();
-            fig.push_series(&format!("{}, {}", format.label(), setting.label()), points);
-        }
-    }
+    let row_means = |row: &[Stat]| row.iter().map(|s| s.mean).collect::<Vec<f64>>();
+    let means: Vec<Vec<Vec<f64>>> = stats
+        .chunks_exact(formats.len() * PAPER_MB.len())
+        .map(|by_format| by_format.chunks_exact(PAPER_MB.len()).map(row_means).collect())
+        .collect();
 
     // Shape assertions at the largest size: the enclave pays for the
     // path, and compression pays for itself inside the enclave.

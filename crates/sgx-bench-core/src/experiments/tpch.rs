@@ -1,7 +1,8 @@
 //! Full-query experiment: Fig 17 (TPC-H Q3, Q10, Q12, Q19 at SF 10).
 
+use crate::experiments::push_grid;
 use crate::profiles::BenchProfile;
-use crate::repeat;
+use crate::repeat_grid;
 use crate::report::Figure;
 use sgx_sim::{Machine, Setting};
 use sgx_tpch::{generate, run_query, Query, QueryConfig};
@@ -19,26 +20,25 @@ pub fn fig17_tpch(p: &BenchProfile) -> Figure {
         "ms",
     )
     .with_xs(Query::all().iter().map(|q| q.label()));
-    for (label, setting, optimized) in [
+    let series = [
         ("Plain CPU", Setting::PlainCpu, false),
         ("SGX naive", Setting::SgxDataInEnclave, false),
         ("SGX optimized", Setting::SgxDataInEnclave, true),
-    ] {
-        let points = Query::all()
-            .iter()
-            .map(|&q| {
-                Some(repeat(p.reps, |seed| {
-                    let mut m = Machine::new(p.hw.clone(), setting);
-                    let db = generate(&mut m, sf, seed);
-                    m.reset_wall();
-                    let cfg = QueryConfig::new(threads).with_optimization(optimized);
-                    let stats = run_query(&mut m, &db, q, &cfg);
-                    p.hw.cycles_to_secs(stats.wall_cycles) * 1e3
-                }))
-            })
-            .collect();
-        fig.push_series(label, points);
-    }
+    ];
+    let configs: Vec<(Setting, bool, Query)> = series
+        .iter()
+        .flat_map(|&(_, setting, optimized)| Query::all().map(|q| (setting, optimized, q)))
+        .collect();
+    // Every point generates the same database.
+    let stats = repeat_grid(p.reps, &configs, |_| 0, |&(setting, optimized, q), seed| {
+        let mut m = Machine::new(p.hw.clone(), setting);
+        let db = generate(&mut m, sf, seed);
+        m.reset_wall();
+        let cfg = QueryConfig::new(threads).with_optimization(optimized);
+        let stats = run_query(&mut m, &db, q, &cfg);
+        p.hw.cycles_to_secs(stats.wall_cycles) * 1e3
+    });
+    push_grid(&mut fig, &series.map(|(label, ..)| label), &stats);
     fig.note("paper: optimization cuts query time by 7-30%; average enclave overhead falls from 42% to 15%");
     fig
 }

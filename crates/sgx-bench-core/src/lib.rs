@@ -78,25 +78,20 @@ pub mod prelude {
     pub use sgx_tpch::{run_query, Query, QueryConfig};
 }
 
-/// Run `f` `reps` times with distinct seeds and aggregate the returned
-/// metric (the paper reports arithmetic mean and standard deviation over
-/// 10 runs).
-pub fn repeat(reps: usize, f: impl FnMut(u64) -> f64) -> Stat {
-    let runs: Vec<f64> = rep_seeds(reps).map(f).collect();
-    Stat::from_runs(&runs)
-}
-
-/// The seeds [`repeat`] passes, in order: one per repetition, at least one.
+/// The seeds of a point's repetitions, in order: one per repetition, at
+/// least one.
 pub(crate) fn rep_seeds(reps: usize) -> impl Iterator<Item = u64> {
     (0..reps.max(1) as u64).map(|r| 0xC0FFEE + r)
 }
 
-/// [`repeat`] for every configuration of a grid, run as one `sweep` on
-/// the job's thread budget: one [`Stat`] per configuration, bitwise what
-/// a `repeat` call per configuration gives. The points are listed
-/// configuration-major, then by seed, which is the order nested `repeat`
-/// loops build their machines in; `bytes` sizes a configuration's points
-/// for the sweep's claim order.
+/// Run `point` `reps` times with distinct seeds for every configuration
+/// of a grid, as one `sweep` on the job's thread budget, and aggregate
+/// each configuration's runs into one [`Stat`] (the paper reports
+/// arithmetic mean and standard deviation over 10 runs). The stats are
+/// bitwise what a sequential loop over the configurations and seeds
+/// gives. The points are listed configuration-major, then by seed, which
+/// is the order such a loop builds their machines in; `bytes` sizes a
+/// configuration's points for the sweep's claim order.
 pub(crate) fn repeat_grid<C: Sync>(
     reps: usize,
     configs: &[C],
@@ -119,6 +114,15 @@ pub(crate) fn repeat_grid_on<C: Sync>(
         configs.iter().flat_map(|c| rep_seeds(reps).map(move |seed| (c, seed))).collect();
     let runs = sweep::sweep_on(threads, &points, |&(c, _)| bytes(c), |&(c, seed)| point(c, seed));
     runs.chunks_exact(rep_seeds(reps).count()).map(Stat::from_runs).collect()
+}
+
+/// Run `f` `reps` times with distinct seeds and aggregate the returned
+/// metric, on the calling thread: the sequential oracle of
+/// [`repeat_grid`]'s tests.
+#[cfg(test)]
+pub(crate) fn repeat(reps: usize, f: impl FnMut(u64) -> f64) -> Stat {
+    let runs: Vec<f64> = rep_seeds(reps).map(f).collect();
+    Stat::from_runs(&runs)
 }
 
 #[cfg(test)]

@@ -520,6 +520,7 @@ impl JobFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::golden::{counters_digest, figure_digest, Goldens};
     use sgx_sim::{Machine, Setting};
 
     /// A cheap machine-touching job: charges work so the scheduler's
@@ -685,6 +686,42 @@ mod tests {
         assert_eq!(budgets(2), vec![(n / 2).max(1).to_string(); 2]);
         assert_eq!(budgets(8), vec![(n / 2).max(1).to_string(); 2], "two jobs make two workers");
         assert_eq!(sweep_threads(), n, "the budget ends with the registry run");
+    }
+
+    #[test]
+    fn sharded_figures_stream_jobs_reproduce_goldens() {
+        // The golden runs are profiled, so every sweep in them runs
+        // inline. A budget of two threads makes each sweep below spawn a
+        // helper, even on a one-core host.
+        const GOLDENS: &str =
+            concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/goldens/figure_digests.json");
+        let text = std::fs::read_to_string(GOLDENS).expect("golden file is readable");
+        let goldens = Goldens::from_json(&text).expect("golden file parses");
+        assert_eq!(goldens.profile, BenchProfile::golden_tag());
+        let (reg, profile) = (registry(), BenchProfile::golden());
+        let saved_budget = SWEEP_BUDGET.with(|b| b.replace(2));
+        assert!(!sgx_sim::profile::enabled(), "profiled sweeps would run inline");
+        for id in [
+            "fig12",
+            "fig13",
+            "fig15",
+            "fig16",
+            "fig17",
+            "ext_dual_socket",
+            "ext_packed",
+            "ext_storage_path",
+        ] {
+            let job = reg.iter().find(|j| j.id == id).expect("registered job");
+            let golden = goldens.jobs.iter().find(|g| g.id == id).expect("golden job");
+            let _ = sgx_sim::counters::session_take();
+            let figures = (job.run)(&profile);
+            let counters = sgx_sim::counters::session_take();
+            let got: Vec<(String, String)> =
+                figures.iter().map(|f| (f.id.clone(), figure_digest(f))).collect();
+            assert_eq!(got, golden.figures, "{id}: figure bytes drifted when sharded");
+            assert_eq!(counters_digest(&counters), golden.counters, "{id}: counters drifted");
+        }
+        SWEEP_BUDGET.with(|b| b.set(saved_budget));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use crate::engine::{self, FileClass, Finding};
 use crate::parse::{self, Items};
 use crate::tokenizer::{tokenize, Lexed};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 /// One file, fully preprocessed.
@@ -108,30 +108,6 @@ impl Workspace {
             local
         }
     }
-
-    /// Names of `root` and every function it transitively calls *within
-    /// the same file*. Used to exempt the fault-engine's own charge paths
-    /// from fault-tick-coverage.
-    pub fn within_file_closure(&self, file: usize, root: &str) -> BTreeSet<String> {
-        let f = &self.files[file];
-        let mut seen: BTreeSet<String> = BTreeSet::new();
-        let mut queue: Vec<String> = vec![root.to_string()];
-        while let Some(name) = queue.pop() {
-            if !seen.insert(name.clone()) {
-                continue;
-            }
-            for item in f.items.fns.iter().filter(|i| i.name == name) {
-                for call in &item.calls {
-                    if !seen.contains(&call.callee)
-                        && f.items.fns.iter().any(|i| i.name == call.callee)
-                    {
-                        queue.push(call.callee.clone());
-                    }
-                }
-            }
-        }
-        seen
-    }
 }
 
 #[cfg(test)]
@@ -173,18 +149,6 @@ mod tests {
         ]);
         assert_eq!(w2.resolve(0, "shared"), [(1, 0), (2, 0)]);
         assert!(w2.resolve(0, "absent").is_empty());
-    }
-
-    #[test]
-    fn closure_is_transitive_and_file_local() {
-        let w = ws(&[(
-            "crates/a/src/lib.rs",
-            FileClass::Lib,
-            "fn root() { mid(); } fn mid() { leaf(); } fn leaf() {} fn other() {}",
-        )]);
-        let c = w.within_file_closure(0, "root");
-        assert!(c.contains("root") && c.contains("mid") && c.contains("leaf"));
-        assert!(!c.contains("other"));
     }
 
     #[test]
