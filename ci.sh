@@ -1,10 +1,10 @@
 #!/usr/bin/env sh
-# Full local CI: build, rustdoc, workspace clippy (with a negative check
-# that the toolchain rejects injected invariant violations), tests,
-# model-integrity lint, and an end-to-end smoke of the resilient
-# all_figures harness — including a negative check that an injected
-# figure failure is isolated, recorded in the manifest, and turned into a
-# nonzero exit.
+# Full local CI: build, rustdoc, workspace clippy, a negative check that
+# the toolchain and the provenance unit test reject one injected violation
+# of each model-integrity invariant, tests, and an end-to-end smoke of the
+# resilient all_figures harness — including a negative check that an
+# injected figure failure is isolated, recorded in the manifest, and
+# turned into a nonzero exit.
 #
 # Usage: ./ci.sh
 set -eu
@@ -20,9 +20,10 @@ echo "== ci: clippy on the workspace, every target (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== ci: toolchain negative check (injected invariant violations must not build)"
-# The workspace lints, clippy.toml and the counter destructurings apply
-# only inside this workspace, so the violations go into a scratch copy of
-# it. Each check greps the JSON diagnostics for a lint or error code.
+# The workspace lints, clippy.toml, the private cycle types and the counter
+# destructurings apply only inside this workspace, so the violations go
+# into a scratch copy of it. Each check greps the JSON diagnostics for a
+# lint or error code.
 TC_TMP=$(mktemp -d)
 mkdir -p "$TC_TMP/ws"
 cp -r Cargo.toml Cargo.lock clippy.toml crates vendor tests examples "$TC_TMP/ws/"
@@ -75,6 +76,68 @@ for ty in std::collections::HashMap std::time::Instant; do
     fi
 done
 cp "$TC_TMP/des.rs" "$DES"
+# Model integrity in an operator crate: an uncharged read of simulated
+# memory, and a `Result` dropped by `let _ =` or by `.ok();`.
+OPS="$TC_TMP/ws/crates/sgx-joins/src/data.rs"
+cp "$OPS" "$TC_TMP/ops.rs"
+cat >> "$OPS" <<'EOF'
+
+/// An uncharged read and two dropped results.
+pub fn injected_untracked_sum(r: &SimVec<Row>) -> u64 {
+    let _ = "1".parse::<u32>();
+    "1".parse::<u32>().ok();
+    r.as_slice_untracked().iter().map(|row| u64::from(row.key)).sum()
+}
+EOF
+tc_build "$TC_TMP/ops.json" clippy -q -p sgx-joins -- -D warnings
+tc_names "$TC_TMP/ops.json" clippy::disallowed_methods clippy::let_underscore_must_use \
+    clippy::unused_result_ok
+cp "$TC_TMP/ops.rs" "$OPS"
+# A narrowing cast of a counter.
+CNT="$TC_TMP/ws/crates/sgx-sim/src/counters.rs"
+cp "$CNT" "$TC_TMP/counters.rs"
+cat >> "$CNT" <<'EOF'
+
+/// A narrowing counter cast.
+pub fn injected_truncation(c: &Counters) -> u32 {
+    c.loads as u32
+}
+EOF
+tc_build "$TC_TMP/cast.json" clippy -q -p sgx-sim -- -D warnings
+tc_names "$TC_TMP/cast.json" clippy::cast_possible_truncation
+cp "$TC_TMP/counters.rs" "$CNT"
+# Cycles that skip `Core::commit` and the fault tick: a layer adding to
+# the busy clock (E0368: `Busy` has no `+=`) or to the wall clock's
+# private field (E0616).
+HIER="$TC_TMP/ws/crates/sgx-sim/src/machine/hierarchy.rs"
+cp "$HIER" "$TC_TMP/hierarchy.rs"
+cat >> "$HIER" <<'EOF'
+
+impl<'m> Core<'m> {
+    pub(super) fn turbo_bump(&mut self) {
+        self.cycles += 7.0;
+    }
+
+    pub(super) fn wall_bump(&mut self) {
+        self.m.wall.0 += 1.0;
+    }
+}
+EOF
+tc_build "$TC_TMP/cycles.json" check -q -p sgx-sim
+tc_names "$TC_TMP/cycles.json" E0368 E0616
+cp "$TC_TMP/hierarchy.rs" "$HIER"
+# A calibration constant without provenance fails its unit test.
+CFG="$TC_TMP/ws/crates/sgx-sim/src/config.rs"
+cp "$CFG" "$TC_TMP/config.rs"
+awk '$0 == "#[cfg(test)]" && !done { print "pub const INJECTED: f64 = 3.5;"; print ""; done = 1 } { print }' \
+    "$TC_TMP/config.rs" > "$CFG"
+tc_build "$TC_TMP/provenance.log" test -q -p sgx-sim --lib \
+    config::tests::calibration_constants_carry_provenance
+if ! grep -q "hold a numeric constant without" "$TC_TMP/provenance.log"; then
+    echo "ci: FAIL — an untagged config.rs constant did not fail the provenance test" >&2
+    exit 1
+fi
+cp "$TC_TMP/config.rs" "$CFG"
 # One new field per counter struct must fail to compile (E0027: a
 # destructuring pattern does not mention it) until it is merged and
 # reported.
@@ -98,131 +161,6 @@ rm -rf "$TC_TMP"
 
 echo "== ci: cargo test -q"
 cargo test -q
-
-echo "== ci: lint"
-./lint.sh
-
-echo "== ci: lint corpus self-check"
-./lint.sh --score-corpus crates/sgx-lint/corpus >/dev/null
-
-LINT=target/release/sgx-lint
-LINT_TMP=$(mktemp -d)
-
-echo "== ci: lint JSON baseline gate (two runs, byte-identical)"
-"$LINT" --format json --baseline lint-baseline.json crates tests > "$LINT_TMP/run1.json"
-"$LINT" --format json --baseline lint-baseline.json crates tests > "$LINT_TMP/run2.json"
-if ! cmp -s "$LINT_TMP/run1.json" "$LINT_TMP/run2.json"; then
-    echo "ci: FAIL — lint JSON report must be byte-identical across runs" >&2
-    exit 1
-fi
-if ! grep -q '"total": 0.0' "$LINT_TMP/run1.json"; then
-    echo "ci: FAIL — unbaselined lint findings present" >&2
-    exit 1
-fi
-
-echo "== ci: lint charge-escape negative check (injected choke-point bypass)"
-# Copy the machine crate to scratch, verify the workspace+scratch scan is
-# clean, then inject a `cycles +=` outside the `Core::commit` closure into
-# the scratch copy: the dataflow rule must flag the bypass.
-SIM_TMP=$(mktemp -d)
-cp -r crates/sgx-sim "$SIM_TMP/sgx-sim"
-if ! "$LINT" --baseline lint-baseline.json crates tests "$SIM_TMP/sgx-sim" >/dev/null 2>&1; then
-    echo "ci: FAIL — pristine scratch copy of sgx-sim must lint clean alongside the workspace" >&2
-    exit 1
-fi
-cat >> "$SIM_TMP/sgx-sim/src/machine/hierarchy.rs" <<'EOF'
-
-impl<'m> Core<'m> {
-    pub(super) fn turbo_bump(&mut self) {
-        self.cycles += 7.0;
-    }
-}
-EOF
-if "$LINT" --format json --baseline lint-baseline.json crates tests "$SIM_TMP/sgx-sim" > "$LINT_TMP/bypass.json" 2>&1; then
-    echo "ci: FAIL — injected commit bypass must exit nonzero" >&2
-    exit 1
-fi
-if ! grep -q '"rule": "charge-escape"' "$LINT_TMP/bypass.json"; then
-    echo "ci: FAIL — injected commit bypass must surface as charge-escape" >&2
-    exit 1
-fi
-rm -rf "$SIM_TMP"
-
-echo "== ci: lint stale-baseline self-check"
-cat > "$LINT_TMP/stale.json" <<'EOF'
-{"baseline": [{"path": "crates/does-not-exist.rs", "rule": "untracked-access", "line": 1, "reason": "stale entry for the CI self-check"}]}
-EOF
-if "$LINT" --baseline "$LINT_TMP/stale.json" crates tests >/dev/null 2>&1; then
-    echo "ci: FAIL — a stale baseline entry must exit nonzero" >&2
-    exit 1
-fi
-rm -rf "$LINT_TMP"
-
-RD_TMP=$(mktemp -d)
-RD_FLOOR=95
-
-echo "== ci: lint robustness RD gate (floor $RD_FLOOR, byte-identical across runs and --jobs)"
-"$LINT" robustness --floor "$RD_FLOOR" --format json > "$RD_TMP/rd1.json"
-"$LINT" robustness --floor "$RD_FLOOR" --format json > "$RD_TMP/rd2.json"
-"$LINT" robustness --floor "$RD_FLOOR" --format json --jobs 4 > "$RD_TMP/rd4.json"
-if ! cmp -s "$RD_TMP/rd1.json" "$RD_TMP/rd2.json"; then
-    echo "ci: FAIL — robustness report must be byte-identical across runs" >&2
-    exit 1
-fi
-if ! cmp -s "$RD_TMP/rd1.json" "$RD_TMP/rd4.json"; then
-    echo "ci: FAIL — robustness report must be byte-identical across --jobs" >&2
-    exit 1
-fi
-for rule in charge-escape untracked-slice-taint; do
-    if ! grep -q "\"rule\": \"$rule\"" "$RD_TMP/rd1.json"; then
-        echo "ci: FAIL — robustness report is missing the $rule row" >&2
-        exit 1
-    fi
-done
-for kind in alias dyncall xsplit; do
-    if ! grep -q "\"kind\": \"$kind\"" "$RD_TMP/rd1.json"; then
-        echo "ci: FAIL — robustness report is missing the $kind transform row" >&2
-        exit 1
-    fi
-done
-
-echo "== ci: lint robustness negative check (weakened rules must fail the floor)"
-if "$LINT" robustness --floor "$RD_FLOOR" --weaken taint-indirection,taint-alias >/dev/null 2>&1; then
-    echo "ci: FAIL — weakened rule set must drop RD below the floor" >&2
-    exit 1
-fi
-if "$LINT" robustness --baseline lint-baseline.json >/dev/null 2>&1; then
-    echo "ci: FAIL — robustness must reject --baseline" >&2
-    exit 1
-fi
-rm -rf "$RD_TMP"
-
-SC_TMP=$(mktemp -d)
-
-echo "== ci: lint selfcheck (variant fuzz over pinned clean workspace files, byte-identical)"
-"$LINT" selfcheck --format json > "$SC_TMP/sc1.json"
-"$LINT" selfcheck --format json > "$SC_TMP/sc2.json"
-if ! cmp -s "$SC_TMP/sc1.json" "$SC_TMP/sc2.json"; then
-    echo "ci: FAIL — selfcheck report must be byte-identical across runs" >&2
-    exit 1
-fi
-if ! grep -q '"false_positives": \[\]' "$SC_TMP/sc1.json"; then
-    echo "ci: FAIL — variant of a clean workspace file produced a lint finding (rule false positive)" >&2
-    exit 1
-fi
-
-echo "== ci: lint selfcheck negative check (dirty pin must be a usage error)"
-cat > "$SC_TMP/dirty.rs" <<'EOF'
-pub fn f(s: &str) { let _ = s.parse::<u32>(); }
-pub fn g() -> u64 { 1 }
-EOF
-SC_CODE=0
-"$LINT" selfcheck "$SC_TMP/dirty.rs" >/dev/null 2>&1 || SC_CODE=$?
-if [ "$SC_CODE" -ne 2 ]; then
-    echo "ci: FAIL — selfcheck on a non-clean file must exit 2 (usage error), got $SC_CODE" >&2
-    exit 1
-fi
-rm -rf "$SC_TMP"
 
 BIN=target/release/all_figures
 MANIFEST=target/figures/manifest.json

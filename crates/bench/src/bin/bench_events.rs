@@ -5,10 +5,6 @@
 //! github-action-benchmark `data.js` format, minus the `window.` JS
 //! wrapper):
 //!
-//! * `lint-workspace` — wall-clock of a full `sgx-lint` pass over
-//!   `crates/` (ms);
-//! * `dataflow-pass` — facts/sec of the sgx-lint dataflow engine alone
-//!   (field writes and receiver aliases) over the workspace token streams;
 //! * `join-smoke` — simulator events/sec while running the PHT join on a
 //!   small relation pair;
 //! * `scan-smoke` — simulator events/sec for a parallel linear read;
@@ -62,33 +58,6 @@ fn rate(m: &mut Machine, f: impl FnOnce(&mut Machine)) -> f64 {
     f(m);
     let secs = t0.elapsed().as_secs_f64().max(1e-9);
     events(&m.counters().delta(&before)) as f64 / secs
-}
-
-/// One lint pass over the workspace sources, in milliseconds.
-fn lint_workspace_ms() -> f64 {
-    #[expect(clippy::disallowed_types, reason = "timing the lint pass is the benchmark")]
-    let t0 = Instant::now();
-    let reports = sgx_lint::analyze_paths(&[PathBuf::from("crates")]);
-    let ms = t0.elapsed().as_secs_f64() * 1e3;
-    std::hint::black_box(reports.len());
-    ms
-}
-
-/// Fact-extraction rate of the lint's intraprocedural dataflow engine
-/// over pre-tokenized workspace sources (tokenization excluded — this
-/// isolates the pass the semantic rules lean on).
-fn dataflow_rate(lexed: &[sgx_lint::tokenizer::Lexed]) -> f64 {
-    #[expect(clippy::disallowed_types, reason = "timing the dataflow pass is the benchmark")]
-    let t0 = Instant::now();
-    let mut facts = 0u64;
-    for lx in lexed {
-        let toks = &lx.tokens;
-        let span = (0, toks.len());
-        facts += sgx_lint::dataflow::field_writes(toks, span).len() as u64;
-        facts += sgx_lint::dataflow::receiver_aliases(toks, span).len() as u64;
-    }
-    let secs = t0.elapsed().as_secs_f64().max(1e-9);
-    facts as f64 / secs
 }
 
 /// PHT join smoke: events/sec at a small, fixed scale (fresh machine and
@@ -188,15 +157,6 @@ fn main() {
         );
         rows.push(BenchRow { name: name.into(), value: s.median, range: s.range(), unit: unit.into() });
     };
-
-    push("lint-workspace", sample(1, reps, lint_workspace_ms), "ms");
-
-    let sources: Vec<String> = sgx_lint::collect_rust_files(&PathBuf::from("crates"))
-        .into_iter()
-        .filter_map(|p| std::fs::read_to_string(p).ok())
-        .collect();
-    let lexed: Vec<_> = sources.iter().map(|s| sgx_lint::tokenizer::tokenize(s)).collect();
-    push("dataflow-pass", sample(1, reps, || dataflow_rate(&lexed)), "events/sec");
 
     push("join-smoke", sample(1, reps, join_smoke), "events/sec");
     push("scan-smoke", sample(1, reps, scan_smoke), "events/sec");

@@ -5,7 +5,6 @@
 
 use crate::report::Figure;
 use sgx_sim::profile::CostCategory;
-use std::fmt::Write as _;
 
 /// Canvas geometry (pixels).
 const WIDTH: f64 = 860.0;
@@ -66,14 +65,14 @@ impl Figure {
         let y = |v: f64| MARGIN_TOP + plot_h * (1.0 - (v / y_max).clamp(0.0, 1.0));
 
         let mut svg = String::new();
-        let _ = write!(
-            svg,
+        put!(
+            &mut svg,
             r#"<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif">"#
         );
-        let _ = write!(svg, r#"<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>"#);
+        put!(&mut svg, r#"<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>"#);
         // Title.
-        let _ = write!(
-            svg,
+        put!(
+            &mut svg,
             r#"<text x="{}" y="22" font-size="15" font-weight="bold">{} — {}</text>"#,
             MARGIN_LEFT,
             esc(&self.id),
@@ -84,23 +83,23 @@ impl Figure {
         for tick in 0..=5 {
             let v = y_max * tick as f64 / 5.0;
             let yy = y(v);
-            let _ = write!(
-                svg,
+            put!(
+                &mut svg,
                 r##"<line x1="{}" y1="{yy}" x2="{}" y2="{yy}" stroke="#ddd"/>"##,
                 MARGIN_LEFT,
                 WIDTH - MARGIN_RIGHT
             );
             let label = if y_max >= 100.0 { format!("{v:.0}") } else { format!("{v:.2}") };
-            let _ = write!(
-                svg,
+            put!(
+                &mut svg,
                 r#"<text x="{}" y="{}" font-size="11" text-anchor="end">{label}</text>"#,
                 MARGIN_LEFT - 6.0,
                 yy + 4.0
             );
         }
         // Unit label on the y axis.
-        let _ = write!(
-            svg,
+        put!(
+            &mut svg,
             r#"<text x="14" y="{}" font-size="12" transform="rotate(-90 14 {})" text-anchor="middle">{}</text>"#,
             MARGIN_TOP + plot_h / 2.0,
             MARGIN_TOP + plot_h / 2.0,
@@ -125,8 +124,8 @@ impl Figure {
                     + bar_w * si as f64;
                 let y0 = y(st.mean);
                 let h = (MARGIN_TOP + plot_h - y0).max(0.5);
-                let _ = write!(
-                    svg,
+                put!(
+                    &mut svg,
                     r#"<rect x="{x0:.1}" y="{y0:.1}" width="{:.1}" height="{h:.1}" fill="{color}"><title>{}: {:.3}</title></rect>"#,
                     bar_w.max(1.0) - 1.0,
                     esc(&series.label),
@@ -135,8 +134,8 @@ impl Figure {
                 if st.stddev > 0.0 && st.stddev.is_finite() {
                     let xc = x0 + bar_w / 2.0;
                     let (ylo, yhi) = (y(st.mean - st.stddev), y(st.mean + st.stddev));
-                    let _ = write!(
-                        svg,
+                    put!(
+                        &mut svg,
                         r#"<line x1="{xc:.1}" y1="{ylo:.1}" x2="{xc:.1}" y2="{yhi:.1}" stroke="black" stroke-width="1"/>"#
                     );
                 }
@@ -149,14 +148,14 @@ impl Figure {
             let yy = MARGIN_TOP + plot_h + 14.0;
             let rotate = label.len() > 8;
             if rotate {
-                let _ = write!(
-                    svg,
+                put!(
+                    &mut svg,
                     r#"<text x="{xc:.1}" y="{yy:.1}" font-size="11" text-anchor="end" transform="rotate(-30 {xc:.1} {yy:.1})">{}</text>"#,
                     esc(label)
                 );
             } else {
-                let _ = write!(
-                    svg,
+                put!(
+                    &mut svg,
                     r#"<text x="{xc:.1}" y="{yy:.1}" font-size="11" text-anchor="middle">{}</text>"#,
                     esc(label)
                 );
@@ -168,9 +167,9 @@ impl Figure {
         let ly = HEIGHT - 14.0;
         for (si, series) in self.series.iter().enumerate() {
             let color = PALETTE[si % PALETTE.len()];
-            let _ = write!(svg, r#"<rect x="{lx:.1}" y="{:.1}" width="11" height="11" fill="{color}"/>"#, ly - 10.0);
-            let _ = write!(
-                svg,
+            put!(&mut svg, r#"<rect x="{lx:.1}" y="{:.1}" width="11" height="11" fill="{color}"/>"#, ly - 10.0);
+            put!(
+                &mut svg,
                 r#"<text x="{:.1}" y="{ly:.1}" font-size="11">{}</text>"#,
                 lx + 15.0,
                 esc(&series.label)
@@ -201,13 +200,13 @@ pub fn profile_svg(job_id: &str, rows: &[(String, [f64; 9])]) -> String {
     let y = |v: f64| MARGIN_TOP + plot_h * (1.0 - (v / y_max).clamp(0.0, 1.0));
 
     let mut svg = String::new();
-    let _ = write!(
-        svg,
+    put!(
+        &mut svg,
         r#"<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif">"#
     );
-    let _ = write!(svg, r#"<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>"#);
-    let _ = write!(
-        svg,
+    put!(&mut svg, r#"<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>"#);
+    put!(
+        &mut svg,
         r#"<text x="{}" y="22" font-size="15" font-weight="bold">{} — cycle attribution by phase</text>"#,
         MARGIN_LEFT,
         esc(job_id)
@@ -217,21 +216,21 @@ pub fn profile_svg(job_id: &str, rows: &[(String, [f64; 9])]) -> String {
     for tick in 0..=5 {
         let v = y_max * tick as f64 / 5.0;
         let yy = y(v);
-        let _ = write!(
-            svg,
+        put!(
+            &mut svg,
             r##"<line x1="{}" y1="{yy}" x2="{}" y2="{yy}" stroke="#ddd"/>"##,
             MARGIN_LEFT,
             WIDTH - MARGIN_RIGHT
         );
-        let _ = write!(
-            svg,
+        put!(
+            &mut svg,
             r#"<text x="{}" y="{}" font-size="11" text-anchor="end">{v:.0}</text>"#,
             MARGIN_LEFT - 6.0,
             yy + 4.0
         );
     }
-    let _ = write!(
-        svg,
+    put!(
+        &mut svg,
         r#"<text x="14" y="{}" font-size="12" transform="rotate(-90 14 {})" text-anchor="middle">cycles</text>"#,
         MARGIN_TOP + plot_h / 2.0,
         MARGIN_TOP + plot_h / 2.0
@@ -251,8 +250,8 @@ pub fn profile_svg(job_id: &str, rows: &[(String, [f64; 9])]) -> String {
             let y1 = y(acc);
             let y0 = y(acc + v);
             acc += v;
-            let _ = write!(
-                svg,
+            put!(
+                &mut svg,
                 r#"<rect x="{x0:.1}" y="{y0:.1}" width="{:.1}" height="{:.1}" fill="{}"><title>{path} / {}: {v:.1}</title></rect>"#,
                 bar_w.max(1.0),
                 (y1 - y0).max(0.5),
@@ -264,14 +263,14 @@ pub fn profile_svg(job_id: &str, rows: &[(String, [f64; 9])]) -> String {
         let xc = MARGIN_LEFT + group_w * (xi as f64 + 0.5);
         let yy = MARGIN_TOP + plot_h + 14.0;
         if path.len() > 8 {
-            let _ = write!(
-                svg,
+            put!(
+                &mut svg,
                 r#"<text x="{xc:.1}" y="{yy:.1}" font-size="11" text-anchor="end" transform="rotate(-30 {xc:.1} {yy:.1})">{}</text>"#,
                 esc(path)
             );
         } else {
-            let _ = write!(
-                svg,
+            put!(
+                &mut svg,
                 r#"<text x="{xc:.1}" y="{yy:.1}" font-size="11" text-anchor="middle">{}</text>"#,
                 esc(path)
             );
@@ -282,14 +281,14 @@ pub fn profile_svg(job_id: &str, rows: &[(String, [f64; 9])]) -> String {
     let mut lx = MARGIN_LEFT;
     let ly = HEIGHT - 14.0;
     for cat in CostCategory::ALL {
-        let _ = write!(
-            svg,
+        put!(
+            &mut svg,
             r#"<rect x="{lx:.1}" y="{:.1}" width="11" height="11" fill="{}"/>"#,
             ly - 10.0,
             PROFILE_PALETTE[cat.index()]
         );
-        let _ = write!(
-            svg,
+        put!(
+            &mut svg,
             r#"<text x="{:.1}" y="{ly:.1}" font-size="11">{}</text>"#,
             lx + 15.0,
             cat.label()

@@ -128,6 +128,10 @@ pub fn ablation_swwcb(p: &BenchProfile) -> Figure {
         let mut dst: SimVec<Row> = m.alloc(n);
         // Exact per-partition cursors (uncharged metadata).
         let mut counts = vec![0usize; fanout];
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "untimed setup: exact per-partition cursors, counted before the measured phase"
+        )]
         for row in src.as_slice_untracked() {
             counts[(row.key & mask) as usize] += 1;
         }

@@ -7,8 +7,6 @@
 //! there is no HashMap anywhere — byte-identical input produces
 //! byte-identical output, which the determinism regression test relies on.
 
-use std::fmt::Write as _;
-
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
@@ -147,10 +145,10 @@ fn write_number(out: &mut String, n: f64) {
         if n == 0.0 && n.is_sign_negative() {
             out.push_str("-0.0");
         } else {
-            let _ = write!(out, "{}.0", n.trunc() as i64);
+            put!(out, "{}.0", n.trunc() as i64);
         }
     } else {
-        let _ = write!(out, "{n}");
+        put!(out, "{n}");
     }
 }
 
@@ -164,7 +162,7 @@ fn write_escaped(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+                put!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }

@@ -37,9 +37,26 @@
     clippy::expect_used,
     clippy::panic,
     clippy::todo,
-    clippy::unimplemented
+    clippy::unimplemented,
+    clippy::let_underscore_must_use,
+    clippy::unused_result_ok
 )]
 #![warn(missing_docs)]
+
+/// `write!` into a `&mut String` through [`put`], for the text writers
+/// (`chart`, `json`, `report`).
+macro_rules! put {
+    ($out:expr, $($fmt:tt)+) => {
+        $crate::put($out, format_args!($($fmt)+))
+    };
+}
+
+/// Append formatted text to `out`. The one place the text writers drop a
+/// `fmt::Result`, because `fmt::Write` for `String` cannot fail.
+pub(crate) fn put(out: &mut String, args: std::fmt::Arguments<'_>) {
+    #[expect(clippy::let_underscore_must_use, reason = "fmt::Write for String cannot fail")]
+    let _ = std::fmt::Write::write_fmt(out, args);
+}
 
 pub mod chart;
 pub mod experiments;

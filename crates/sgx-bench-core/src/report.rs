@@ -5,10 +5,13 @@
 //! render as aligned text tables on stdout and serialize to JSON for
 //! downstream tooling (EXPERIMENTS.md is assembled from these).
 
+// Reported counters are exact u64 totals: a narrowing cast would wrap
+// one.
+#![deny(clippy::cast_possible_truncation)]
+
 use crate::json::Value;
 use sgx_sim::profile::{CategoryCycles, Profile};
 use sgx_sim::Counters;
-use std::fmt::Write as _;
 
 /// One measured point: mean and standard deviation over repetitions.
 #[derive(Debug, Clone, Copy)]
@@ -96,7 +99,7 @@ impl Figure {
     /// Render as an aligned text table.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(out, "== {} — {} [{}]", self.id, self.title, self.unit);
+        put!(&mut out, "== {} — {} [{}]\n", self.id, self.title, self.unit);
         let xw = self
             .xs
             .iter()
@@ -107,32 +110,32 @@ impl Figure {
             .max(4);
         let cols: Vec<usize> =
             self.series.iter().map(|s| s.label.len().max(12)).collect();
-        let _ = write!(out, "{:<xw$}", self.x_label);
+        put!(&mut out, "{:<xw$}", self.x_label);
         for (s, w) in self.series.iter().zip(&cols) {
-            let _ = write!(out, "  {:>w$}", s.label);
+            put!(&mut out, "  {:>w$}", s.label);
         }
-        let _ = writeln!(out);
+        out.push('\n');
         for (i, x) in self.xs.iter().enumerate() {
-            let _ = write!(out, "{x:<xw$}");
+            put!(&mut out, "{x:<xw$}");
             for (s, w) in self.series.iter().zip(&cols) {
                 match s.points[i] {
                     Some(st) if st.stddev > 0.0 => {
                         let cell = format!("{:.3}±{:.3}", st.mean, st.stddev);
-                        let _ = write!(out, "  {cell:>w$}");
+                        put!(&mut out, "  {cell:>w$}");
                     }
                     Some(st) => {
                         let cell = format!("{:.3}", st.mean);
-                        let _ = write!(out, "  {cell:>w$}");
+                        put!(&mut out, "  {cell:>w$}");
                     }
                     None => {
-                        let _ = write!(out, "  {:>w$}", "-");
+                        put!(&mut out, "  {:>w$}", "-");
                     }
                 }
             }
-            let _ = writeln!(out);
+            out.push('\n');
         }
         for n in &self.notes {
-            let _ = writeln!(out, "   note: {n}");
+            put!(&mut out, "   note: {n}\n");
         }
         out
     }

@@ -14,7 +14,9 @@
     clippy::expect_used,
     clippy::panic,
     clippy::todo,
-    clippy::unimplemented
+    clippy::unimplemented,
+    clippy::let_underscore_must_use,
+    clippy::unused_result_ok
 )]
 #![warn(missing_docs)]
 
@@ -178,9 +180,12 @@ impl BPlusTree {
     }
 
     /// Uncharged verification lookup (reference behaviour for tests).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "uncharged verification lookup, never inside a timed region"
+    )]
     pub fn get_uncharged(&self, key: u32) -> Option<u32> {
         self.leaves
-            // sgx-lint: allow(untracked-access) uncharged verification lookup, never inside a timed region
             .as_slice_untracked()
             .iter()
             .take(self.n_rows)

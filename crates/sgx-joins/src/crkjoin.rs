@@ -199,6 +199,10 @@ fn crack_dfs(
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests check results against the uncharged backing storage"
+)]
 mod tests {
     use super::*;
     use crate::data::{gen_fk_relation, gen_pk_relation, reference_join};

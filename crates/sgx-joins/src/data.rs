@@ -113,15 +113,17 @@ pub const fn rows_for_mb(mb: usize) -> usize {
 /// Returns `(matches, checksum)` where the checksum is the sum of
 /// `r.payload + s.payload` over all matching pairs — the same quantities
 /// every join implementation reports.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "uncharged reference oracle, runs outside the timed region"
+)]
 pub fn reference_join(r: &SimVec<Row>, s: &SimVec<Row>) -> (u64, u64) {
     let mut table: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-    // sgx-lint: allow(untracked-access) uncharged reference oracle, runs outside the timed region
     for row in r.as_slice_untracked() {
         table.entry(row.key).or_default().push(row.payload);
     }
     let mut matches = 0u64;
     let mut checksum = 0u64;
-    // sgx-lint: allow(untracked-access) uncharged reference oracle, runs outside the timed region
     for row in s.as_slice_untracked() {
         if let Some(payloads) = table.get(&row.key) {
             matches += payloads.len() as u64;
@@ -134,6 +136,10 @@ pub fn reference_join(r: &SimVec<Row>, s: &SimVec<Row>) -> (u64, u64) {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests check results against the uncharged backing storage"
+)]
 mod tests {
     use super::*;
     use sgx_sim::config::scaled_profile;

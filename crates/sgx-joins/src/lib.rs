@@ -26,7 +26,9 @@
     clippy::expect_used,
     clippy::panic,
     clippy::todo,
-    clippy::unimplemented
+    clippy::unimplemented,
+    clippy::let_underscore_must_use,
+    clippy::unused_result_ok
 )]
 #![warn(missing_docs)]
 

@@ -175,6 +175,10 @@ pub fn mway_join(
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests check results against the uncharged backing storage"
+)]
 mod tests {
     use super::*;
     use crate::data::{gen_fk_relation, gen_pk_relation, reference_join};

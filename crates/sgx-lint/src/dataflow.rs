@@ -17,7 +17,7 @@
 //! * [`receiver_aliases`] + [`resolve_receiver`] — `let c = &mut
 //!   self.counters;` style reborrows, so a write through `c` still
 //!   resolves to the `counters` chain. Bounded, per-function, def-use
-//!   only: exactly the laundering the alias variants generate.
+//!   only.
 //!
 //! Everything here is deliberately *syntactic* and bounded (fixed
 //! iteration caps, no recursion), matching the crate's "fast, offline,

@@ -19,7 +19,7 @@ pub struct FileCtx {
     pub path: PathBuf,
     /// Display label for findings.
     pub label: String,
-    /// Rule-scope class from [`crate::classify`].
+    /// Rule-scope class, as passed in.
     pub class: FileClass,
     /// Token stream + comments.
     pub lexed: Lexed,
@@ -50,8 +50,8 @@ pub struct Workspace {
 
 impl Workspace {
     /// Build the workspace from `(path, class, source)` triples. Malformed
-    /// allow-markers are NOT reported here (the token pass owns that); the
-    /// scratch findings are discarded.
+    /// allow-markers are NOT reported here (the per-file pass owns that);
+    /// the scratch findings are discarded.
     pub fn build(entries: Vec<(PathBuf, FileClass, String)>) -> Workspace {
         let mut files = Vec::with_capacity(entries.len());
         for (path, class, src) in entries {
@@ -84,7 +84,7 @@ impl Workspace {
     }
 
     /// Does an allow-marker in `file` suppress a `rule` finding on `line`?
-    /// Same policy as the token pass: marker line and the line below.
+    /// The marker line and the line below.
     pub fn allowed(&self, file: usize, line: u32, rule: &str) -> bool {
         self.files[file]
             .allows
@@ -156,11 +156,11 @@ mod tests {
         let w = ws(&[(
             "crates/a/src/lib.rs",
             FileClass::Lib,
-            "// sgx-lint: allow(untracked-access) uncharged oracle\nfn f() {}\n",
+            "// sgx-lint: allow(untracked-slice-taint) uncharged oracle\nfn f() {}\n",
         )]);
-        assert!(w.allowed(0, 1, "untracked-access"));
-        assert!(w.allowed(0, 2, "untracked-access"));
-        assert!(!w.allowed(0, 3, "untracked-access"));
-        assert!(!w.allowed(0, 1, "swallowed-error"));
+        assert!(w.allowed(0, 1, "untracked-slice-taint"));
+        assert!(w.allowed(0, 2, "untracked-slice-taint"));
+        assert!(!w.allowed(0, 3, "untracked-slice-taint"));
+        assert!(!w.allowed(0, 1, "charge-escape"));
     }
 }

@@ -53,8 +53,7 @@ pub struct FnItem {
     pub name: String,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
-    /// Token index of the `fn` keyword (the name is the next token). The
-    /// variant generator uses this to slice signatures out of the source.
+    /// Token index of the `fn` keyword (the name is the next token).
     pub kw_tok: usize,
     /// Parameter names in order; a `self` receiver is recorded as `"self"`.
     pub params: Vec<String>,

@@ -1,12 +1,12 @@
 //! Semantic rules on the workspace call graph ([`crate::graph`]).
 //!
-//! Four rules, each answering a question the per-file token pass cannot:
+//! Four rules, each answering a question a per-file token scan cannot:
 //!
 //! * **untracked-slice-taint** — does a slice born from
 //!   `as_slice_untracked` *flow into another function* that indexes or
-//!   iterates it? The token rule sees the escape hatch itself; this rule
-//!   follows the value across the call edge, so a helper loop over
-//!   untracked bytes cannot hide behind a clean-looking call site.
+//!   iterates it? This rule follows the value across the call edge, so a
+//!   helper loop over untracked bytes cannot hide behind a clean-looking
+//!   call site.
 //! * **fault-tick-coverage** — does every cycle-charging function in the
 //!   fault-tick *module set* (files defining `fn fault_tick` plus files
 //!   opting in via `// sgx-lint: fault-tick-module`) reach `fault_tick`,
@@ -24,9 +24,8 @@
 //!   attribution without failing a single test — exactly the silent
 //!   failure mode the hot-path optimization program must not introduce.
 //!
-//! All findings honor the same `// sgx-lint: allow(<rule>) <reason>`
-//! markers as the token rules (applied by the caller via
-//! [`Workspace::allowed`]).
+//! All findings honor `// sgx-lint: allow(<rule>) <reason>` markers
+//! (applied by the caller via [`Workspace::allowed`]).
 
 use crate::dataflow;
 use crate::engine::{FileClass, Finding};
@@ -43,19 +42,14 @@ fn p(t: &Tok, c: u8) -> bool {
     t.kind == TokKind::Punct(c)
 }
 
-/// Tunables for the semantic pass. [`Config::default`] is what every
-/// workspace lint uses; the robustness harness's `--weaken` knobs dial
-/// individual defenses back to their pre-hardening behavior so the CI
-/// gate can prove the RD score actually depends on them.
+/// Tunables for the taint rule. [`Config::default`] is the full rule;
+/// the unit tests dial single defenses back to show each one matters.
 #[derive(Clone, Debug)]
 pub struct Config {
     /// Maximum call edges the taint rule follows from the tainted call
     /// site. `1` restores the original direct-callee-only behavior that
-    /// wrapper indirection defeats. Wrapping *every* function of a chain
-    /// in `d` forwarding layers multiplies each edge by `d + 1`, so the
-    /// deepest corpus chain (3 edges) at wrap depth 2 needs 9; the
-    /// default keeps one edge of headroom. The visited set bounds the
-    /// walk regardless.
+    /// wrapper indirection defeats. The visited set bounds the walk
+    /// regardless.
     pub taint_call_depth: usize,
     /// Follow `let a = b;` / `let a = &b;` aliases when computing tainted
     /// locals and consumed parameters. `false` restores the original
@@ -290,8 +284,7 @@ fn param_consumed(
 }
 
 /// Rule: untracked-slice-taint. Call sites live in operator-crate library
-/// code (the same scope as the token-level untracked-access rule); the
-/// consuming callee may live anywhere.
+/// code; the consuming callee may live anywhere.
 fn untracked_slice_taint(ws: &Workspace, cfg: &Config, out: &mut Vec<(usize, Finding)>) {
     for (fi, f) in ws.files.iter().enumerate() {
         if f.class != FileClass::OperatorLib {

@@ -33,10 +33,6 @@ pub struct Tok {
     pub kind: TokKind,
     /// Identifier text (empty for non-identifiers).
     pub text: String,
-    /// Byte offset of the token's first byte in the source. The variant
-    /// generator ([`crate::variants`]) uses this for source surgery; the
-    /// rules themselves never look at it.
-    pub pos: usize,
 }
 
 /// A comment (line or block), carrying allow-markers.
@@ -118,7 +114,7 @@ pub fn tokenize(src: &str) -> Lexed {
                 // the literal opens, not where it closes.
                 let from = line;
                 let j = skip_string(b, i, false, &mut line);
-                out.tokens.push(Tok { line: from, kind: TokKind::Str, text: String::new(), pos: i });
+                out.tokens.push(Tok { line: from, kind: TokKind::Str, text: String::new() });
                 i = j;
             }
             b'\'' => {
@@ -133,7 +129,7 @@ pub fn tokenize(src: &str) -> Lexed {
                     while j < b.len() && (b[j] == b'_' || b[j].is_ascii_alphanumeric()) {
                         j += 1;
                     }
-                    out.tokens.push(Tok { line, kind: TokKind::Lifetime, text: String::new(), pos: i });
+                    out.tokens.push(Tok { line, kind: TokKind::Lifetime, text: String::new() });
                     i = j;
                 } else {
                     let mut j = i + 1;
@@ -148,7 +144,7 @@ pub fn tokenize(src: &str) -> Lexed {
                             _ => j += 1,
                         }
                     }
-                    out.tokens.push(Tok { line, kind: TokKind::Char, text: String::new(), pos: i });
+                    out.tokens.push(Tok { line, kind: TokKind::Char, text: String::new() });
                     i = j;
                 }
             }
@@ -175,10 +171,10 @@ pub fn tokenize(src: &str) -> Lexed {
                 if is_str_prefix {
                     let from = line;
                     let k = skip_string(b, j, raw_prefix, &mut line);
-                    out.tokens.push(Tok { line: from, kind: TokKind::Str, text: String::new(), pos: start });
+                    out.tokens.push(Tok { line: from, kind: TokKind::Str, text: String::new() });
                     i = k;
                 } else {
-                    out.tokens.push(Tok { line, kind: TokKind::Ident, text, pos: start });
+                    out.tokens.push(Tok { line, kind: TokKind::Ident, text });
                     i = j;
                 }
             }
@@ -207,11 +203,11 @@ pub fn tokenize(src: &str) -> Lexed {
                         j += 1;
                     }
                 }
-                out.tokens.push(Tok { line, kind: TokKind::Num, text: String::new(), pos: i });
+                out.tokens.push(Tok { line, kind: TokKind::Num, text: String::new() });
                 i = j;
             }
             c => {
-                out.tokens.push(Tok { line, kind: TokKind::Punct(c), text: String::new(), pos: i });
+                out.tokens.push(Tok { line, kind: TokKind::Punct(c), text: String::new() });
                 i += 1;
             }
         }

@@ -137,12 +137,12 @@ pub fn histogram_bench(
     machine.run(|c| {
         histogram_kernel(c, &keys, 0..n_keys, &mut hist, mask, 0, kernel);
     });
-    HistResult {
-        cycles: machine.wall_cycles(),
-        keys: n_keys as u64,
-        // sgx-lint: allow(untracked-access) result extraction after the timed region closed
-        histogram: hist.as_slice_untracked().to_vec(),
-    }
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "result extraction after the timed region closed"
+    )]
+    let histogram = hist.as_slice_untracked().to_vec();
+    HistResult { cycles: machine.wall_cycles(), keys: n_keys as u64, histogram }
 }
 
 #[cfg(test)]

@@ -146,6 +146,10 @@ fn write_stream_vec(c: &mut Core<'_>, v: &mut SimVec<u64>, range: std::ops::Rang
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests check results against the uncharged backing storage"
+)]
 mod tests {
     use super::*;
     use sgx_sim::config::scaled_profile;

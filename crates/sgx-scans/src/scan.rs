@@ -222,8 +222,8 @@ pub fn column_scan(
 }
 
 /// Uncharged reference filter for verification.
+#[expect(clippy::disallowed_methods, reason = "uncharged reference oracle for verification")]
 pub fn reference_filter(col: &SimVec<u8>, lo: u8, hi: u8) -> Vec<u64> {
-    // sgx-lint: allow(untracked-access) uncharged reference oracle for verification
     col.as_slice_untracked()
         .iter()
         .enumerate()
@@ -243,7 +243,7 @@ pub fn reference_scan_digest(
     output: ScanOutput,
     threads: usize,
 ) -> u64 {
-    // sgx-lint: allow(untracked-access) uncharged reference oracle for verification
+    #[expect(clippy::disallowed_methods, reason = "uncharged reference oracle for verification")]
     let vals = col.as_slice_untracked();
     let hit = |i: usize| vals[i] >= lo && vals[i] <= hi;
     let add = |d: u64, (slot, v): (usize, u64)| d.wrapping_add(SimSink::slot_digest(slot, v));

@@ -6,6 +6,10 @@
 //! (queries, not cycles) and carry their own conservation laws, checked
 //! by [`ServiceCounters::reconcile`].
 
+// The conservation laws need exact u64 totals: a narrowing cast would
+// wrap one.
+#![deny(clippy::cast_possible_truncation)]
+
 /// Per-tenant (and, summed, global) service decision counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceCounters {

@@ -35,7 +35,9 @@
     clippy::expect_used,
     clippy::panic,
     clippy::todo,
-    clippy::unimplemented
+    clippy::unimplemented,
+    clippy::let_underscore_must_use,
+    clippy::unused_result_ok
 )]
 // Every event kind gets an explicit arm in the event loop: a wildcard
 // arm would silently swallow a new kind the counters never reconcile.

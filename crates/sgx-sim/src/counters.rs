@@ -9,6 +9,9 @@
 //! the per-job results with [`Counters::merge`] reproduces the whole-run
 //! totals exactly (u64 addition is associative and commutative).
 
+// The counters are exact u64 totals: a narrowing cast would wrap one.
+#![deny(clippy::cast_possible_truncation)]
+
 use std::cell::RefCell;
 
 thread_local! {

@@ -19,9 +19,9 @@
 //! * [`core`](self) — pipeline aggregation (ILP/MLP pooling, issue groups,
 //!   dependency chains), branch and compute charges, phase orchestration
 //!   and the per-core busy clocks. Owns the `core::Charge` choke point:
-//!   every layer commits cycles through `Core::commit`, which is the only
-//!   place (besides the fault engine's own exempt path) that advances the
-//!   busy clock and ticks the fault engine.
+//!   every layer commits cycles through `Core::commit`, which advances the
+//!   busy clock and ticks the fault engine. The fault tick and AEX
+//!   delivery live there too.
 //! * `access` — the load/store/stream entry points: random-pattern
 //!   accesses, non-temporal stores, stream touches, and the charged
 //!   `SimVec`/`StreamReader`/`StreamWriter` APIs.
@@ -30,12 +30,14 @@
 //! * `epc` — the enclave memory boundary: EPC allocation limits, EDMM
 //!   commits, SGXv1 paging, and MEE bus inflation.
 //! * `numa` — UPI interconnect accounting and its bandwidth cap.
-//! * `transitions` — ECALL/OCALL round trips, enclave boundary
-//!   crossings, and AEX delivery (the fault tick itself).
+//! * `transitions` — ECALL/OCALL round trips and enclave boundary
+//!   crossings.
 //!
-//! Layer files carry the `sgx-lint: fault-tick-module` pragma, so the
-//! workspace lint proves every cycle-charging function in the set reaches
-//! `fault_tick` — directly or through `commit`.
+//! The cycle stores (`Core::cycles`, `Machine::wall`,
+//! `Machine::core_clock`) are types whose fields are private to `core`.
+//! The other layers read them through accessors and cannot add to them,
+//! so every cycle a layer charges has to go through `commit` and the
+//! fault tick.
 //!
 //! The `commit` choke point is also where the opt-in cycle-attribution
 //! profiler ([`crate::profile`]) observes the machine: every charge
@@ -176,7 +178,7 @@ pub struct Machine {
     cores: Vec<CoreHw>,
     l3: Vec<Cache>,
     counters: Counters,
-    wall: f64,
+    wall: self::core::Wall,
     sealed: bool,
     seal_watermark: Vec<u64>,
     committed_pages: BTreeSet<u64>,
@@ -184,7 +186,7 @@ pub struct Machine {
     faults: Option<FaultEngine>,
     /// Cumulative busy cycles per hardware core across finished phases —
     /// the per-core local clock the fault engine schedules against.
-    core_clock: Vec<f64>,
+    core_clock: self::core::CoreClocks,
     /// Cycle-attribution context, installed at construction when
     /// `profile::enabled()` is set on this thread; `None` (one branch per
     /// commit) otherwise.
@@ -201,7 +203,7 @@ pub struct Core<'m> {
     m: &'m mut Machine,
     id: usize,
     socket: usize,
-    cycles: f64,
+    cycles: self::core::Busy,
     dram_bytes: Vec<f64>,
     upi_bytes: f64,
     group: Option<GroupAcc>,

@@ -2,9 +2,6 @@
 //! accesses, non-temporal stores, stream touches, and the charged
 //! `SimVec`/[`StreamReader`]/[`StreamWriter`]/[`SinkWriter`] APIs (kept
 //! here so the cost model stays private).
-//
-// sgx-lint: fault-tick-module
-// sgx-lint: charge-module
 
 use crate::cache::line_of;
 use crate::config::CACHE_LINE;
@@ -278,6 +275,10 @@ impl<T: Copy> SimVec<T> {
             return;
         }
         let per_line = (CACHE_LINE / Self::elem_size()).max(1);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "each line is charged through stream_touch before the closure sees its elements"
+        )]
         let data = self.as_slice_untracked();
         let mut i = range.start;
         while i < range.end {
@@ -313,6 +314,10 @@ impl<T: Copy> SimVec<T> {
             let hi = line_end.min(range.end);
             core.stream_touch(self.addr(i), 1, (hi - i) as u64, false, true);
             core.poison_context();
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the vector's line was charged through stream_touch just above"
+            )]
             f(core, i, &self.as_slice_untracked()[i..hi]);
             i = hi;
         }

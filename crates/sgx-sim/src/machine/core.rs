@@ -1,9 +1,16 @@
 //! Pipeline layer: compute/branch charges, ILP/MLP pooling, issue groups,
 //! dependency chains, phase orchestration and the per-core busy clocks —
-//! plus the [`Charge`] choke point every other layer commits through.
-//
-// sgx-lint: fault-tick-module
-// sgx-lint: charge-module
+//! plus the [`Charge`] choke point every other layer commits through, and
+//! the fault tick it runs.
+//!
+//! The three cycle stores — [`Busy`], [`Wall`] and [`CoreClocks`] — keep
+//! their fields private to this module. Outside it a clock can only be
+//! read, or advanced through the named mutators below, so the compiler
+//! rejects a charge that bypasses `commit` and the fault tick.
+
+// The counters this layer bumps are exact u64 totals: a narrowing cast
+// would wrap one.
+#![deny(clippy::cast_possible_truncation)]
 
 use crate::cache::{Cache, StreamDetector};
 use crate::config::{HwConfig, SgxGeneration};
@@ -19,11 +26,45 @@ use super::{
     AccessCost, Core, CoreHw, GroupAcc, Machine, PhaseStats, BRANCH_MISS_CYCLES, CTX_POISON,
 };
 
+/// A worker's busy cycles in the current phase. Only [`Core::commit`] and
+/// AEX delivery (`fault_tick_slow`) add to it, and both run the fault
+/// tick, so every busy cycle is one the fault engine has seen.
+pub(super) struct Busy(f64);
+
+/// The machine's wall clock. It advances only at a phase barrier (by the
+/// regulated phase time, after every worker's cycles went through
+/// `commit`) and by a machine-level ECALL/OCALL, which runs outside any
+/// core phase.
+pub(super) struct Wall(f64);
+
+impl Wall {
+    /// Advance by an ECALL/OCALL round trip charged to the wall clock.
+    pub(super) fn transition(&mut self, cost: f64) {
+        self.0 += cost;
+    }
+
+    /// Advance by a finished phase's regulated duration.
+    fn phase_barrier(&mut self, bound: f64) {
+        self.0 += bound;
+    }
+}
+
+/// Cumulative busy cycles per hardware core across finished phases — the
+/// per-core local clock the fault engine schedules against.
+pub(super) struct CoreClocks(Vec<f64>);
+
+impl CoreClocks {
+    /// Fold a finished worker's busy cycles into its core's clock. A
+    /// [`Busy`] can only be built and grown here, so only committed cycles
+    /// reach the clocks.
+    fn merge_worker(&mut self, id: usize, busy: Busy) {
+        self.0[id] += busy.0;
+    }
+}
+
 /// One quantum of charged work, built by a layer and committed through
 /// [`Core::commit`] — the single place that advances a worker's busy
-/// clock and gives the fault engine its tick. Keeping the clock advance
-/// and the tick fused in one choke point is what lets the workspace lint
-/// prove fault coverage over the whole layered pipeline.
+/// clock for charged work and gives the fault engine its tick.
 pub(super) struct Charge {
     /// Cycles to add to the worker's busy clock.
     pub cycles: f64,
@@ -78,13 +119,13 @@ impl Machine {
             cores,
             l3,
             counters: Counters::default(),
-            wall: 0.0,
+            wall: Wall(0.0),
             sealed: false,
             seal_watermark: vec![0; n_regions],
             committed_pages: BTreeSet::new(),
             pager,
             faults: None,
-            core_clock: vec![0.0; cfg.total_cores()],
+            core_clock: CoreClocks(vec![0.0; cfg.total_cores()]),
             prof: crate::profile::enabled().then(|| Box::new(ProfCtx::new())),
             stream_oracle: false,
             cfg,
@@ -155,17 +196,17 @@ impl Machine {
 
     /// Accumulated wall-clock cycles over all phases so far.
     pub fn wall_cycles(&self) -> f64 {
-        self.wall
+        self.wall.0
     }
 
     /// Wall time in seconds at the configured clock frequency.
     pub fn wall_secs(&self) -> f64 {
-        self.cfg.cycles_to_secs(self.wall)
+        self.cfg.cycles_to_secs(self.wall.0)
     }
 
     /// Reset the wall clock (e.g. after untimed setup).
     pub fn reset_wall(&mut self) {
-        self.wall = 0.0;
+        self.wall.0 = 0.0;
     }
 
     /// Event counters.
@@ -222,7 +263,7 @@ impl Machine {
             let mut core = Core::new(self, id);
             core.windex = w;
             f(&mut core);
-            core_cycles.push(core.cycles);
+            core_cycles.push(core.cycles.0);
             for (total, &b) in dram_bytes.iter_mut().zip(&core.dram_bytes) {
                 *total += b;
             }
@@ -230,7 +271,7 @@ impl Machine {
             faults += core.faults;
             let busy = core.cycles;
             edmm_pages += core.edmm_pages;
-            self.core_clock[id] += busy;
+            self.core_clock.merge_worker(id, busy);
         }
         self.finish_phase(core_cycles, dram_bytes, upi_bytes, faults, edmm_pages)
     }
@@ -269,8 +310,7 @@ impl Machine {
                     let mut core = Core::new(self, cores[w]);
                     core.windex = w;
                     f(&mut core, task);
-                    // sgx-lint: allow(charge-escape) worker-merge: folding per-core cycles already committed through `Core::commit` into the shared clock array
-                    clocks[w] += core.cycles;
+                    clocks[w] += core.cycles.0;
                     for (total, &b) in dram_bytes.iter_mut().zip(&core.dram_bytes) {
                         *total += b;
                     }
@@ -278,7 +318,7 @@ impl Machine {
                     faults += core.faults;
                     let busy = core.cycles;
                     edmm_pages += core.edmm_pages;
-                    self.core_clock[cores[w]] += busy;
+                    self.core_clock.merge_worker(cores[w], busy);
                 }
             }
         }
@@ -327,8 +367,7 @@ impl Machine {
             bound = edmm_cap;
             bandwidth_bound = true;
         }
-        // sgx-lint: allow(charge-escape) phase barrier: the wall clock advances by the max over per-core totals that each flowed through `commit`
-        self.wall += bound;
+        self.wall.phase_barrier(bound);
         PhaseStats { wall_cycles: bound, core_cycles, bandwidth_bound }
     }
 }
@@ -357,7 +396,7 @@ impl<'m> Core<'m> {
             m,
             id,
             socket,
-            cycles: 0.0,
+            cycles: Busy(0.0),
             dram_bytes: vec![0.0; sockets],
             upi_bytes: 0.0,
             group: None,
@@ -372,7 +411,7 @@ impl<'m> Core<'m> {
     /// Apply a [`Charge`]: attribute its counters, advance this worker's
     /// busy clock, and give the fault engine its tick. Every layer's
     /// cycle charge funnels through here (the only other clock advance is
-    /// `fault_tick_slow`, the fault engine's own exempt path). This choke
+    /// AEX delivery in `fault_tick_slow`, which runs the tick). This choke
     /// point is also where the cycle-attribution profiler observes every
     /// charge; counter bumps and float ordering are unchanged from the
     /// unprofiled path, and a machine without a profiler pays two `None`
@@ -416,8 +455,86 @@ impl<'m> Core<'m> {
         if let Some(prof) = m.prof.as_deref_mut() {
             prof.add(cat, charge.cycles);
         }
-        self.cycles += charge.cycles;
+        self.cycles.0 += charge.cycles;
         self.fault_tick();
+    }
+
+    /// Fault-injection hook, called after every cycle-advancing charge:
+    /// delivers asynchronous interrupts that came due on this core and
+    /// inflates the EPC pressure balloon once its threshold is crossed. A
+    /// machine without faults installed pays a single branch.
+    #[inline]
+    fn fault_tick(&mut self) {
+        if self.m.faults.is_some() {
+            self.fault_tick_slow();
+        }
+    }
+
+    #[cold]
+    fn fault_tick_slow(&mut self) {
+        let base = self.m.core_clock.0[self.id];
+        // EPC pressure: once the balloon inflates, every touch beyond the
+        // shrunken residency pages through the SGXv1-style pager
+        // (`pre_touch`), and `finish_phase` serializes the fault train.
+        if self.m.mode == ExecMode::Enclave && self.m.pager.is_none() {
+            let clock = base + self.cycles.0;
+            let resident = self.m.faults.as_mut().and_then(|engine| engine.poll_balloon(clock));
+            if let Some(resident_bytes) = resident {
+                let mut paging = self.m.cfg.paging;
+                paging.resident_bytes = resident_bytes;
+                self.m.pager = Some(Pager::new(&paging));
+            }
+        }
+        // Interrupt delivery. Interrupts stay masked while one is serviced
+        // (the next event is scheduled from the post-handler clock), so a
+        // storm whose handler outlasts the mean interval cannot livelock.
+        loop {
+            let clock = base + self.cycles.0;
+            let due = self
+                .m
+                .faults
+                .as_ref()
+                .is_some_and(|engine| engine.interrupt_due(self.id, clock));
+            if !due {
+                return;
+            }
+            let cost = match self.m.mode {
+                ExecMode::Enclave => {
+                    // An AEX: scrub state, exit, kernel handler, ERESUME —
+                    // a full enclave round trip — and the core resumes with
+                    // cold L1/TLB/stream state, so the refill cost emerges
+                    // organically from the cache model.
+                    self.m.counters.aex_events += 1;
+                    self.m.counters.transitions += 2;
+                    let hw = &mut self.m.cores[self.id];
+                    hw.l1.flush();
+                    hw.streams.reset();
+                    hw.tlb.fill(u64::MAX);
+                    2.0 * self.m.cfg.transitions.transition_cycles
+                }
+                // A native interrupt is just a kernel round trip: no
+                // enclave state to scrub, no TLB flush.
+                ExecMode::Native => self.m.cfg.interrupts.native_interrupt_cycles,
+            };
+            self.cycles.0 += cost;
+            // The interrupt bypasses `commit` (it is the tick's own
+            // charge), so attribute its cycles to the profiler here.
+            {
+                let m = &mut *self.m;
+                if let Some(prof) = m.prof.as_deref_mut() {
+                    prof.record(&m.counters, CostCategory::Fault, cost);
+                }
+            }
+            if let Some(engine) = self.m.faults.as_mut() {
+                engine.interrupt_fired(self.id, clock, base + self.cycles.0);
+            }
+        }
+    }
+
+    /// This core's local clock: its finished phases plus this worker's
+    /// busy cycles so far — the time the fault engine schedules against.
+    pub(super) fn local_clock(&self) -> f64 {
+        self.m.core_clock.0[self.id] + self.cycles.0
     }
 
     /// Hardware core id this worker is pinned to.
@@ -443,7 +560,7 @@ impl<'m> Core<'m> {
 
     /// Cycles this worker has accumulated in the current phase.
     pub fn busy_cycles(&self) -> f64 {
-        self.cycles
+        self.cycles.0
     }
 
     /// Charge `n` scalar ALU operations.

@@ -1,9 +1,6 @@
 //! EPC layer: the enclave memory boundary — EPC capacity limits, EDMM
 //! first-touch commits, SGXv1 paging, MEE bus inflation, and the serial
 //! fault/EDMM train caps `finish_phase` regulates against.
-//
-// sgx-lint: fault-tick-module
-// sgx-lint: charge-module
 
 use crate::config::{CACHE_LINE, PAGE_SIZE};
 use crate::mem::{ExecMode, Region, SimSink, SimVec, VecSlot};

@@ -1,8 +1,5 @@
 //! Hierarchy layer: the L1/L2/L3 walk, TLB, installs/spills/write-backs,
 //! and the per-socket DRAM bandwidth cap.
-//
-// sgx-lint: fault-tick-module
-// sgx-lint: charge-module
 
 use crate::cache::Evicted;
 use crate::config::{CACHE_LINE, PAGE_SIZE};
@@ -367,7 +364,6 @@ impl<'m> Core<'m> {
             0.0
         } else {
             hw.tlb[slot] = page;
-            // sgx-lint: allow(charge-escape) TLB-walk bookkeeping counted at the walk itself; its cycle cost is returned to the caller and committed there
             self.m.counters.tlb_misses += 1;
             self.m.cfg.mem.tlb_walk_cycles
         }

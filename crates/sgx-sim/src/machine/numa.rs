@@ -4,9 +4,6 @@
 //! cost of the individual fill; this module owns the *traffic* side —
 //! which accesses cross the socket interconnect and what aggregate floor
 //! that traffic puts under a phase.
-//
-// sgx-lint: fault-tick-module
-// sgx-lint: charge-module
 
 use crate::config::CACHE_LINE;
 
@@ -30,7 +27,6 @@ impl<'m> Core<'m> {
     /// Account a demand fill served by the remote socket: counted, and
     /// one line of UPI traffic.
     pub(super) fn remote_fill(&mut self) {
-        // sgx-lint: allow(charge-escape) NUMA fill tally recorded at the fill; the fill latency is charged by the caller through `commit`
         self.m.counters.remote_fills += 1;
         self.upi_bytes += CACHE_LINE as f64;
     }

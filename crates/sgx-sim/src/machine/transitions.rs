@@ -1,13 +1,9 @@
-//! Transition layer: ECALL/OCALL round trips, enclave boundary
-//! crossings, and asynchronous exit (AEX) delivery — the fault tick
-//! itself lives here, at the boundary where interrupts strike.
-//
-// sgx-lint: fault-tick-module
-// sgx-lint: charge-module
+//! Transition layer: ECALL/OCALL round trips and enclave boundary
+//! crossings. Asynchronous exits (AEX) are delivered by the fault tick,
+//! which lives next to `commit` in the core layer.
 
 use crate::faults::ocall_cost;
 use crate::mem::ExecMode;
-use crate::paging::Pager;
 use crate::profile::CostCategory;
 
 use super::core::{Charge, Tally};
@@ -19,8 +15,7 @@ impl Machine {
     pub fn ecall(&mut self) {
         if self.mode == ExecMode::Enclave {
             let cost = 2.0 * self.cfg.transitions.transition_cycles;
-            // sgx-lint: allow(charge-escape) ECALL/OCALL transition cost lands on the wall clock directly: transitions happen outside any core phase, so there is no `Charge` to route
-            self.wall += cost;
+            self.wall.transition(cost);
             self.counters.transitions += 2;
             self.prof_record(CostCategory::Transition, cost);
         }
@@ -36,8 +31,9 @@ impl Machine {
         if self.mode != ExecMode::Enclave {
             return 0;
         }
+        let now = self.wall_cycles();
         let retries = match &mut self.faults {
-            Some(engine) => engine.plan_ocall(self.wall),
+            Some(engine) => engine.plan_ocall(now),
             None => 0,
         };
         let backoff = self
@@ -46,7 +42,7 @@ impl Machine {
             .and_then(|engine| engine.profile().ocall)
             .map_or(0.0, |o| o.backoff_cycles);
         let cost = ocall_cost(retries, self.cfg.transitions.transition_cycles, backoff);
-        self.wall += cost;
+        self.wall.transition(cost);
         self.counters.transitions += 2 * (1 + retries as u64);
         self.counters.ocall_retries += retries as u64;
         self.prof_record(CostCategory::Transition, cost);
@@ -63,7 +59,7 @@ impl<'m> Core<'m> {
         if self.m.mode != ExecMode::Enclave {
             return 0;
         }
-        let at = self.m.core_clock[self.id] + self.cycles;
+        let at = self.local_clock();
         let retries = match &mut self.m.faults {
             Some(engine) => engine.plan_ocall(at),
             None => 0,
@@ -91,78 +87,6 @@ impl<'m> Core<'m> {
                 cycles: self.m.cfg.transitions.transition_cycles,
                 tally: Tally::Transitions(1),
             });
-        }
-    }
-
-    /// Fault-injection hook, called after every cycle-advancing charge:
-    /// delivers asynchronous interrupts that came due on this core and
-    /// inflates the EPC pressure balloon once its threshold is crossed. A
-    /// machine without faults installed pays a single branch.
-    #[inline]
-    pub(super) fn fault_tick(&mut self) {
-        if self.m.faults.is_some() {
-            self.fault_tick_slow();
-        }
-    }
-
-    #[cold]
-    fn fault_tick_slow(&mut self) {
-        let base = self.m.core_clock[self.id];
-        // EPC pressure: once the balloon inflates, every touch beyond the
-        // shrunken residency pages through the SGXv1-style pager
-        // (`pre_touch`), and `finish_phase` serializes the fault train.
-        if self.m.mode == ExecMode::Enclave && self.m.pager.is_none() {
-            let clock = base + self.cycles;
-            let resident = self.m.faults.as_mut().and_then(|engine| engine.poll_balloon(clock));
-            if let Some(resident_bytes) = resident {
-                let mut paging = self.m.cfg.paging;
-                paging.resident_bytes = resident_bytes;
-                self.m.pager = Some(Pager::new(&paging));
-            }
-        }
-        // Interrupt delivery. Interrupts stay masked while one is serviced
-        // (the next event is scheduled from the post-handler clock), so a
-        // storm whose handler outlasts the mean interval cannot livelock.
-        loop {
-            let clock = base + self.cycles;
-            let due = self
-                .m
-                .faults
-                .as_ref()
-                .is_some_and(|engine| engine.interrupt_due(self.id, clock));
-            if !due {
-                return;
-            }
-            let cost = match self.m.mode {
-                ExecMode::Enclave => {
-                    // An AEX: scrub state, exit, kernel handler, ERESUME —
-                    // a full enclave round trip — and the core resumes with
-                    // cold L1/TLB/stream state, so the refill cost emerges
-                    // organically from the cache model.
-                    self.m.counters.aex_events += 1;
-                    self.m.counters.transitions += 2;
-                    let hw = &mut self.m.cores[self.id];
-                    hw.l1.flush();
-                    hw.streams.reset();
-                    hw.tlb.fill(u64::MAX);
-                    2.0 * self.m.cfg.transitions.transition_cycles
-                }
-                // A native interrupt is just a kernel round trip: no
-                // enclave state to scrub, no TLB flush.
-                ExecMode::Native => self.m.cfg.interrupts.native_interrupt_cycles,
-            };
-            self.cycles += cost;
-            // The interrupt bypasses `commit` (the fault engine's exempt
-            // path), so attribute its cycles to the profiler here.
-            {
-                let m = &mut *self.m;
-                if let Some(prof) = m.prof.as_deref_mut() {
-                    prof.record(&m.counters, CostCategory::Fault, cost);
-                }
-            }
-            if let Some(engine) = self.m.faults.as_mut() {
-                engine.interrupt_fired(self.id, clock, base + self.cycles);
-            }
         }
     }
 }

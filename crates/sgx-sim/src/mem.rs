@@ -227,15 +227,17 @@ impl<T: Copy> SimVec<T> {
     /// * simulator internals that already charged the access another way
     ///   (e.g. [`read_stream`](crate::Machine) batches).
     ///
-    /// In operator hot paths this is a model-integrity bug;
-    /// `sgx-lint`'s `untracked-access` rule flags every use in operator
-    /// crates unless annotated with a reasoned allow-marker.
+    /// In operator hot paths this is a model-integrity bug. `clippy.toml`
+    /// lists it under `disallowed-methods`, so every call outside this
+    /// crate needs an `#[expect(clippy::disallowed_methods, reason = …)]`
+    /// that says why the read is not timed work.
     pub fn as_slice_untracked(&self) -> &[T] {
         &self.buf
     }
 
     /// Uncharged mutable view of the backing storage (setup only) — same
-    /// contract and lint rule as [`SimVec::as_slice_untracked`].
+    /// contract and `disallowed-methods` entry as
+    /// [`SimVec::as_slice_untracked`].
     pub fn as_mut_slice_untracked(&mut self) -> &mut [T] {
         &mut self.buf
     }

@@ -17,12 +17,12 @@
 //! field-wise difference into the current phase bucket at every phase
 //! transition (and at machine drop). The deltas telescope, so the sum of
 //! the per-phase counters equals the machine's end-of-run totals
-//! *exactly* (u64 arithmetic; witnessed in `tests/integration_counters.rs`
-//! and lint-checked: every `CategoryCycles` field must be written here and
-//! read by the report layer). Cycle attribution adds each charge to
-//! exactly one `(phase, category)` bin, so the bin sum equals the
-//! arrival-order total [`Profile::charged_cycles`] up to float
-//! re-association.
+//! *exactly* (u64 arithmetic; witnessed in `tests/integration_counters.rs`).
+//! `CategoryCycles` is destructured without `..` here and in the report
+//! layer, so a new field fails to compile (E0027) until both handle it.
+//! Cycle attribution adds each charge to exactly one `(phase, category)`
+//! bin, so the bin sum equals the arrival-order total
+//! [`Profile::charged_cycles`] up to float re-association.
 //!
 //! ## Attribution boundaries
 //!
@@ -43,6 +43,9 @@
 //!
 //! When profiling is disabled (the default) a machine carries no
 //! `ProfCtx` and every commit pays a single `Option` branch.
+
+// Profile counters are exact u64 totals: a narrowing cast would wrap one.
+#![deny(clippy::cast_possible_truncation)]
 
 use crate::counters::Counters;
 use std::cell::{Cell, RefCell};

@@ -99,7 +99,7 @@ pub fn group_count(
 pub fn reference_group_count(rows: &SimVec<Row>, groups: usize) -> Vec<u64> {
     let mask = group_mask(groups);
     let mut counts = vec![0u64; groups];
-    // sgx-lint: allow(untracked-access) uncharged reference oracle for verification
+    #[expect(clippy::disallowed_methods, reason = "uncharged reference oracle for verification")]
     for r in rows.as_slice_untracked() {
         counts[(r.key & mask) as usize] += 1;
     }

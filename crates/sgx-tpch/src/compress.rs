@@ -191,19 +191,17 @@ impl RleColumn {
 }
 
 /// Uncharged reference: decoded contents of a dictionary column.
+#[expect(clippy::disallowed_methods, reason = "uncharged reference oracle for verification")]
 pub fn reference_dict_decode(col: &DictColumn) -> Vec<i32> {
-    // sgx-lint: allow(untracked-access) uncharged reference oracle for verification
     let dict = col.dict.as_slice_untracked();
-    // sgx-lint: allow(untracked-access) uncharged reference oracle for verification
     col.codes.as_slice_untracked().iter().map(|&code| dict[usize::from(code)]).collect()
 }
 
 /// Uncharged reference: decoded contents of an RLE column.
+#[expect(clippy::disallowed_methods, reason = "uncharged reference oracle for verification")]
 pub fn reference_rle_decode(col: &RleColumn) -> Vec<i32> {
     let mut out = Vec::with_capacity(col.len);
-    // sgx-lint: allow(untracked-access) uncharged reference oracle for verification
     let values = col.values.as_slice_untracked();
-    // sgx-lint: allow(untracked-access) uncharged reference oracle for verification
     for (v, l) in values.iter().zip(col.lengths.as_slice_untracked()) {
         out.extend(std::iter::repeat_n(*v, *l as usize));
     }
@@ -211,6 +209,10 @@ pub fn reference_rle_decode(col: &RleColumn) -> Vec<i32> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests check results against the uncharged backing storage"
+)]
 mod tests {
     use super::*;
     use sgx_sim::config::xeon_gold_6326;
@@ -238,7 +240,6 @@ mod tests {
         assert!(col.payload_bytes() < plain.len() * 4, "dict must shrink a 64-value column");
         assert_eq!(reference_dict_decode(&col), plain);
         let decoded = col.decompress(&mut m);
-        // sgx-lint: allow(untracked-access) uncharged reference oracle for verification
         assert_eq!(decoded.as_slice_untracked(), plain.as_slice());
         let mut sum = 0i64;
         m.run(|c| {
@@ -256,7 +257,6 @@ mod tests {
         assert!(col.run_count() < plain.len(), "clustered data must form multi-row runs");
         assert_eq!(reference_rle_decode(&col), plain);
         let decoded = col.decompress(&mut m);
-        // sgx-lint: allow(untracked-access) uncharged reference oracle for verification
         assert_eq!(decoded.as_slice_untracked(), plain.as_slice());
         let (mut sum, mut rows) = (0i64, 0u64);
         m.run(|c| {

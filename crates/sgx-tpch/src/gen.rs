@@ -233,6 +233,10 @@ pub fn generate(machine: &mut Machine, sf: f64, seed: u64) -> TpchDb {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests check results against the uncharged backing storage"
+)]
 mod tests {
     use super::*;
     use sgx_sim::config::scaled_profile;

@@ -152,6 +152,10 @@ pub fn retuple(
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests check results against the uncharged backing storage"
+)]
 mod tests {
     use super::*;
     use sgx_sim::config::scaled_profile;

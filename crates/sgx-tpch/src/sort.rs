@@ -171,13 +171,17 @@ pub(crate) fn sort_input_from_join(
 
 /// Uncharged reference sort for verification.
 pub fn reference_sort(input: &SimVec<SortRow>, len: usize) -> Vec<SortRow> {
-    // sgx-lint: allow(untracked-access) uncharged reference oracle for verification
+    #[expect(clippy::disallowed_methods, reason = "uncharged reference oracle for verification")]
     let mut v = input.as_slice_untracked()[..len.min(input.len())].to_vec();
     v.sort_unstable_by_key(|row| (row.key, row.tag));
     v
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests check results against the uncharged backing storage"
+)]
 mod tests {
     use super::*;
     use sgx_sim::config::xeon_gold_6326;
@@ -204,7 +208,6 @@ mod tests {
                 external_merge_sort(&mut m, &(0..threads).collect::<Vec<_>>(), &v, v.len());
             assert!(stats.runs > 2, "scaled machine must force an external sort, got {} runs", stats.runs);
             assert_eq!(stats.spilled_bytes, 10_000 * std::mem::size_of::<SortRow>());
-            // sgx-lint: allow(untracked-access) uncharged reference oracle for verification
             assert_eq!(sorted.as_slice_untracked(), expect.as_slice(), "threads={threads}");
         }
     }
@@ -215,7 +218,6 @@ mod tests {
         let v = rows(&mut m, 500);
         let (sorted, stats) = external_merge_sort(&mut m, &[0], &v, v.len());
         assert_eq!(stats.runs, 1);
-        // sgx-lint: allow(untracked-access) uncharged reference oracle for verification
         assert_eq!(sorted.as_slice_untracked(), reference_sort(&v, 500).as_slice());
         let empty = m.alloc::<SortRow>(0);
         let (out, stats) = external_merge_sort(&mut m, &[0], &empty, 0);
@@ -229,7 +231,6 @@ mod tests {
         let v = rows(&mut m, 1000);
         let (sorted, _) = external_merge_sort(&mut m, &[0, 1], &v, 300);
         assert_eq!(sorted.len(), 300);
-        // sgx-lint: allow(untracked-access) uncharged reference oracle for verification
         assert_eq!(sorted.as_slice_untracked(), reference_sort(&v, 300).as_slice());
     }
 

@@ -398,7 +398,7 @@ pub fn storage_path_query(
 
 /// Uncharged oracle: decode a sealed column from its bytes alone.
 pub fn reference_unseal(col: &SealedColumn) -> Vec<i32> {
-    // sgx-lint: allow(untracked-access) uncharged reference oracle for verification
+    #[expect(clippy::disallowed_methods, reason = "uncharged reference oracle for verification")]
     let cipher = col.sealed.as_slice_untracked();
     let plain: Vec<u8> = cipher.iter().enumerate().map(|(i, &b)| b ^ keystream(i)).collect();
     match col.format {
@@ -475,6 +475,10 @@ pub fn setting_label(setting: Setting) -> &'static str {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "tests check results against the uncharged backing storage"
+)]
 mod tests {
     use super::*;
     use crate::compress::{reference_dict_decode, reference_rle_decode};
@@ -493,7 +497,6 @@ mod tests {
             let (unsealed, cycles) = unseal(&mut m, &[0, 1, 2], &sealed);
             assert!(cycles > 0.0);
             let decoded = match &unsealed {
-                // sgx-lint: allow(untracked-access) uncharged reference oracle for verification
                 UnsealedColumn::Plain(v) => v.as_slice_untracked().to_vec(),
                 UnsealedColumn::Dict(d) => reference_dict_decode(d),
                 UnsealedColumn::Rle(r) => reference_rle_decode(r),

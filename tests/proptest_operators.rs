@@ -4,6 +4,10 @@
 //! (`sort_unstable`, direct decode, filter-and-count loops) on arbitrary
 //! inputs. Every case builds its own deterministic `Machine`; the
 //! vendored proptest is seeded, so failures replay bit-identically.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the properties compare operator outputs against their uncharged backing storage"
+)]
 
 use proptest::collection::vec;
 use proptest::prelude::*;
