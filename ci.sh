@@ -1,10 +1,20 @@
 #!/usr/bin/env sh
-# Full local CI: build, rustdoc, workspace clippy, a negative check that
-# the toolchain and the provenance unit test reject one injected violation
-# of each model-integrity invariant, tests, and an end-to-end smoke of the
-# resilient all_figures harness — including a negative check that an
-# injected figure failure is isolated, recorded in the manifest, and
-# turned into a nonzero exit.
+# Full local CI, in this order:
+# - release build, rustdoc and workspace clippy, warnings as errors;
+# - a negative check that the toolchain and the provenance unit test
+#   reject one injected violation of each model-integrity invariant;
+# - `cargo test`. Its tests/integration_equivalence.rs is the determinism
+#   gate: three golden-profile registry runs (profiled on one and on four
+#   workers, unprofiled on one) each match every digest in tests/goldens/;
+# - one whole-registry all_figures smoke at 1/256 with --profile: every
+#   job ok, every figure's JSON and SVG, one profile per job;
+# - the machine.rs facade size gate;
+# - a failure run: an injected job failure stays isolated, is recorded in
+#   the manifest and exits nonzero, and nothing is profiled without
+#   --profile;
+# - perfbench's self-test and its unit tests;
+# - service_bench's overload check: admission control sheds load with the
+#   same report on two runs, and a service without admission fails it.
 #
 # Usage: ./ci.sh
 set -eu
@@ -163,10 +173,14 @@ echo "== ci: cargo test -q"
 cargo test -q
 
 BIN=target/release/all_figures
-MANIFEST=target/figures/manifest.json
+FIGS=target/figures
+MANIFEST=$FIGS/manifest.json
 
-echo "== ci: all_figures smoke (tiny scale)"
-"$BIN" --scale 256 --reps 1 >/dev/null
+echo "== ci: all_figures smoke (whole registry, tiny scale, --profile)"
+# The one registry run here. It runs at 1/256, a scale the goldens do not
+# pin, and checks what only the binary does: the files it writes.
+rm -rf "$FIGS"
+"$BIN" --scale 256 --reps 1 --profile >/dev/null
 REGISTERED=$("$BIN" --list | wc -l)
 OK=$(grep -c '"status": "ok"' "$MANIFEST")
 if [ "$OK" -ne "$REGISTERED" ]; then
@@ -177,6 +191,21 @@ if grep -q '"status": "failed"' "$MANIFEST" || grep -q '"status": "skipped"' "$M
     echo "ci: FAIL — clean run must have no failed/skipped manifest entries" >&2
     exit 1
 fi
+for id in $("$BIN" --list); do
+    for ext in profile.json profile.svg; do
+        if [ ! -f "$FIGS/$id.$ext" ]; then
+            echo "ci: FAIL — --profile wrote no $id.$ext" >&2
+            exit 1
+        fi
+    done
+done
+for f in "$FIGS"/*.json; do
+    case "$f" in "$MANIFEST" | *.profile.json) continue ;; esac
+    if [ ! -f "${f%.json}.svg" ]; then
+        echo "ci: FAIL — $(basename "$f") has no SVG next to it" >&2
+        exit 1
+    fi
+done
 
 echo "== ci: layered facade size gate"
 MACHINE_LINES=$(wc -l < crates/sgx-sim/src/machine.rs)
@@ -186,79 +215,8 @@ if [ "$MACHINE_LINES" -gt 400 ]; then
 fi
 echo "ci: machine.rs facade at $MACHINE_LINES lines (gate: 400)"
 
-echo "== ci: parallel determinism (--jobs 1 vs --jobs 2, byte-identical outputs)"
-# Every job whose points go through `sweep` runs them on
-# max(1, cores / workers) threads. On a 2-core host this therefore also
-# compares those jobs sharded (--jobs 1) against inline (--jobs 2); on
-# one core both runs keep them inline.
-if [ "$(nproc)" -le 1 ]; then
-    echo "ci: one CPU — both runs keep every job's point sweep inline; sharded vs inline is not compared here"
-fi
-FIG_TMP=$(mktemp -d)
-T0=$(date +%s)
-"$BIN" --scale 256 --reps 1 --jobs 1 >/dev/null
-T1=$(date +%s)
-mkdir -p "$FIG_TMP/jobs1"
-cp target/figures/*.json target/figures/*.svg "$FIG_TMP/jobs1/"
-"$BIN" --normalize-manifest "$MANIFEST" > "$FIG_TMP/jobs1.manifest.normalized.json"
-T2=$(date +%s)
-"$BIN" --scale 256 --reps 1 --jobs 2 >/dev/null
-T3=$(date +%s)
-"$BIN" --normalize-manifest "$MANIFEST" > "$FIG_TMP/jobs2.manifest.normalized.json"
-echo "ci: timings — jobs=1: $((T1 - T0))s, jobs=2: $((T3 - T2))s (a 1-CPU container shows no speedup; multi-core hosts do)"
-if ! cmp -s "$FIG_TMP/jobs1.manifest.normalized.json" "$FIG_TMP/jobs2.manifest.normalized.json"; then
-    echo "ci: FAIL — normalized manifests differ between --jobs 1 and --jobs 2" >&2
-    exit 1
-fi
-for f in "$FIG_TMP"/jobs1/*.json "$FIG_TMP"/jobs1/*.svg; do
-    name=$(basename "$f")
-    case "$name" in manifest*) continue ;; esac
-    if ! cmp -s "$f" "target/figures/$name"; then
-        echo "ci: FAIL — $name differs between --jobs 1 and --jobs 2" >&2
-        exit 1
-    fi
-done
-rm -rf "$FIG_TMP"
-
-echo "== ci: profile determinism (--profile off by default, byte-identical across --jobs)"
-PROF_TMP=$(mktemp -d)
-rm -f target/figures/*.profile.json target/figures/*.profile.svg
-"$BIN" --scale 256 --reps 1 --jobs 1 >/dev/null
-if ls target/figures/*.profile.json >/dev/null 2>&1; then
-    echo "ci: FAIL — profiles must not be emitted without --profile" >&2
-    exit 1
-fi
-mkdir -p "$PROF_TMP/plain"
-cp target/figures/*.json "$PROF_TMP/plain/"
-"$BIN" --scale 256 --reps 1 --jobs 1 --profile >/dev/null
-if ! ls target/figures/*.profile.json >/dev/null 2>&1; then
-    echo "ci: FAIL — --profile must emit at least one profile.json" >&2
-    exit 1
-fi
-mkdir -p "$PROF_TMP/jobs1"
-cp target/figures/*.json target/figures/*.svg "$PROF_TMP/jobs1/"
-for f in "$PROF_TMP"/plain/*.json; do
-    name=$(basename "$f")
-    case "$name" in manifest*) continue ;; esac
-    if ! cmp -s "$f" "target/figures/$name"; then
-        echo "ci: FAIL — --profile perturbed figure output $name" >&2
-        exit 1
-    fi
-done
-"$BIN" --scale 256 --reps 1 --jobs 2 --profile >/dev/null
-for f in "$PROF_TMP"/jobs1/*.json "$PROF_TMP"/jobs1/*.svg; do
-    name=$(basename "$f")
-    case "$name" in manifest*) continue ;; esac
-    if ! cmp -s "$f" "target/figures/$name"; then
-        echo "ci: FAIL — $name differs between --profile --jobs 1 and --jobs 2" >&2
-        exit 1
-    fi
-done
-rm -rf "$PROF_TMP"
-rm -f target/figures/*.profile.json target/figures/*.profile.svg
-
-echo "== ci: all_figures negative check (injected failure)"
-rm -f target/figures/fig05.json
+echo "== ci: all_figures negative check (injected failure, no profiles without --profile)"
+rm -f "$FIGS"/*.profile.json "$FIGS"/*.profile.svg "$FIGS"/fig05.json
 if ALL_FIGURES_FAIL=fig07 "$BIN" --only fig05,fig07 --scale 256 --reps 1 >/dev/null 2>&1; then
     echo "ci: FAIL — injected figure failure must exit nonzero" >&2
     exit 1
@@ -272,10 +230,16 @@ if ! grep -q '"id": "fig07"' "$MANIFEST"; then
     echo "ci: FAIL — manifest must name the failed job" >&2
     exit 1
 fi
-if [ ! -f target/figures/fig05.json ]; then
+if [ ! -f "$FIGS/fig05.json" ]; then
     echo "ci: FAIL — figures before the failure must still be emitted" >&2
     exit 1
 fi
+for f in "$FIGS"/*.profile.json "$FIGS"/*.profile.svg; do
+    if [ -e "$f" ]; then
+        echo "ci: FAIL — profiles must not be emitted without --profile ($(basename "$f"))" >&2
+        exit 1
+    fi
+done
 
 echo "== ci: benchmark self-test (a flipped digest must exit 1, retagged goldens exit 2)"
 python3 perfbench/run.py --self-test
@@ -283,25 +247,8 @@ python3 perfbench/run.py --self-test
 echo "== ci: benchmark unit tests (perfbench is a workspace of its own)"
 cargo test --offline -q --manifest-path perfbench/Cargo.toml
 
-# With `--only <one job>`, run_registry clamps the worker count to the
-# number of selected jobs, so both runs below use one worker whatever
-# `--jobs` says: this smoke and the storage-path one are two-run
-# determinism checks. integration_equivalence.rs covers `--jobs 4`.
-echo "== ci: service tail smoke (byte-identical across two runs)"
-SVC_TMP=$(mktemp -d)
-"$BIN" --only ext_service_tail --scale 256 --reps 1 --jobs 1 >/dev/null
-mkdir -p "$SVC_TMP/run1"
-cp target/figures/ext_service_tail*.json "$SVC_TMP/run1/"
-"$BIN" --only ext_service_tail --scale 256 --reps 1 --jobs 2 >/dev/null
-for f in "$SVC_TMP"/run1/*.json; do
-    name=$(basename "$f")
-    if ! cmp -s "$f" "target/figures/$name"; then
-        echo "ci: FAIL — $name differs between two service-tail runs" >&2
-        exit 1
-    fi
-done
-
 echo "== ci: service overload negative check (admission control must shed load)"
+SVC_TMP=$(mktemp -d)
 SB=target/release/service_bench
 "$SB" --scale 256 --overload 8 --expect-shedding --json "$SVC_TMP/shed1.json" 2>/dev/null
 "$SB" --scale 256 --overload 8 --expect-shedding --json "$SVC_TMP/shed2.json" 2>/dev/null
@@ -315,86 +262,5 @@ if "$SB" --scale 256 --overload 8 --no-admission --expect-shedding >/dev/null 2>
     exit 1
 fi
 rm -rf "$SVC_TMP"
-
-echo "== ci: storage path smoke (byte-identical across two runs)"
-STO_TMP=$(mktemp -d)
-"$BIN" --only ext_storage_path --scale 256 --reps 1 --jobs 1 >/dev/null
-mkdir -p "$STO_TMP/run1"
-cp target/figures/ext_storage_path*.json "$STO_TMP/run1/"
-"$BIN" --only ext_storage_path --scale 256 --reps 1 --jobs 4 >/dev/null
-for f in "$STO_TMP"/run1/*.json; do
-    name=$(basename "$f")
-    if ! cmp -s "$f" "target/figures/$name"; then
-        echo "ci: FAIL — $name differs between two storage-path runs" >&2
-        exit 1
-    fi
-done
-rm -rf "$STO_TMP"
-
-# Pick the two highest-numbered BENCH_pr<N>.json trajectory files in $1,
-# oldest first, one per line. Extracts <N> by stripping the literal
-# prefix/suffix and refuses to proceed if what remains is not a pure
-# decimal number: the old `sort -t'r' -k2 -n` hack split on the letter
-# 'r' (field 2 of BENCH_pr10.json is empty), silently falling back to
-# lexical order, so pr9 sorted after pr10 and the gate compared the
-# wrong PRs.
-pick_trend_files() {
-    _dir=$1
-    _rows=""
-    for _f in "$_dir"/BENCH_pr*.json; do
-        [ -e "$_f" ] || return 0
-        _base=$(basename "$_f")
-        _n=${_base#BENCH_pr}
-        _n=${_n%.json}
-        case "$_n" in
-            ''|*[!0-9]*)
-                echo "ci: FAIL — unparseable trajectory name '$_base' (want BENCH_pr<number>.json)" >&2
-                return 1
-                ;;
-        esac
-        _rows="$_rows$_n $_base
-"
-    done
-    printf '%s' "$_rows" | sort -n -k1,1 | tail -2 | while read -r _n _base; do
-        echo "$_dir/$_base"
-    done
-}
-
-echo "== ci: perf-trend file-picker checks (numeric order, malformed names fail)"
-TREND_TMP=$(mktemp -d)
-echo '{}' > "$TREND_TMP/BENCH_pr9.json"
-echo '{}' > "$TREND_TMP/BENCH_pr10.json"
-PICKED=$(pick_trend_files "$TREND_TMP")
-WANT="$TREND_TMP/BENCH_pr9.json
-$TREND_TMP/BENCH_pr10.json"
-if [ "$PICKED" != "$WANT" ]; then
-    echo "ci: FAIL — trend picker must order pr9 before pr10 (numeric, not lexical); got: $PICKED" >&2
-    exit 1
-fi
-echo '{}' > "$TREND_TMP/BENCH_prX.json"
-if pick_trend_files "$TREND_TMP" >/dev/null 2>&1; then
-    echo "ci: FAIL — malformed BENCH_pr name must fail the trend picker" >&2
-    exit 1
-fi
-rm -rf "$TREND_TMP"
-
-echo "== ci: perf-trend gate (latest two BENCH_*.json, watched rows via sim_bench --trend)"
-# Compare the two newest checked-in trajectory files on the watched rows
-# (join-smoke, scan-smoke): a >30 % events/sec drop fails CI. Wall-clock
-# throughput is only comparable on a multi-core host of the trajectory's
-# class; on a 1-CPU container the gate still runs but demotes a trip to a
-# loud warning (--warn-only) instead of a failure.
-TREND_FILES=$(pick_trend_files .)
-if [ "$(printf '%s\n' $TREND_FILES | wc -l)" -lt 2 ]; then
-    echo "ci: perf-trend gate skipped — need at least two BENCH_pr*.json files"
-else
-    TREND_OLD=$(printf '%s\n' $TREND_FILES | head -1)
-    TREND_NEW=$(printf '%s\n' $TREND_FILES | tail -1)
-    TREND_FLAGS=""
-    if [ "$(nproc 2>/dev/null || echo 1)" -le 1 ]; then
-        TREND_FLAGS="--warn-only"
-    fi
-    target/release/sim_bench --trend "$TREND_OLD" "$TREND_NEW" $TREND_FLAGS
-fi
 
 echo "== ci: OK"

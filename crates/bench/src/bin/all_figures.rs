@@ -5,12 +5,12 @@
 //! (`sgx_bench_core::runner::run_registry`): `--jobs N` worker threads
 //! pull jobs from a shared cursor, each job owns its own deterministic
 //! `Machine`s, and results are committed in registry order — so every
-//! figure JSON and the normalized manifest are byte-identical for any
-//! `--jobs` value (proven by `tests/integration_equivalence.rs` and the
-//! `ci.sh` double-run diff). A panicking experiment (a violated shape
-//! assertion, a model regression) is isolated and recorded, the run
-//! continues, and the process exits nonzero if anything failed. The
-//! outcome of every registered job lands in
+//! figure JSON is byte-identical for any `--jobs` value
+//! (`tests/integration_equivalence.rs` checks runs on one and on four
+//! workers against the same golden digests). A panicking experiment (a
+//! violated shape assertion, a model regression) is isolated and
+//! recorded, the run continues, and the process exits nonzero if
+//! anything failed. The outcome of every registered job lands in
 //! `target/figures/manifest.json` (schema `sgx-bench-manifest/1`).
 //!
 //! The options are listed in [`USAGE`], which `--help` prints; an
@@ -36,8 +36,6 @@ usage: all_figures [options]
   --profile                       collect per-phase cycle attribution and
                                   write <id>.profile.json / .profile.svg
   --list                          print registered job ids and exit
-  --normalize-manifest FILE       print FILE with seconds zeroed and exit
-                                  (for determinism byte-diffs)
   --help                          print this text and exit";
 
 /// Everything the harness-specific flags parse into; the remainder of
@@ -50,7 +48,6 @@ struct HarnessArgs {
     list: bool,
     retry_failed: bool,
     profile: bool,
-    normalize: Option<String>,
     rest: Vec<String>,
 }
 
@@ -62,7 +59,6 @@ fn parse_harness_args(args: impl IntoIterator<Item = String>) -> Result<HarnessA
         list: false,
         retry_failed: false,
         profile: false,
-        normalize: None,
         rest: Vec::new(),
     };
     let mut it = args.into_iter();
@@ -86,10 +82,6 @@ fn parse_harness_args(args: impl IntoIterator<Item = String>) -> Result<HarnessA
                         .filter(|&n| n >= 1)
                         .ok_or_else(|| format!("--jobs needs a positive integer or 'max', got {n:?}"))?,
                 };
-            }
-            "--normalize-manifest" => {
-                let val = it.next().ok_or_else(|| "--normalize-manifest needs a file".to_string())?;
-                parsed.normalize = Some(val);
             }
             "--help" | "-h" => parsed.help = true,
             "--list" => parsed.list = true,
@@ -115,24 +107,6 @@ fn main() -> ExitCode {
     }
     // Parsed before any mode runs, so an unknown option always exits 2.
     let opts = RunOpts::parse_from(std::mem::take(&mut args.rest));
-    if let Some(path) = &args.normalize {
-        // Normalization mode: reprint an existing manifest with timing
-        // noise removed, for byte-identity comparisons.
-        let normalized = std::fs::read_to_string(path)
-            .map_err(|e| e.to_string())
-            .and_then(|t| Manifest::from_json(&t))
-            .map(|m| m.normalized().to_json());
-        return match normalized {
-            Ok(json) => {
-                println!("{json}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: --normalize-manifest {path}: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
     let jobs = registry();
     if args.list {
         for job in &jobs {

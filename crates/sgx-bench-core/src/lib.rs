@@ -66,7 +66,6 @@ pub mod percentile;
 pub mod profiles;
 pub mod report;
 pub mod runner;
-pub mod simbench;
 mod sweep;
 
 pub use percentile::Histogram;

@@ -346,7 +346,7 @@ fn counters_json(c: &Counters) -> Value {
 /// Serialize one job's cycle-attribution profile to deterministic pretty
 /// JSON: phases in sorted-path order, categories in fixed order, the same
 /// number printer as the figures — equal profiles always produce
-/// byte-identical artifacts (the CI `--jobs` byte-diff relies on this).
+/// byte-identical artifacts (the golden profile digests rely on this).
 pub fn profile_json(job_id: &str, p: &Profile) -> String {
     let phases = p
         .phases

@@ -20,8 +20,7 @@
 //! per-job counter totals are captured from the thread-local session
 //! accumulator (`sgx_sim::counters::session_take`), which works because
 //! one job runs wholly on one worker thread. The manifest's `seconds`
-//! field is the only legitimately nondeterministic output; determinism
-//! comparisons use [`Manifest::normalized`] which zeroes it.
+//! field is the only legitimately nondeterministic output.
 //!
 //! A job may share its independent points among helper threads through
 //! `crate::sweep`, which folds the helpers' counter sessions back into
@@ -379,18 +378,6 @@ impl Manifest {
         }
     }
 
-    /// Copy with every `seconds` zeroed. Wall seconds legitimately vary
-    /// between runs (and across `--jobs` values); determinism byte-diffs
-    /// compare normalized manifests so timing noise cannot poison them,
-    /// while the written manifest still records the real timings.
-    pub fn normalized(&self) -> Manifest {
-        let mut m = self.clone();
-        for e in &mut m.entries {
-            e.seconds = 0.0;
-        }
-        m
-    }
-
     /// Number of entries with the given status.
     pub fn count(&self, status: JobStatus) -> usize {
         self.entries.iter().filter(|e| e.status == status).count()
@@ -722,24 +709,6 @@ mod tests {
             assert_eq!(counters_digest(&counters), golden.counters, "{id}: counters drifted");
         }
         SWEEP_BUDGET.with(|b| b.set(saved_budget));
-    }
-
-    #[test]
-    fn normalized_manifests_are_timing_invariant() {
-        let mk = |secs: f64| Manifest {
-            entries: vec![ManifestEntry {
-                id: "fig01".into(),
-                status: JobStatus::Ok,
-                seconds: secs,
-                error: None,
-                outputs: vec!["fig01".into()],
-            }],
-        };
-        let a = mk(1.25);
-        let b = mk(9.75);
-        assert_ne!(a.to_json(), b.to_json(), "raw manifests must record real seconds");
-        assert_eq!(a.normalized().to_json(), b.normalized().to_json());
-        assert!(a.normalized().to_json().contains("\"seconds\": 0.0"));
     }
 
     #[test]

