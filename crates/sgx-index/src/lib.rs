@@ -178,20 +178,6 @@ impl BPlusTree {
             leaf += 1;
         }
     }
-
-    /// Uncharged verification lookup (reference behaviour for tests).
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "uncharged verification lookup, never inside a timed region"
-    )]
-    pub fn get_uncharged(&self, key: u32) -> Option<u32> {
-        self.leaves
-            .as_slice_untracked()
-            .iter()
-            .take(self.n_rows)
-            .find(|r| r.key == key)
-            .map(|r| r.payload)
-    }
 }
 
 #[cfg(test)]

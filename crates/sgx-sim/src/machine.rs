@@ -191,10 +191,6 @@ pub struct Machine {
     /// `profile::enabled()` is set on this thread; `None` (one branch per
     /// commit) otherwise.
     prof: Option<Box<crate::profile::ProfCtx>>,
-    /// Testing/measurement hook: when set, stream touches always take the
-    /// per-line slow path (the fast path's oracle); see
-    /// [`Machine::force_stream_oracle`].
-    stream_oracle: bool,
 }
 
 /// Handle through which operator code charges work while running on one

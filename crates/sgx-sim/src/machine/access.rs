@@ -5,10 +5,11 @@
 
 use crate::cache::line_of;
 use crate::config::CACHE_LINE;
-use crate::mem::{ExecMode, Region, SimSink, SimVec, REGION_SHIFT};
+use crate::mem::{ExecMode, Region, SimSink, SimVec};
 use crate::profile::CostCategory;
 
 use super::core::{Charge, Tally};
+use super::hierarchy::{dram_category, prefetched_line_cycles};
 use super::{
     AccessKind, Core, CTX_POISON, ENCLAVE_STREAM_LOAD_TAX, STREAM_ELEM_ISSUE, VEC_ISSUE,
 };
@@ -32,7 +33,7 @@ impl<'m> Core<'m> {
     fn stream_store_elem(&mut self, addr: u64, line_open: &mut u64) {
         let line = line_of(addr);
         if line != *line_open {
-            self.stream_touch(addr, 1, 0, true, false);
+            self.stream_touch(addr, 0, true, false);
             *line_open = line;
         }
         self.charge(STREAM_ELEM_ISSUE);
@@ -95,142 +96,68 @@ impl<'m> Core<'m> {
         self.m.l3[self.socket].invalidate(line);
         let remote = region.node() != self.socket;
         let enc = region.is_epc() && self.m.mode == ExecMode::Enclave;
-        let cfg = &self.m.cfg;
-        let mut per_line = cfg.mem.stream_line_cycles;
-        if remote {
-            per_line += cfg.upi.remote_stream_extra;
-            if enc {
-                per_line += cfg.upi.uce_stream_extra;
-            }
-        }
-        if enc {
-            per_line *= cfg.mem.mee_stream_write_factor;
-        }
+        let per_line = prefetched_line_cycles(&self.m.cfg, enc, remote, true);
         self.dram_bytes[region.node()] += self.line_bus_bytes(enc, true);
         if remote {
             self.upi_line();
         }
-        let cat = if enc {
-            CostCategory::Mee
-        } else if remote {
-            CostCategory::Upi
-        } else {
-            CostCategory::Dram
-        };
         self.commit(Charge {
             cycles: per_line + VEC_ISSUE + walk / self.m.cfg.mem.mlp_native,
-            tally: Tally::Cycles(cat),
+            tally: Tally::Cycles(dram_category(enc, remote)),
         });
     }
 
-    /// Charge a streaming touch of `lines` consecutive cache lines starting
-    /// at `addr`, plus `elems` element-level load/store issues, using the
-    /// vector flag to pick scalar or 512-bit issue costs. Used by the
-    /// `SimVec` stream APIs.
-    ///
-    /// Two equivalent resolution paths feed the one pooled charge (see
-    /// DESIGN.md §15): the fast path hoists the run's region
-    /// classification and per-line cost constants out of the line loop,
-    /// and is selected only when that hoist is provably invariant — no
-    /// fault engine installed (an AEX can flush the TLB/L1, and the EPC
-    /// balloon can install a pager, between any two committed lines) and
-    /// every line of the run in one region. Otherwise the historical
-    /// per-line loop runs verbatim; it is the oracle the fast path is
-    /// checked against (`machine::tests` drives both over identical
-    /// sequences via [`Machine::force_stream_oracle`]).
-    pub(crate) fn stream_touch(
-        &mut self,
-        addr: u64,
-        lines: u64,
-        elems: u64,
-        write: bool,
-        vector: bool,
-    ) {
+    /// Charge a streaming touch of the cache line holding `addr`, plus
+    /// `elems` element-level load/store issues, using the vector flag to
+    /// pick scalar or 512-bit issue costs. Used by the `SimVec` stream
+    /// APIs, which touch one line per call: the line resolves through
+    /// `resolve_stream_line` and the touch makes one pooled charge
+    /// (DESIGN.md §15).
+    pub(crate) fn stream_touch(&mut self, addr: u64, elems: u64, write: bool, vector: bool) {
         if write {
             self.m.counters.stores += elems;
         } else {
             self.m.counters.loads += elems;
         }
-        self.m.counters.stream_lines += lines;
-        let first = line_of(addr);
-        if lines == 1 {
-            // Single-line touch — the cadence `read_stream` and the
-            // incremental reader/writer produce for every line. The
-            // per-line resolver is the fast path *and* the oracle here
-            // (nothing to hoist over one line), and the dominant-category
-            // pick collapses: only Compute (issue cost) and the one
-            // category that served the line are populated, so the
-            // first-strictly-greater scan reduces to a two-way compare
-            // with the lowest-index (Compute) tie-break.
-            let kind = if write { AccessKind::Store } else { AccessKind::Load };
-            let (c, dram, cat) = self.resolve_stream_line(first, kind);
-            let issue = if vector { VEC_ISSUE } else { STREAM_ELEM_ISSUE };
-            let per_elem_tax = if !write && dram && self.m.mode == ExecMode::Enclave {
-                ENCLAVE_STREAM_LOAD_TAX
-            } else {
-                0.0
-            };
-            let n_issues = if vector { 1 } else { elems };
-            let issue_cost = n_issues as f64 * (issue + per_elem_tax);
-            let dom = if c > issue_cost { cat } else { CostCategory::Compute };
-            self.commit(Charge { cycles: c + issue_cost, tally: Tally::Cycles(dom) });
-            return;
-        }
-        let last_addr = addr + lines.saturating_sub(1) * CACHE_LINE as u64;
-        let fast = self.m.faults.is_none()
-            && !self.m.stream_oracle
-            && (addr >> REGION_SHIFT) == (last_addr >> REGION_SHIFT);
-        let mut cats = [0.0f64; 9];
-        let (line_cost_total, any_dram) = if fast {
-            let run = self.resolve_stream_run(first, lines, write);
-            // The partial sums were folded per line in line order, so the
-            // rebuilt category array is bitwise what the slow loop's
-            // per-line `cats[cat.index()] += c` would hold.
-            cats[CostCategory::Cache.index()] = run.cache_sum;
-            cats[run.dram_cat.index()] += run.dram_sum;
-            (run.total, run.any_dram)
-        } else {
-            let kind = if write { AccessKind::Store } else { AccessKind::Load };
-            let mut total = 0.0;
-            let mut any_dram = false;
-            for line in first..first + lines {
-                let (c, dram, cat) = self.resolve_stream_line(line, kind);
-                total += c;
-                any_dram |= dram;
-                cats[cat.index()] += c;
-            }
-            (total, any_dram)
-        };
+        self.m.counters.stream_lines += 1;
+        let kind = if write { AccessKind::Store } else { AccessKind::Load };
+        let (c, dram, cat) = self.resolve_stream_line(line_of(addr), kind);
         let issue = if vector { VEC_ISSUE } else { STREAM_ELEM_ISSUE };
         // The enclave per-load tax only applies to demand fills the MEE
         // touches: cache-resident streams run at parity (Fig 12/15).
-        let per_elem_tax = if !write && any_dram && self.m.mode == ExecMode::Enclave {
+        let per_elem_tax = if !write && dram && self.m.mode == ExecMode::Enclave {
             ENCLAVE_STREAM_LOAD_TAX
         } else {
             0.0
         };
-        let n_issues = if vector { lines.max(1) } else { elems };
+        let n_issues = if vector { 1 } else { elems };
         let issue_cost = n_issues as f64 * (issue + per_elem_tax);
-        cats[CostCategory::Compute.index()] += issue_cost;
-        // One pooled charge for the touch; attribute it to the dominant
-        // contributor (deterministic lowest-index tie-break).
         self.commit(Charge {
-            cycles: line_cost_total + issue_cost,
-            tally: Tally::Cycles(CostCategory::dominant(&cats)),
+            cycles: c + issue_cost,
+            tally: Tally::Cycles(touch_category(c, issue_cost, cat)),
         });
     }
 }
 
-impl super::Machine {
-    /// Force every stream touch down the per-line slow path — the fast
-    /// path's oracle. Verification/measurement hook: the machine property
-    /// tests drive a forced-slow machine and a default machine over
-    /// identical access sequences and require bit-identical clocks and
-    /// counters, and perfbench's `sim.stream.oracle_line_ns` row times the
-    /// oracle path. Simulated results are unaffected by construction.
-    pub fn force_stream_oracle(&mut self, slow: bool) {
-        self.stream_oracle = slow;
+/// Category of a stream touch's pooled charge: the served line's own
+/// category when its cycles exceed the issue cycles, else `Compute`. This
+/// is `CostCategory::dominant` over the touch's nine bins, where only
+/// `Compute` and the line's category are populated and a tie goes to the
+/// lower index, `Compute`.
+pub(super) fn touch_category(line: f64, issue: f64, line_cat: CostCategory) -> CostCategory {
+    if line > issue {
+        line_cat
+    } else {
+        CostCategory::Compute
     }
+}
+
+impl super::Machine {
+    /// Does nothing. Its only caller is perfbench, whose
+    /// `sim.stream.oracle_line_ns` row still sets it; every stream touch
+    /// resolves one line, so there is no second path to force. It goes
+    /// when that row does.
+    pub fn force_stream_oracle(&mut self, _slow: bool) {}
 }
 
 // ---------------------------------------------------------------------------
@@ -285,7 +212,7 @@ impl<T: Copy> SimVec<T> {
             // Elements up to the next line boundary.
             let line_end = (i / per_line + 1) * per_line;
             let hi = line_end.min(range.end);
-            core.stream_touch(self.addr(i), 1, (hi - i) as u64, false, false);
+            core.stream_touch(self.addr(i), (hi - i) as u64, false, false);
             // One bounds check per line, not per element.
             for (k, &x) in data[i..hi].iter().enumerate() {
                 core.poison_context();
@@ -312,7 +239,7 @@ impl<T: Copy> SimVec<T> {
         while i < range.end {
             let line_end = (i / per_line + 1) * per_line;
             let hi = line_end.min(range.end);
-            core.stream_touch(self.addr(i), 1, (hi - i) as u64, false, true);
+            core.stream_touch(self.addr(i), (hi - i) as u64, false, true);
             core.poison_context();
             #[expect(
                 clippy::disallowed_methods,
@@ -355,7 +282,7 @@ impl<'v, T: Copy> StreamReader<'v, T> {
         let addr = self.vec.addr(self.pos);
         let line = line_of(addr);
         if line != self.line_open {
-            core.stream_touch(addr, 1, 0, false, false);
+            core.stream_touch(addr, 0, false, false);
             self.line_open = line;
         }
         let cost = core.stream_issue_cost(false);

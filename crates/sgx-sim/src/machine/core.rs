@@ -127,7 +127,6 @@ impl Machine {
             faults: None,
             core_clock: CoreClocks(vec![0.0; cfg.total_cores()]),
             prof: crate::profile::enabled().then(|| Box::new(ProfCtx::new())),
-            stream_oracle: false,
             cfg,
         }
     }
@@ -197,11 +196,6 @@ impl Machine {
     /// Accumulated wall-clock cycles over all phases so far.
     pub fn wall_cycles(&self) -> f64 {
         self.wall.0
-    }
-
-    /// Wall time in seconds at the configured clock frequency.
-    pub fn wall_secs(&self) -> f64 {
-        self.cfg.cycles_to_secs(self.wall.0)
     }
 
     /// Reset the wall clock (e.g. after untimed setup).

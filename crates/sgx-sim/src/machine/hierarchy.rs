@@ -2,7 +2,7 @@
 //! and the per-socket DRAM bandwidth cap.
 
 use crate::cache::Evicted;
-use crate::config::{CACHE_LINE, PAGE_SIZE};
+use crate::config::{HwConfig, CACHE_LINE, PAGE_SIZE};
 use crate::mem::{ExecMode, Region};
 use crate::profile::CostCategory;
 
@@ -20,22 +20,35 @@ enum HitLevel {
     L3,
 }
 
-/// Accumulated outcome of a same-region stream run (the fast path of
-/// `Core::stream_touch`): the per-line cost fold plus the per-category
-/// partial sums the pooled charge's dominant-category pick is built from.
-#[derive(Debug, Clone, Copy)]
-pub(super) struct StreamRun {
-    /// Sum of per-line costs, folded in line order.
-    pub total: f64,
-    /// Portion of `total` served by caches (folded in line order).
-    pub cache_sum: f64,
-    /// Portion of `total` served by DRAM (folded in line order).
-    pub dram_sum: f64,
-    /// Attribution category of DRAM-served lines (fixed per run: the
-    /// region, execution mode, and socket are run invariants).
-    pub dram_cat: CostCategory,
-    /// True when at least one line came from DRAM.
-    pub any_dram: bool,
+/// Attribution category of a line DRAM served (fill or write-back): its
+/// dominant latency source. MEE decryption beats the UPI hop (UCE extras
+/// ride on the MEE path), which beats plain DRAM.
+pub(super) fn dram_category(enc: bool, remote: bool) -> CostCategory {
+    if enc {
+        CostCategory::Mee
+    } else if remote {
+        CostCategory::Upi
+    } else {
+        CostCategory::Dram
+    }
+}
+
+/// Bandwidth-bound cycles of one prefetched or non-temporal DRAM line: the
+/// stream rate, plus the UPI extra (and in enclave mode the UCE extra) for
+/// a remote line, all scaled by the MEE factor for EPC data. A demand
+/// write's write-back share is the caller's to add.
+pub(super) fn prefetched_line_cycles(cfg: &HwConfig, enc: bool, remote: bool, write: bool) -> f64 {
+    let mut per_line = cfg.mem.stream_line_cycles;
+    if remote {
+        per_line += cfg.upi.remote_stream_extra;
+        if enc {
+            per_line += cfg.upi.uce_stream_extra;
+        }
+    }
+    if enc {
+        per_line *= if write { cfg.mem.mee_stream_write_factor } else { cfg.mem.mee_stream_factor };
+    }
+    per_line
 }
 
 impl Machine {
@@ -90,32 +103,10 @@ impl<'m> Core<'m> {
             // Install bottom-up so evictions cascade.
             self.install_l3(line, write);
             self.install_l1(line, write);
-            // Attribution: the fill's dominant latency source — MEE
-            // decryption beats the UPI hop (uce extras ride on the MEE
-            // path), which beats plain DRAM.
-            let cat = if enc {
-                CostCategory::Mee
-            } else if remote {
-                CostCategory::Upi
-            } else {
-                CostCategory::Dram
-            };
+            let cat = dram_category(enc, remote);
             let cfg = &self.m.cfg;
             let cost = if prefetched {
-                let mut per_line = cfg.mem.stream_line_cycles;
-                if remote {
-                    per_line += cfg.upi.remote_stream_extra;
-                    if enc {
-                        per_line += cfg.upi.uce_stream_extra;
-                    }
-                }
-                if enc {
-                    per_line *= if write {
-                        cfg.mem.mee_stream_write_factor
-                    } else {
-                        cfg.mem.mee_stream_factor
-                    };
-                }
+                let mut per_line = prefetched_line_cycles(cfg, enc, remote, write);
                 if write {
                     per_line += cfg.mem.writeback_line_cycles;
                     // Write-allocate: the eventual write-back consumes
@@ -162,9 +153,13 @@ impl<'m> Core<'m> {
         }
     }
 
-    /// Per-line cost of a stream access through the hierarchy; the flag
-    /// reports whether the line came from DRAM, and the category names the
-    /// level/region that served it (for profile attribution).
+    /// Walk the hierarchy for the one line of a `stream_touch`. Returns the
+    /// line's pooled cycles, whether DRAM served it, and the category of
+    /// the level or region that did (for profile attribution). A DRAM fill
+    /// here is always prefetched, so the stream detector is not consulted.
+    /// `resolve_line` stays a separate walk because its detector
+    /// observation must precede the installs: a write-back commit inside
+    /// `install_l3` can deliver an AEX, which resets the detector.
     pub(super) fn resolve_stream_line(
         &mut self,
         line: u64,
@@ -206,20 +201,7 @@ impl<'m> Core<'m> {
         self.install_l3(line, write);
         self.install_l1(line, write);
         let cfg = &self.m.cfg;
-        let mut per_line = cfg.mem.stream_line_cycles;
-        if remote {
-            per_line += cfg.upi.remote_stream_extra;
-            if enc {
-                per_line += cfg.upi.uce_stream_extra;
-            }
-        }
-        if enc {
-            per_line *= if write {
-                cfg.mem.mee_stream_write_factor
-            } else {
-                cfg.mem.mee_stream_factor
-            };
-        }
+        let mut per_line = prefetched_line_cycles(cfg, enc, remote, write);
         if write {
             per_line += cfg.mem.writeback_line_cycles;
             self.dram_bytes[region.node()] += self.line_bus_bytes(enc, true);
@@ -227,129 +209,7 @@ impl<'m> Core<'m> {
                 self.upi_line();
             }
         }
-        let cat = if enc {
-            CostCategory::Mee
-        } else if remote {
-            CostCategory::Upi
-        } else {
-            CostCategory::Dram
-        };
-        (per_line + walk, true, cat)
-    }
-
-    /// Resolve a run of `lines` consecutive same-region cache lines — the
-    /// stream fast path. One region classification and one set of hoisted
-    /// per-line cost constants serve the whole run; the per-line float
-    /// fold (`total += c`, plus the per-category partial sums the pooled
-    /// charge's dominant-category pick needs) happens in exactly the order
-    /// of the per-line slow path, [`Core::resolve_stream_line`], so the
-    /// two produce bit-identical state. Selection (see
-    /// [`Core::stream_touch`]) guarantees the hoists are invariant:
-    /// no fault engine is installed (an AEX could flush the TLB/L1 or a
-    /// balloon could install a pager mid-run) and the run never crosses a
-    /// region boundary.
-    ///
-    /// The TLB is probed once per page instead of once per line: a probe
-    /// of a just-filled page is a hit with zero cost and no state change,
-    /// so skipping it is exact (nothing else touches the TLB mid-run).
-    pub(super) fn resolve_stream_run(&mut self, first: u64, lines: u64, write: bool) -> StreamRun {
-        let region = Region::of_addr(first * CACHE_LINE as u64);
-        let node = region.node();
-        let enc = region.is_epc() && self.m.mode == ExecMode::Enclave;
-        let remote = node != self.socket;
-        // EDMM/pager checks only ever fire for enclave-mode EPC touches;
-        // hoisting the arming test keeps `pre_touch`'s per-line order when
-        // it can matter and skips the call entirely when it cannot.
-        let armed = enc && (self.m.sealed || self.m.pager.is_some());
-        let cfg = &self.m.cfg;
-        let mlp = cfg.mem.mlp_native;
-        let mut per_line = cfg.mem.stream_line_cycles;
-        if remote {
-            per_line += cfg.upi.remote_stream_extra;
-            if enc {
-                per_line += cfg.upi.uce_stream_extra;
-            }
-        }
-        if enc {
-            per_line *= if write {
-                cfg.mem.mee_stream_write_factor
-            } else {
-                cfg.mem.mee_stream_factor
-            };
-        }
-        if write {
-            per_line += cfg.mem.writeback_line_cycles;
-        }
-        let dram_cat = if enc {
-            CostCategory::Mee
-        } else if remote {
-            CostCategory::Upi
-        } else {
-            CostCategory::Dram
-        };
-        let fill_bytes = self.line_bus_bytes(enc, false);
-        let wb_bytes = self.line_bus_bytes(enc, true);
-        let mut run =
-            StreamRun { total: 0.0, cache_sum: 0.0, dram_sum: 0.0, dram_cat, any_dram: false };
-        let mut cur_page = u64::MAX;
-        for line in first..first + lines {
-            let addr = line * CACHE_LINE as u64;
-            if armed {
-                self.pre_touch(addr, region);
-            }
-            // First touch of a page pays the (possibly zero) walk; later
-            // lines of the same page would probe the now-present entry.
-            let page = addr / PAGE_SIZE as u64;
-            let walk = if page != cur_page {
-                cur_page = page;
-                self.tlb_walk(addr) / mlp
-            } else {
-                0.0
-            };
-            let hw = &mut self.m.cores[self.id];
-            let c;
-            let mut dram = false;
-            if hw.l1.access(line, write) {
-                self.m.counters.l1_hits += 1;
-                c = L1_STREAM_LINE + walk;
-            } else if hw.l2.access(line, write) {
-                self.m.counters.l2_hits += 1;
-                self.install_l1(line, write);
-                c = L2_STREAM_LINE + walk;
-            } else if self.m.l3[self.socket].access(line, write) {
-                self.m.counters.l3_hits += 1;
-                self.install_l1(line, write);
-                c = L3_STREAM_LINE + walk;
-            } else {
-                self.m.counters.dram_fills += 1;
-                self.m.counters.prefetched_fills += 1;
-                if enc {
-                    self.m.counters.epc_fills += 1;
-                }
-                self.dram_bytes[node] += fill_bytes;
-                if remote {
-                    self.remote_fill();
-                }
-                self.install_l3(line, write);
-                self.install_l1(line, write);
-                if write {
-                    self.dram_bytes[node] += wb_bytes;
-                    if remote {
-                        self.upi_line();
-                    }
-                }
-                c = per_line + walk;
-                dram = true;
-            }
-            run.total += c;
-            if dram {
-                run.dram_sum += c;
-                run.any_dram = true;
-            } else {
-                run.cache_sum += c;
-            }
-        }
-        run
+        (per_line + walk, true, dram_category(enc, remote))
     }
 
     /// Probe the per-core TLB for `addr`'s page; returns the page-walk
@@ -410,7 +270,10 @@ impl<'m> Core<'m> {
     }
 
     /// Account a dirty L3 eviction: write-back bandwidth plus a small
-    /// latency share folded into the evicting access.
+    /// latency share folded into the evicting access. Kept out of line:
+    /// inlined, it grows `install_l1` and `install_l3`, and every install
+    /// then pays the larger frame, whether a dirty victim falls out or not.
+    #[inline(never)]
     fn writeback(&mut self, line: u64) {
         self.m.counters.writebacks += 1;
         let region = Region::of_addr(line * CACHE_LINE as u64);
@@ -420,17 +283,10 @@ impl<'m> Core<'m> {
         if remote {
             self.upi_line();
         }
-        let cat = if enc {
-            CostCategory::Mee
-        } else if remote {
-            CostCategory::Upi
-        } else {
-            CostCategory::Dram
-        };
         self.commit(Charge {
             cycles: self.m.cfg.mem.writeback_line_cycles
                 / self.m.cfg.mem.mlp_native.max(1.0),
-            tally: Tally::Cycles(cat),
+            tally: Tally::Cycles(dram_category(enc, remote)),
         });
     }
 }

@@ -5,6 +5,7 @@ use super::*;
 use crate::config::{scaled_profile, xeon_gold_6326};
 use crate::faults::FaultProfile;
 use crate::mem::{Region, SimSink, SimVec, VecSlot};
+use crate::profile::CostCategory;
 
 fn machine(setting: Setting) -> Machine {
     Machine::new(scaled_profile(), setting)
@@ -435,8 +436,6 @@ fn sink_lockstep(
     if faults {
         let storm = FaultProfile::new(7).with_aex_storm(2_000.0);
         m.install_faults(storm.with_epc_pressure(0.0, 64 << 10));
-    } else {
-        m.force_stream_oracle(true);
     }
     let _column = m.alloc::<u8>(777);
     let first = if remote { m.cfg().cores_per_socket } else { 0 };
@@ -475,8 +474,8 @@ fn sink_lockstep(
 
 /// A sink is a `SimVec<u64>` to the cost model: the same writes give
 /// bit-identical clocks and counters and leave the allocator at the same
-/// address, with a fault engine installed and on the per-line oracle,
-/// for untrusted, EPC and remote-node data. Its digest equals the fold of
+/// address, with and without a fault engine installed, for untrusted,
+/// EPC and remote-node data. Its digest equals the fold of
 /// [`SimSink::slot_digest`] over what the `SimVec` holds.
 #[test]
 fn sink_writer_charges_exactly_like_a_stream_writer() {
@@ -489,7 +488,7 @@ fn sink_writer_charges_exactly_like_a_stream_writer() {
         for faults in [true, false] {
             let vec = sink_lockstep(setting, remote, faults, false);
             let sink = sink_lockstep(setting, remote, faults, true);
-            let label = format!("{name}, {}", if faults { "fault engine" } else { "oracle" });
+            let label = format!("{name}, {}", if faults { "fault engine" } else { "no faults" });
             let counters = |s: &(Counters, u64, u64, u64)| format!("{:?}", s.0);
             assert_eq!(counters(&vec), counters(&sink), "{label}: counters diverge");
             assert_eq!(
@@ -675,6 +674,27 @@ fn dependent_chains_serialize_natively_too() {
     assert!(serial > 2.0 * pooled, "serial {serial} !> 2x pooled {pooled}");
 }
 
+/// The single-line touch's two-way category pick is the nine-bin
+/// `CostCategory::dominant` scan over the bins the touch fills: the served
+/// line's category and `Compute`. Covers every category, a line cost above
+/// and below the issue cost, a tie, and the zero-issue touch of a stream
+/// store (`stream_store_elem` passes `elems = 0`).
+#[test]
+fn touch_category_is_dominant_over_the_touch_bins() {
+    for cat in CostCategory::ALL {
+        for (line, issue) in [(6.0, 4.0), (1.0, 4.0), (2.5, 2.5), (1.0, 0.0)] {
+            let mut bins = [0.0; 9];
+            bins[cat.index()] += line;
+            bins[CostCategory::Compute.index()] += issue;
+            assert_eq!(
+                access::touch_category(line, issue, cat),
+                CostCategory::dominant(&bins),
+                "{cat:?}: line {line}, issue {issue}"
+            );
+        }
+    }
+}
+
 #[test]
 fn run_on_pins_to_socket() {
     let mut m = Machine::new(xeon_gold_6326().scaled(16), Setting::PlainCpu);
@@ -682,59 +702,4 @@ fn run_on_pins_to_socket() {
     m.run_on(remote_core, |c| {
         assert_eq!(c.socket(), 1);
     });
-}
-
-/// Drive one machine through a deterministic mixed workload — multi-line
-/// stream touches of varying length and direction, random reads/writes,
-/// and compute — and return its full observable state (every counter plus
-/// the bit pattern of the wall clock).
-fn stream_workload_state(mut m: Machine, oracle: bool) -> (String, u64) {
-    m.force_stream_oracle(oracle);
-    let mut v = m.alloc::<u64>(1 << 15); // 256 KB: 4096 lines, 64 pages
-    m.run(|c| {
-        let mut x = 0x5EED_CAFEu64 | 1;
-        for i in 0..400u64 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let lines = 1 + (x >> 7) % 24;
-            let start_line = (x >> 33) % (4096 - 24);
-            let addr = v.addr((start_line * 8) as usize);
-            let write = x & 1 == 0;
-            c.stream_touch(addr, lines, lines * 8, write, x & 2 == 0);
-            v.set(c, ((x >> 13) as usize) % (1 << 15), i);
-            let _ = v.get(c, ((x >> 21) as usize) % (1 << 15));
-            c.compute(3);
-        }
-    });
-    (format!("{:?}", m.counters()), m.wall_cycles().to_bits())
-}
-
-/// The stream fast path (hoisted same-region runs, `resolve_stream_run`)
-/// must be bit-identical to the per-line slow loop it replaces, across
-/// every enclave variant that arms per-line work: plain native, EPC data,
-/// a sealed (EDMM) enclave, and an SGXv1 machine whose pager commits
-/// page-fault charges mid-run.
-#[test]
-fn stream_fast_path_matches_per_line_oracle() {
-    type Build = fn() -> Machine;
-    let variants: [(&str, Build); 4] = [
-        ("native", || machine(Setting::PlainCpu)),
-        ("epc", || machine(Setting::SgxDataInEnclave)),
-        ("sealed", || {
-            let mut m = machine(Setting::SgxDataInEnclave);
-            m.seal_enclave();
-            m
-        }),
-        ("sgxv1", || Machine::new(xeon_gold_6326().scaled(16).sgxv1(), Setting::SgxDataInEnclave)),
-    ];
-    for (name, build) in variants {
-        let fast = stream_workload_state(build(), false);
-        let slow = stream_workload_state(build(), true);
-        assert_eq!(fast.0, slow.0, "{name}: counters diverge between fast path and oracle");
-        assert_eq!(
-            fast.1, slow.1,
-            "{name}: wall clock diverges between fast path and oracle ({} vs {})",
-            f64::from_bits(fast.1),
-            f64::from_bits(slow.1)
-        );
-    }
 }

@@ -6,7 +6,7 @@
 //! which costs the memory model charges (MEE encryption, UPI/UCE crossing,
 //! EDMM page commits, SGXv1 paging).
 
-use crate::config::{CACHE_LINE, PAGE_SIZE};
+use crate::config::CACHE_LINE;
 
 /// Whether the simulated CPU executes in enclave mode or natively.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -18,10 +18,8 @@ pub enum ExecMode {
 }
 
 /// Regions are laid out 1 TiB apart: `addr >> REGION_SHIFT` identifies
-/// the region of any simulated address (the access fast path compares
-/// these shifted prefixes directly to prove a line run stays within one
-/// region).
-pub(crate) const REGION_SHIFT: u32 = 40;
+/// the region of any simulated address.
+const REGION_SHIFT: u32 = 40;
 
 /// Where data physically lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -127,11 +125,6 @@ impl RegionAlloc {
         self.used = off + bytes;
         off
     }
-}
-
-/// Round a byte count up to whole 4 KB pages.
-pub fn pages_for(bytes: u64) -> u64 {
-    bytes.div_ceil(PAGE_SIZE as u64)
 }
 
 /// A typed array living in simulated memory.
@@ -346,13 +339,5 @@ mod tests {
         assert_eq!(z % CACHE_LINE as u64, 0);
         assert!(x + 10 <= y);
         assert!(y + 100 <= z);
-    }
-
-    #[test]
-    fn pages_for_rounds_up() {
-        assert_eq!(pages_for(0), 0);
-        assert_eq!(pages_for(1), 1);
-        assert_eq!(pages_for(4096), 1);
-        assert_eq!(pages_for(4097), 2);
     }
 }

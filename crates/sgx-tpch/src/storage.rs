@@ -21,7 +21,7 @@
 use crate::aggregate::group_mask;
 use crate::compress::{DictColumn, RleColumn};
 use crate::ops::{charged_zero_fill, chunk};
-use sgx_sim::{Machine, Region, Setting, SimVec};
+use sgx_sim::{Machine, Region, SimVec};
 
 /// On-disk layout of a sealed column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -272,7 +272,7 @@ pub fn unseal(machine: &mut Machine, cores: &[usize], col: &SealedColumn) -> (Un
 /// counting matches and summing matching values), then group-count the
 /// matches by `value & (groups - 1)` — the same §4.2 histogram pattern
 /// the enclave punishes. Enclave-vs-native comes from the machine's
-/// [`Setting`].
+/// [`Setting`](sgx_sim::Setting).
 pub fn storage_path_query(
     machine: &mut Machine,
     cores: &[usize],
@@ -466,14 +466,6 @@ pub fn clustered_column(n: usize, seed: u64) -> Vec<i32> {
     out
 }
 
-/// Convenience for the machine setting a storage-path series measures.
-pub fn setting_label(setting: Setting) -> &'static str {
-    match setting {
-        Setting::PlainCpu => "Plain CPU",
-        _ => "SGX",
-    }
-}
-
 #[cfg(test)]
 #[expect(
     clippy::disallowed_methods,
@@ -483,6 +475,7 @@ mod tests {
     use super::*;
     use crate::compress::{reference_dict_decode, reference_rle_decode};
     use sgx_sim::config::xeon_gold_6326;
+    use sgx_sim::Setting;
 
     const FORMATS: [StorageFormat; 3] =
         [StorageFormat::Plain, StorageFormat::Dict, StorageFormat::Rle];
