@@ -1,5 +1,10 @@
 #!/usr/bin/env sh
 # Full local CI, in this order:
+# - a Cargo.lock that matches the workspace: a plain `cargo build`
+#   silently rewrites one that does not, so a mismatch would pass and
+#   leave the tree dirty. `--locked` rejects a lock that lacks a member or
+#   dependency; a resolution without it must leave the lock unchanged,
+#   which catches an entry nothing uses any more (a deleted crate's);
 # - release build, rustdoc and workspace clippy, warnings as errors;
 # - a negative check that the toolchain and the provenance unit test
 #   reject one injected violation of each model-integrity invariant;
@@ -20,8 +25,18 @@
 set -eu
 cd "$(dirname "$0")"
 
-echo "== ci: cargo build --release"
-cargo build --release
+echo "== ci: cargo build --release --locked"
+cargo build --release --locked
+LOCK_TMP=$(mktemp)
+cp Cargo.lock "$LOCK_TMP"
+cargo metadata --offline --format-version 1 >/dev/null
+if ! cmp -s Cargo.lock "$LOCK_TMP"; then
+    cp "$LOCK_TMP" Cargo.lock
+    rm -f "$LOCK_TMP"
+    echo "ci: FAIL — Cargo.lock lists packages the workspace no longer has; rebuild and commit it" >&2
+    exit 1
+fi
+rm -f "$LOCK_TMP"
 
 echo "== ci: rustdoc (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace

@@ -14,7 +14,8 @@
 //! `target/figures/manifest.json` (schema `sgx-bench-manifest/1`).
 //!
 //! The options are listed in [`USAGE`], which `--help` prints; an
-//! unknown option exits 2 before any job runs.
+//! unknown option, a bad value or an unknown job id exits 2 before any
+//! job runs.
 
 use std::process::ExitCode;
 
@@ -32,7 +33,6 @@ usage: all_figures [options]
   --jobs N|max                    worker threads (default: all cores)
   --only id[,id...]               run only the named jobs
   --skip id[,id...]               exclude the named jobs
-  --retry-failed                  --only = failed ids of the last manifest
   --profile                       collect per-phase cycle attribution and
                                   write <id>.profile.json / .profile.svg
   --list                          print registered job ids and exit
@@ -46,7 +46,6 @@ struct HarnessArgs {
     filter: JobFilter,
     jobs: usize,
     list: bool,
-    retry_failed: bool,
     profile: bool,
     rest: Vec<String>,
 }
@@ -57,7 +56,6 @@ fn parse_harness_args(args: impl IntoIterator<Item = String>) -> Result<HarnessA
         filter: JobFilter::default(),
         jobs: default_jobs(),
         list: false,
-        retry_failed: false,
         profile: false,
         rest: Vec::new(),
     };
@@ -85,7 +83,6 @@ fn parse_harness_args(args: impl IntoIterator<Item = String>) -> Result<HarnessA
             }
             "--help" | "-h" => parsed.help = true,
             "--list" => parsed.list = true,
-            "--retry-failed" => parsed.retry_failed = true,
             "--profile" => parsed.profile = true,
             _ => parsed.rest.push(arg),
         }
@@ -93,12 +90,15 @@ fn parse_harness_args(args: impl IntoIterator<Item = String>) -> Result<HarnessA
     Ok(parsed)
 }
 
+/// The exit status of a usage error, as `RunOpts::parse_from` uses.
+const USAGE_ERROR: u8 = 2;
+
 fn main() -> ExitCode {
     let mut args = match parse_harness_args(std::env::args().skip(1)) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+            return ExitCode::from(USAGE_ERROR);
         }
     };
     if args.help {
@@ -114,30 +114,10 @@ fn main() -> ExitCode {
         }
         return ExitCode::SUCCESS;
     }
-    if args.retry_failed {
-        let prev = std::fs::read_to_string(MANIFEST_PATH)
-            .map_err(|e| e.to_string())
-            .and_then(|t| Manifest::from_json(&t));
-        match prev {
-            Ok(prev) => {
-                let failed = prev.failed_ids();
-                if failed.is_empty() {
-                    eprintln!("--retry-failed: previous manifest has no failed jobs; nothing to do");
-                    return ExitCode::SUCCESS;
-                }
-                eprintln!("--retry-failed: re-running {}", failed.join(", "));
-                args.filter.only.extend(failed);
-            }
-            Err(e) => {
-                eprintln!("error: --retry-failed could not read {MANIFEST_PATH}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
     let unknown = args.filter.unknown_ids(&jobs);
     if !unknown.is_empty() {
         eprintln!("error: unknown job id(s): {} (see --list)", unknown.join(", "));
-        return ExitCode::FAILURE;
+        return ExitCode::from(USAGE_ERROR);
     }
 
     let profile = opts.profile();
@@ -192,8 +172,13 @@ fn main() -> ExitCode {
 
     eprintln!("manifest: {MANIFEST_PATH} ({n_ok} ok, {n_failed} failed, {n_skipped} skipped)");
     if n_failed > 0 {
-        eprintln!("failed jobs: {}", manifest.failed_ids().join(", "));
-        eprintln!("re-run just these with: all_figures --retry-failed");
+        let failed = manifest.failed_ids().join(",");
+        eprintln!("failed jobs: {failed}");
+        let profile_flag = if cfg.profile { " --profile" } else { "" };
+        eprintln!(
+            "re-run just these with: all_figures --only {failed} --scale {} --reps {}{profile_flag}",
+            opts.scale, opts.reps
+        );
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS

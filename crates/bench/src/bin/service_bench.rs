@@ -12,11 +12,13 @@
 //!                 [--no-admission] [--no-degrade] [--overload X]
 //!                 [--expect-shedding] [--json FILE]
 //!
-//! `--overload X` divides every tenant's think/gap time by X to push the
-//! offered load past capacity. `--expect-shedding` exits nonzero unless
-//! the run rejected at least one query — the CI overload gate runs this
-//! twice: once as a positive check, once with `--no-admission` expecting
-//! the check itself to fail (a service that cannot shed must not pass).
+//! `--scale N` takes an integer N >= 1 (1 is paper scale), and
+//! `--overload X` divides every tenant's think/gap time by a finite X > 0
+//! to push the offered load past capacity; any other value exits 2.
+//! `--expect-shedding` exits nonzero unless the run rejected at least one
+//! query — the CI overload gate runs this twice: once as a positive
+//! check, once with `--no-admission` expecting the check itself to fail
+//! (a service that cannot shed must not pass).
 
 use sgx_bench_core::experiments::service::{calibrate, service_config, tenants, StressPoint};
 use sgx_bench_core::json::Value;
@@ -31,14 +33,15 @@ use sgx_sim::Setting;
 )]
 use std::time::Instant;
 
+/// Print `message` and exit 2, the status of a usage error.
+fn usage_error(message: &str) -> ! {
+    eprintln!("service_bench: {message}");
+    std::process::exit(2);
+}
+
 fn parse_f64(v: Option<String>, what: &str) -> f64 {
-    match v.and_then(|s| s.parse().ok()) {
-        Some(x) => x,
-        None => {
-            eprintln!("service_bench: {what} needs a numeric value");
-            std::process::exit(2);
-        }
-    }
+    v.and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| usage_error(&format!("{what} needs a numeric value")))
 }
 
 fn main() {
@@ -53,23 +56,31 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--scale" => scale = parse_f64(args.next(), "--scale") as usize,
+            "--scale" => {
+                scale = args
+                    .next()
+                    .and_then(|s| s.parse().ok())
+                    .filter(|&n| n >= 1)
+                    .unwrap_or_else(|| usage_error("--scale needs an integer >= 1"));
+            }
             "--aex" => stress.aex_per_mcycle = parse_f64(args.next(), "--aex"),
             "--epc" => stress.epc_level = parse_f64(args.next(), "--epc"),
             "--native" => setting = Setting::PlainCpu,
             "--no-admission" => admission = false,
             "--no-degrade" => degrade = false,
-            "--overload" => overload = parse_f64(args.next(), "--overload"),
+            "--overload" => {
+                overload = parse_f64(args.next(), "--overload");
+                if !(overload.is_finite() && overload > 0.0) {
+                    usage_error("--overload needs a finite value > 0");
+                }
+            }
             "--expect-shedding" => expect_shedding = true,
             "--json" => json_out = args.next(),
-            other => {
-                eprintln!("service_bench: unknown argument {other}");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown argument {other}")),
         }
     }
 
-    let p = BenchProfile { hw: xeon_gold_6326().scaled(scale.max(1)), data_div: scale.max(1), reps: 1 };
+    let p = BenchProfile { hw: xeon_gold_6326().scaled(scale), data_div: scale, reps: 1 };
     eprintln!(
         "service_bench: calibrating at scale {scale}, aex={}/Mcycle, epc={}, {}",
         stress.aex_per_mcycle,

@@ -3,7 +3,7 @@
 //! The default profile shrinks the Table 1 machine and all paper data
 //! sizes by the same factor (16), preserving every cache-vs-data-size
 //! relationship while keeping the whole suite runnable in minutes.
-//! `--full` selects paper-exact sizes on the unscaled machine.
+//! `--full` is `--scale 1`: paper-exact sizes on the unscaled machine.
 
 use sgx_sim::config::{scaled_profile, xeon_gold_6326};
 use sgx_sim::HwConfig;
@@ -12,17 +12,15 @@ use sgx_sim::HwConfig;
 /// `--scale N`).
 #[derive(Debug, Clone)]
 pub struct RunOpts {
-    /// Run paper-exact sizes on the unscaled machine (slow).
-    pub full: bool,
-    /// Repetitions per data point (the paper uses 10).
+    /// Repetitions per data point (the paper uses 10); at least 1.
     pub reps: usize,
-    /// Machine/data scale divisor for the scaled profile.
+    /// Machine and data scale divisor; at least 1, and 1 is paper scale.
     pub scale: usize,
 }
 
 impl Default for RunOpts {
     fn default() -> Self {
-        RunOpts { full: false, reps: 3, scale: 16 }
+        RunOpts { reps: 3, scale: 16 }
     }
 }
 
@@ -32,25 +30,15 @@ impl RunOpts {
 
     /// Parse `--full`, `--reps N`, `--scale N` from an argument iterator.
     /// `--help` prints [`RunOpts::USAGE`] and exits 0; an unknown option or
-    /// a bad value exits 2.
+    /// a bad value (`--reps`/`--scale` not an integer >= 1) exits 2.
     pub fn parse_from<I: IntoIterator<Item = String>>(args: I) -> RunOpts {
         let mut opts = RunOpts::default();
         let mut it = args.into_iter();
         while let Some(a) = it.next() {
             match a.as_str() {
-                "--full" => opts.full = true,
-                "--reps" => {
-                    opts.reps = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                        eprintln!("error: --reps needs an integer");
-                        std::process::exit(2);
-                    });
-                }
-                "--scale" => {
-                    opts.scale = it.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                        eprintln!("error: --scale needs an integer");
-                        std::process::exit(2);
-                    });
-                }
+                "--full" => opts.scale = 1,
+                "--reps" => opts.reps = positive(&a, it.next()),
+                "--scale" => opts.scale = positive(&a, it.next()),
                 "--help" | "-h" => {
                     println!("{}", RunOpts::USAGE);
                     std::process::exit(0);
@@ -66,18 +54,22 @@ impl RunOpts {
 
     /// Resolve to a benchmark profile.
     pub fn profile(&self) -> BenchProfile {
-        if self.full {
-            BenchProfile { hw: xeon_gold_6326(), data_div: 1, reps: self.reps.max(1) }
-        } else if self.scale == 16 {
-            BenchProfile { hw: scaled_profile(), data_div: 16, reps: self.reps.max(1) }
-        } else {
-            BenchProfile {
-                hw: xeon_gold_6326().scaled(self.scale.max(1)),
-                data_div: self.scale.max(1),
-                reps: self.reps.max(1),
-            }
+        BenchProfile {
+            hw: xeon_gold_6326().scaled(self.scale),
+            data_div: self.scale,
+            reps: self.reps,
         }
     }
+}
+
+/// The value of option `opt`, which must be an integer >= 1; anything
+/// else exits 2.
+fn positive(opt: &str, value: Option<String>) -> usize {
+    let value = value.unwrap_or_default();
+    value.parse().ok().filter(|&n| n >= 1).unwrap_or_else(|| {
+        eprintln!("error: {opt} needs an integer >= 1, got {value:?}");
+        std::process::exit(2);
+    })
 }
 
 /// A resolved benchmark profile: machine + data scaling + repetitions.
@@ -169,10 +161,9 @@ mod tests {
     #[test]
     fn parses_flags() {
         let o = args(&["--full", "--reps", "7"]);
-        assert!(o.full);
+        assert_eq!(o.scale, 1);
         assert_eq!(o.reps, 7);
         let o = args(&["--scale", "32"]);
-        assert!(!o.full);
         assert_eq!(o.scale, 32);
     }
 
@@ -185,6 +176,14 @@ mod tests {
         let f = args(&["--full"]).profile();
         assert_eq!(f.mb(100), 100 << 20);
         assert_eq!(f.data_div, 1);
+    }
+
+    #[test]
+    fn default_and_full_profiles_are_the_scaled_machine() {
+        // `HwConfig` has no `PartialEq`; its `Debug` text lists every field.
+        let hw = |o: &[&str]| format!("{:?}", args(o).profile().hw);
+        assert_eq!(hw(&[]), format!("{:?}", xeon_gold_6326().scaled(16)));
+        assert_eq!(hw(&["--full"]), format!("{:?}", xeon_gold_6326().scaled(1)));
     }
 
     #[test]

@@ -323,15 +323,6 @@ impl JobStatus {
             JobStatus::Skipped => "skipped",
         }
     }
-
-    fn parse(s: &str) -> Result<JobStatus, String> {
-        match s {
-            "ok" => Ok(JobStatus::Ok),
-            "failed" => Ok(JobStatus::Failed),
-            "skipped" => Ok(JobStatus::Skipped),
-            other => Err(format!("unknown job status {other:?}")),
-        }
-    }
 }
 
 /// Per-job record in the manifest.
@@ -383,7 +374,7 @@ impl Manifest {
         self.entries.iter().filter(|e| e.status == status).count()
     }
 
-    /// Ids of the failed entries (the `--retry-failed` work list).
+    /// Ids of the failed entries, for the `--only` list that re-runs them.
     pub fn failed_ids(&self) -> Vec<String> {
         self.entries
             .iter()
@@ -417,59 +408,6 @@ impl Manifest {
             ("n_skipped".into(), Value::Num(self.count(JobStatus::Skipped) as f64)),
         ])
         .pretty()
-    }
-
-    /// Parse a manifest previously written by [`Manifest::to_json`].
-    pub fn from_json(text: &str) -> Result<Manifest, String> {
-        let v = Value::parse(text)?;
-        let schema = v
-            .get("schema")
-            .and_then(Value::as_str)
-            .ok_or_else(|| "manifest missing \"schema\"".to_string())?;
-        if schema != "sgx-bench-manifest/1" {
-            return Err(format!("unsupported manifest schema {schema:?}"));
-        }
-        let jobs = v
-            .get("jobs")
-            .and_then(Value::as_arr)
-            .ok_or_else(|| "manifest missing \"jobs\" array".to_string())?;
-        let entries = jobs
-            .iter()
-            .map(|j| {
-                let field = |key: &str| {
-                    j.get(key)
-                        .and_then(Value::as_str)
-                        .map(str::to_string)
-                        .ok_or_else(|| format!("manifest job missing string field {key:?}"))
-                };
-                let outputs = j
-                    .get("outputs")
-                    .and_then(Value::as_arr)
-                    .ok_or_else(|| "manifest job missing \"outputs\"".to_string())?
-                    .iter()
-                    .map(|o| {
-                        o.as_str()
-                            .map(str::to_string)
-                            .ok_or_else(|| "non-string output id".to_string())
-                    })
-                    .collect::<Result<Vec<_>, String>>()?;
-                Ok(ManifestEntry {
-                    id: field("id")?,
-                    status: JobStatus::parse(&field("status")?)?,
-                    seconds: j
-                        .get("seconds")
-                        .and_then(Value::as_f64)
-                        .ok_or_else(|| "manifest job missing \"seconds\"".to_string())?,
-                    error: match j.get("error") {
-                        Some(Value::Str(m)) => Some(m.clone()),
-                        Some(Value::Null) | None => None,
-                        Some(_) => return Err("manifest \"error\" must be string or null".into()),
-                    },
-                    outputs,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(Manifest { entries })
     }
 }
 
@@ -726,7 +664,7 @@ mod tests {
     }
 
     #[test]
-    fn manifest_roundtrips_byte_identically() {
+    fn manifest_json_is_byte_stable() {
         let m = Manifest {
             entries: vec![
                 ManifestEntry {
@@ -752,26 +690,40 @@ mod tests {
                 },
             ],
         };
-        let j = m.to_json();
-        let back = Manifest::from_json(&j).expect("roundtrip");
-        assert_eq!(back.entries.len(), 3);
-        assert_eq!(back.count(JobStatus::Ok), 1);
-        assert_eq!(back.count(JobStatus::Failed), 1);
-        assert_eq!(back.failed_ids(), vec!["fig07".to_string()]);
-        assert_eq!(back.entries[1].error.as_deref(), Some("panicked: shape assertion"));
-        // Seconds rounded to ms on write.
-        assert!((back.entries[0].seconds - 1.235).abs() < 1e-9);
-        assert_eq!(back.to_json(), j, "manifest serialization must be byte-stable");
+        // Seconds are rounded to the millisecond on write.
+        let expected = r#"{
+  "schema": "sgx-bench-manifest/1",
+  "jobs": [
+    {
+      "id": "fig04",
+      "status": "ok",
+      "seconds": 1.235,
+      "error": null,
+      "outputs": [
+        "fig04a",
+        "fig04b"
+      ]
+    },
+    {
+      "id": "fig07",
+      "status": "failed",
+      "seconds": 0.5,
+      "error": "panicked: shape assertion",
+      "outputs": []
+    },
+    {
+      "id": "fig08",
+      "status": "skipped",
+      "seconds": 0.0,
+      "error": null,
+      "outputs": []
     }
-
-    #[test]
-    fn from_json_rejects_malformed_manifests() {
-        assert!(Manifest::from_json("{}").is_err());
-        assert!(Manifest::from_json("{\"schema\": \"other/9\", \"jobs\": []}").is_err());
-        let bad_status = r#"{"schema": "sgx-bench-manifest/1", "jobs": [
-            {"id": "x", "status": "meh", "seconds": 0.0, "error": null, "outputs": []}
-        ]}"#;
-        assert!(Manifest::from_json(bad_status).is_err());
+  ],
+  "n_ok": 1.0,
+  "n_failed": 1.0,
+  "n_skipped": 1.0
+}"#;
+        assert_eq!(m.to_json(), expected);
     }
 
     #[test]
