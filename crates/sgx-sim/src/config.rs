@@ -400,17 +400,18 @@ pub fn scaled_profile() -> HwConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tokenizer::{tokenize, TokKind};
+    use std::collections::BTreeSet;
 
     /// 1-based lines of `src`, read up to its `#[cfg(test)]` line, that
-    /// hold a numeric literal outside comments and string literals but
-    /// have no provenance comment on that line or the line above. A
+    /// hold a numeric literal outside comments, string and char literals
+    /// but have no provenance comment on that line or the line above. A
     /// provenance comment names `paper:` or `uarch:`, or is a
-    /// `waiver: <reason>` with a non-empty reason.
-    fn untagged_constant_lines(src: &str) -> Vec<usize> {
+    /// `waiver: <reason>` with a non-empty reason; it counts on the line
+    /// it starts on.
+    fn untagged_constant_lines(src: &str) -> Vec<u32> {
         let body = src.find("\n#[cfg(test)]").map_or(src, |end| &src[..end]);
-        let chars: Vec<char> = body.chars().collect();
-        let lines = body.lines().count() + 1;
-        let (mut numeric, mut tagged) = (vec![false; lines + 1], vec![false; lines + 1]);
+        let lexed = tokenize(body);
         let is_tag = |comment: &str| {
             comment.contains("paper:")
                 || comment.contains("uarch:")
@@ -418,55 +419,17 @@ mod tests {
                     .split_once("waiver:")
                     .is_some_and(|(_, reason)| !reason.trim().is_empty())
         };
-        let (mut i, mut line, mut prev) = (0, 1, ' ');
-        while i < chars.len() {
-            let (c, next) = (chars[i], chars.get(i + 1).copied());
-            if c == '/' && (next == Some('/') || next == Some('*')) {
-                // A comment: `//` to the end of the line, `/* */` to its
-                // close. Its tag counts on the line it starts on.
-                let close: &[char] = if next == Some('/') { &['\n'] } else { &['*', '/'] };
-                let start = i;
-                while i < chars.len() && !chars[i..].starts_with(close) {
-                    i += 1;
-                }
-                let text: String = chars[start..i].iter().collect();
-                tagged[line] |= is_tag(&text);
-                line += text.matches('\n').count();
-                if next == Some('*') {
-                    i += close.len();
-                }
-                prev = ' ';
-                continue;
-            }
-            if c == '"' {
-                i += 1;
-                while i < chars.len() && chars[i] != '"' {
-                    // An escape spans two chars, and `\` + newline is a
-                    // line continuation: count every newline either way.
-                    let end = chars.len().min(i + if chars[i] == '\\' { 2 } else { 1 });
-                    line += chars[i..end].iter().filter(|&&c| c == '\n').count();
-                    i = end;
-                }
-            } else if c.is_ascii_digit() && !(prev.is_alphanumeric() || prev == '_') {
-                // A literal starts here (not a digit inside an
-                // identifier); skip its digits, fraction, exponent and
-                // suffix.
-                numeric[line] = true;
-                while i + 1 < chars.len()
-                    && (chars[i + 1].is_alphanumeric()
-                        || chars[i + 1] == '_'
-                        || chars[i + 1] == '.'
-                            && chars.get(i + 2).is_some_and(|d| d.is_ascii_digit()))
-                {
-                    i += 1;
-                }
-            } else if c == '\n' {
-                line += 1;
-            }
-            prev = chars[i];
-            i += 1;
-        }
-        (1..lines).filter(|&l| numeric[l] && !tagged[l] && !tagged[l - 1]).collect()
+        let tagged: BTreeSet<u32> =
+            lexed.comments.iter().filter(|c| is_tag(&c.text)).map(|c| c.line).collect();
+        let mut untagged: Vec<u32> = lexed
+            .tokens
+            .iter()
+            .filter(|t| t.kind == TokKind::Num)
+            .map(|t| t.line)
+            .filter(|line| !tagged.contains(line) && !tagged.contains(&(line - 1)))
+            .collect();
+        untagged.dedup();
+        untagged
     }
 
     #[test]
@@ -489,13 +452,15 @@ mod tests {
                    let s = \"4 \\\n 5\";\n\
                    // waiver:\n\
                    let floor = 16;\n\
+                   let quote = '\"'; let n = 10;\n\
                    #[cfg(test)]\n\
                    const T: u32 = 9;\n";
-        // C has no tag; `floor`'s waiver gives no reason. Digits inside
-        // identifiers, strings and comments are not constants, a string's
-        // line continuation still ends a line, and the test module is not
-        // read.
-        assert_eq!(untagged_constant_lines(src), [4, 9]);
+        // C has no tag; `floor`'s waiver gives no reason, and neither has
+        // `n`, behind a char literal that holds a quote and opens no
+        // string. Digits inside identifiers, strings and comments are not
+        // constants, a string's line continuation still ends a line, and
+        // the test module is not read.
+        assert_eq!(untagged_constant_lines(src), [4, 9, 10]);
     }
 
     #[test]

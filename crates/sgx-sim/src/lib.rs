@@ -58,6 +58,8 @@ pub mod mem;
 pub mod paging;
 pub mod profile;
 pub mod sync;
+#[cfg(test)]
+mod tokenizer;
 
 pub use config::HwConfig;
 pub use counters::Counters;
