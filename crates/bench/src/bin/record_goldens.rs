@@ -1,6 +1,6 @@
 //! Record the refactor-equivalence goldens (`tests/goldens/`).
 //!
-//! Runs the full figure registry sequentially under the dedicated golden
+//! Runs the full figure registry on one worker under the dedicated golden
 //! profile (`BenchProfile::golden()`) with per-job cycle-attribution
 //! profiling on, digests every figure's JSON bytes, every job's counter
 //! report, and every job's `<job>.profile.json` bytes, and writes
@@ -25,8 +25,13 @@ fn main() -> ExitCode {
     let jobs = registry();
     let profile = BenchProfile::golden();
     eprintln!("recording goldens under profile: {}", BenchProfile::golden_tag());
-    // Sequential on purpose: the goldens define the reference outcome,
-    // and `jobs: 1` is exactly the pre-parallel harness behavior.
+    // One worker on purpose: the goldens define the reference outcome,
+    // and `jobs: 1` runs the jobs one after another. Each job's sweeps
+    // still share the host's cores among their points, but a sweep
+    // returns its results in list order and appends its points' counter
+    // and profile sessions in list order, which is the order the
+    // pre-parallel harness built and dropped their machines in. So the
+    // goldens this writes do not change with the host's core count.
     // Profiling on so the goldens also pin per-bin cycle attribution.
     let cfg = RunConfig { jobs: 1, profile: true, ..RunConfig::default() };
     let outcomes = run_registry(&jobs, &profile, &cfg);

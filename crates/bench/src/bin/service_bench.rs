@@ -12,9 +12,13 @@
 //!                 [--no-admission] [--no-degrade] [--overload X]
 //!                 [--expect-shedding] [--json FILE]
 //!
-//! `--scale N` takes an integer N >= 1 (1 is paper scale), and
-//! `--overload X` divides every tenant's think/gap time by a finite X > 0
-//! to push the offered load past capacity; any other value exits 2.
+//! `--scale N` takes an integer N >= 1 (1 is paper scale). `--aex RATE`
+//! takes a finite RATE >= 0 (AEX interrupts per million cycles), and
+//! `--epc LEVEL` a finite LEVEL in [0, 1) (the share of the calm
+//! high-water mark the pressure balloon takes away; at 1 only the 4 KB
+//! floor the calibration clamps to would be left). `--overload X` divides
+//! every tenant's think/gap time by a finite X > 0 to push the offered
+//! load past capacity. Any other value exits 2.
 //! `--expect-shedding` exits nonzero unless the run rejected at least one
 //! query — the CI overload gate runs this twice: once as a positive
 //! check, once with `--no-admission` expecting the check itself to fail
@@ -63,8 +67,18 @@ fn main() {
                     .filter(|&n| n >= 1)
                     .unwrap_or_else(|| usage_error("--scale needs an integer >= 1"));
             }
-            "--aex" => stress.aex_per_mcycle = parse_f64(args.next(), "--aex"),
-            "--epc" => stress.epc_level = parse_f64(args.next(), "--epc"),
+            "--aex" => {
+                stress.aex_per_mcycle = parse_f64(args.next(), "--aex");
+                if !(stress.aex_per_mcycle.is_finite() && stress.aex_per_mcycle >= 0.0) {
+                    usage_error("--aex needs a finite value >= 0");
+                }
+            }
+            "--epc" => {
+                stress.epc_level = parse_f64(args.next(), "--epc");
+                if !(0.0..1.0).contains(&stress.epc_level) {
+                    usage_error("--epc needs a finite value in [0, 1)");
+                }
+            }
             "--native" => setting = Setting::PlainCpu,
             "--no-admission" => admission = false,
             "--no-degrade" => degrade = false,

@@ -109,6 +109,11 @@ fn service_bench_bad_values_exit_2_before_calibrating() {
         ("svc-overload-0", &["--scale", "512", "--overload", "0"], "--overload"),
         ("svc-overload-negative", &["--scale", "512", "--overload", "-1"], "--overload"),
         ("svc-overload-inf", &["--scale", "512", "--overload", "inf"], "--overload"),
+        ("svc-aex-negative", &["--scale", "512", "--aex", "-5"], "--aex"),
+        ("svc-aex-nan", &["--scale", "512", "--aex", "nan"], "--aex"),
+        ("svc-epc-negative", &["--scale", "512", "--epc", "-1"], "--epc"),
+        ("svc-epc-above-1", &["--scale", "512", "--epc", "1.5"], "--epc"),
+        ("svc-epc-inf", &["--scale", "512", "--epc", "inf"], "--epc"),
     ] {
         let (out, emitted) = run(SERVICE_BENCH, case, args);
         assert_eq!(out.status.code(), Some(2), "{case}: {}", stderr(&out));

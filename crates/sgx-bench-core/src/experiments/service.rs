@@ -303,10 +303,10 @@ pub fn ext_service_tail(p: &BenchProfile) -> Vec<Figure> {
     let epc = |l| StressPoint { aex_per_mcycle: 0.0, epc_level: l };
     let aex = |r| StressPoint { aex_per_mcycle: r, epc_level: 0.0 };
     // Every calibration builds machines of its own, so all of them run as
-    // one `crate::sweep`. A profiled sweep runs them inline in list order,
-    // and profile bins add f64s in machine-drop order, so the golden
-    // profile pins this order: calm enclave and native, the enclave EPC
-    // levels, then the native and the enclave AEX rates.
+    // one `crate::sweep`. The sweep folds their machines' profiles in list
+    // order, and profile bins add f64s, so the golden profile pins this
+    // order: calm enclave and native, the enclave EPC levels, then the
+    // native and the enclave AEX rates.
     let mut points = vec![(enc, calm), (nat, calm)];
     points.extend(EPC_LEVELS[1..].iter().map(|&l| (enc, epc(l))));
     points.extend(AEX_RATES[1..].iter().map(|&r| (nat, aex(r))));

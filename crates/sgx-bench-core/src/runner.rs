@@ -16,20 +16,21 @@
 //! builds its own [`sgx_sim::Machine`]s, whose cost model is a pure
 //! function of (profile, experiment) — no global mutable state — so
 //! *which* thread runs a job affects neither its figures nor its
-//! counters. Results are committed back in registry order, and the
-//! per-job counter totals are captured from the thread-local session
-//! accumulator (`sgx_sim::counters::session_take`), which works because
-//! one job runs wholly on one worker thread. The manifest's `seconds`
-//! field is the only legitimately nondeterministic output.
+//! counters. Results are committed back in registry order. Each job runs
+//! inside a `crate::sweep::capture`, which hands back the counter totals
+//! and machine profiles of the machines dropped on its worker thread
+//! while it ran. The manifest's `seconds` field is the only legitimately
+//! nondeterministic output.
 //!
-//! A job may share its independent points among helper threads through
-//! `crate::sweep`, which folds the helpers' counter sessions back into
-//! the worker's before it returns. Its thread budget (`sweep_threads`)
-//! splits the host's cores among the registry's workers, so a run never
-//! has more busy threads than cores.
+//! A job shares its independent points among helper threads through
+//! `crate::sweep`, which captures each point the same way and appends the
+//! captures to the worker's sessions in list order before it returns, so
+//! the job's counters and profile equal a sequential run's. Its thread
+//! budget (`sweep_threads`) splits the host's cores among the registry's
+//! workers, so a run never has more busy threads than cores.
 
 use std::cell::Cell;
-use std::panic::{self, AssertUnwindSafe};
+use std::panic;
 use std::sync::atomic::{AtomicUsize, Ordering};
 #[expect(clippy::disallowed_types, reason = "harness-only wall-clock for manifest timings")]
 use std::time::Instant;
@@ -38,6 +39,7 @@ use crate::json::Value;
 use crate::profiles::BenchProfile;
 use crate::report::Figure;
 use crate::experiments as ex;
+use crate::sweep::{capture, Capture};
 use sgx_sim::Counters;
 
 /// One registered figure job: an id (usually the figure id; `fig04`
@@ -178,13 +180,11 @@ pub(crate) fn sweep_threads() -> usize {
 /// isolated with `catch_unwind` and recorded as [`JobStatus::Failed`].
 ///
 /// The calling thread participates as a worker (and is the only worker
-/// for `jobs <= 1`). The caller's own thread-local measurement state —
-/// counter session, profile session, profiling flag and sweep budget — is
-/// saved on entry and restored on exit, so an open outer measurement
-/// session survives a registry run intact.
+/// for `jobs <= 1`). Each job runs inside a `crate::sweep::capture`, which
+/// sets the caller's counter and profile sessions aside, so an open outer
+/// measurement session survives a registry run intact; the caller's
+/// profiling flag and sweep budget are restored on exit.
 pub fn run_registry(registry: &[FigureJob], profile: &BenchProfile, cfg: &RunConfig) -> Vec<JobOutcome> {
-    let saved_counters = sgx_sim::counters::session_take();
-    let saved_profile = sgx_sim::profile::session_take();
     let saved_enabled = sgx_sim::profile::enabled();
     let saved_budget = SWEEP_BUDGET.with(Cell::get);
     let selected: Vec<usize> =
@@ -227,13 +227,8 @@ pub fn run_registry(registry: &[FigureJob], profile: &BenchProfile, cfg: &RunCon
             }
         }
     });
-    // Restore the caller's measurement state: every job drained the
-    // session of the thread it ran on (including this one), so absorbing
-    // the saved sessions back reinstates them exactly.
     SWEEP_BUDGET.with(|b| b.set(saved_budget));
     sgx_sim::profile::set_enabled(saved_enabled);
-    sgx_sim::profile::session_absorb(&saved_profile);
-    sgx_sim::counters::session_absorb(&saved_counters);
     registry
         .iter()
         .zip(done.iter_mut())
@@ -247,25 +242,20 @@ fn run_one(job: &FigureJob, profile: &BenchProfile, cfg: &RunConfig) -> JobOutco
     eprintln!("[{}] running...", job.id);
     #[expect(clippy::disallowed_types, reason = "harness-only wall-clock for manifest timings")]
     let started = Instant::now();
-    // Reset the session accumulators so earlier machines dropped on this
-    // thread are not attributed to this job, and arm (or disarm) cycle
-    // attribution for the machines this job builds.
-    sgx_sim::counters::session_take();
-    sgx_sim::profile::session_take();
+    // Arm (or disarm) cycle attribution for the machines this job builds.
+    // The capture holds exactly the sessions of the machines dropped
+    // during the job (or during its unwind), its sweeps' helpers included.
     sgx_sim::profile::set_enabled(cfg.profile);
     let run = job.run;
     let inject = cfg.fail_injection.as_deref() == Some(job.id);
-    let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-        #[expect(clippy::panic, reason = "fault-injection hook, caught by this catch_unwind")]
+    let Capture { result: outcome, counters, profiles } = capture(|| {
+        #[expect(clippy::panic, reason = "fault-injection hook, caught by the capture")]
         if inject {
             panic!("injected failure via ALL_FIGURES_FAIL={}", job.id);
         }
         run(profile)
-    }));
-    // Machines are dropped during the job (or during unwind), so the
-    // sessions now hold exactly this job's totals.
-    let counters = sgx_sim::counters::session_take();
-    let prof = cfg.profile.then(sgx_sim::profile::session_take);
+    });
+    let prof = cfg.profile.then(|| sgx_sim::Profile::fold(&profiles));
     sgx_sim::profile::set_enabled(false);
     let seconds = started.elapsed().as_secs_f64();
     match outcome {
@@ -445,7 +435,7 @@ impl JobFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::golden::{counters_digest, figure_digest, Goldens};
+    use crate::golden::{counters_digest, figure_digest, profile_digest, Goldens};
     use sgx_sim::{Machine, Setting};
 
     /// A cheap machine-touching job: charges work so the scheduler's
@@ -615,9 +605,11 @@ mod tests {
 
     #[test]
     fn sharded_figures_stream_jobs_reproduce_goldens() {
-        // The golden runs are profiled, so every sweep in them runs
-        // inline. A budget of two threads makes each sweep below spawn a
-        // helper, even on a one-core host.
+        // A budget of two threads makes each sweep below spawn a helper,
+        // even on a one-core host, and the jobs run profiled, so their
+        // profiles check the list-order fold of the helpers' machine
+        // profiles. ext_service_tail's EPC calibrations build two machines
+        // per point.
         const GOLDENS: &str =
             concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/goldens/figure_digests.json");
         let text = std::fs::read_to_string(GOLDENS).expect("golden file is readable");
@@ -625,7 +617,7 @@ mod tests {
         assert_eq!(goldens.profile, BenchProfile::golden_tag());
         let (reg, profile) = (registry(), BenchProfile::golden());
         let saved_budget = SWEEP_BUDGET.with(|b| b.replace(2));
-        assert!(!sgx_sim::profile::enabled(), "profiled sweeps would run inline");
+        sgx_sim::profile::set_enabled(true);
         for id in [
             "fig12",
             "fig13",
@@ -634,18 +626,23 @@ mod tests {
             "fig17",
             "ext_dual_socket",
             "ext_packed",
+            "ext_service_tail",
             "ext_storage_path",
         ] {
             let job = reg.iter().find(|j| j.id == id).expect("registered job");
             let golden = goldens.jobs.iter().find(|g| g.id == id).expect("golden job");
             let _ = sgx_sim::counters::session_take();
+            let _ = sgx_sim::profile::session_take();
             let figures = (job.run)(&profile);
             let counters = sgx_sim::counters::session_take();
+            let prof = sgx_sim::profile::session_take();
             let got: Vec<(String, String)> =
                 figures.iter().map(|f| (f.id.clone(), figure_digest(f))).collect();
             assert_eq!(got, golden.figures, "{id}: figure bytes drifted when sharded");
             assert_eq!(counters_digest(&counters), golden.counters, "{id}: counters drifted");
+            assert_eq!(profile_digest(id, &prof), golden.profile, "{id}: profile drifted");
         }
+        sgx_sim::profile::set_enabled(false);
         SWEEP_BUDGET.with(|b| b.set(saved_budget));
     }
 

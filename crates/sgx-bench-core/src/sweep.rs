@@ -4,22 +4,31 @@
 //!
 //! * **Results in list order.** The caller receives one result per item,
 //!   in the order of the item list, whichever thread ran it.
-//! * **Inline when order is observable.** With cycle profiling on for the
-//!   calling thread, or a budget of one thread, the items run inline in
-//!   list order, which is also the order their machines are built and
-//!   dropped. Profile sessions add `f64`s in machine-drop order, so only
-//!   this order reproduces a profile byte for byte.
-//! * **Counters conserved.** Each helper thread's counter session is
-//!   folded into the caller's before the sweep returns; `u64` addition is
-//!   exact in any order, so the job's counters equal a sequential run's.
+//! * **Sessions in list order.** Each point runs inside a [`capture`],
+//!   which sets the thread's counter and profile sessions aside, so it
+//!   returns the point's result together with the counters and the
+//!   machine profiles of the machines the point dropped. After every
+//!   thread has joined, the caller appends the captures to its own
+//!   sessions in list order, which is the order a sequential loop drops
+//!   the points' machines in. `u64` counters are exact in any order, and
+//!   profile sessions fold their `f64` bins only when taken, in that
+//!   order, so the job's counters and profile equal a sequential run's
+//!   bit for bit. A budget of one thread runs the same code with no
+//!   helper.
+//! * **Helpers start clean.** A helper thread starts with the caller's
+//!   profiling flag and an empty phase stack. No job opens a phase scope
+//!   around a sweep; one that did would attribute its helpers' points
+//!   outside that scope, and the profiled golden run would catch it.
 //! * **Claims by size.** The calling thread claims the largest remaining
 //!   item, helpers the smallest. The largest machines therefore run one
 //!   after another on the caller, never side by side, while helpers work
 //!   through the small ones; this keeps the job's peak memory near a
 //!   sequential run's.
-//! * **Failures as before.** A panic on a helper is re-raised on the
-//!   caller after every thread has joined, so the registry's
-//!   `catch_unwind` records the job as failed.
+//! * **Failures as before.** A thread stops claiming after a point
+//!   panics. The caller still absorbs every captured session, the
+//!   panicking point's included, and then re-raises the panic of the
+//!   first failed item in list order, so the registry's `catch_unwind`
+//!   records the job as failed.
 //!
 //! DESIGN.md §17 gives the argument and the measured claim orders.
 
@@ -27,6 +36,45 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::runner::{sweep_threads, WORKER_STACK};
+use sgx_sim::{Counters, Profile};
+
+/// What one [`capture`] ran: its result, or its panic, and the sessions
+/// of the machines it dropped.
+pub(crate) struct Capture<R> {
+    /// The closure's result, or its panic payload.
+    pub(crate) result: std::thread::Result<R>,
+    /// Counter totals of the machines dropped while it ran.
+    pub(crate) counters: Counters,
+    /// Profiles of those machines, in drop order (empty unless profiled).
+    pub(crate) profiles: Vec<Profile>,
+}
+
+impl<R> Capture<R> {
+    /// Append the captured sessions to the current thread's and hand back
+    /// the result.
+    fn absorb(self) -> std::thread::Result<R> {
+        sgx_sim::counters::session_absorb(&self.counters);
+        sgx_sim::profile::session_extend(self.profiles);
+        self.result
+    }
+}
+
+/// Run `f` with this thread's counter and profile sessions set aside,
+/// catching a panic, and return what it produced and dropped. The
+/// thread's sessions are as before on return.
+pub(crate) fn capture<R>(f: impl FnOnce() -> R) -> Capture<R> {
+    let outer_counters = sgx_sim::counters::session_take();
+    let outer_profiles = sgx_sim::profile::session_take_list();
+    let result = panic::catch_unwind(AssertUnwindSafe(f));
+    let captured = Capture {
+        result,
+        counters: sgx_sim::counters::session_take(),
+        profiles: sgx_sim::profile::session_take_list(),
+    };
+    sgx_sim::counters::session_absorb(&outer_counters);
+    sgx_sim::profile::session_extend(outer_profiles);
+    captured
+}
 
 /// Run `point` on every item, sharing the items among up to the calling
 /// job's thread budget ([`sweep_threads`]); `bytes` sizes an item for the
@@ -59,10 +107,6 @@ fn sweep_indices<R: Send>(
     point: &(dyn Fn(usize) -> R + Sync),
 ) -> Vec<R> {
     let n = sizes.len();
-    let threads = threads.min(n);
-    if threads <= 1 || sgx_sim::profile::enabled() {
-        return (0..n).map(point).collect();
-    }
     let by_size = smallest_first(sizes);
     // Every successful claim takes one item from exactly one end, and at
     // most `n` claims succeed, so the two ends never cross. The counters
@@ -78,23 +122,29 @@ fn sweep_indices<R: Send>(
             }
         })
     };
-    // One thread's claims and results; a panic is held until every
-    // thread has joined.
+    // One thread's claims, each captured; the thread stops at a panic.
     let drain = |largest_first: bool| {
-        panic::catch_unwind(AssertUnwindSafe(|| {
-            let mut mine = Vec::new();
-            while let Some(i) = claim(largest_first) {
-                mine.push((i, point(i)));
+        let mut mine = Vec::new();
+        while let Some(i) = claim(largest_first) {
+            let captured = capture(|| point(i));
+            let failed = captured.result.is_err();
+            mine.push((i, captured));
+            if failed {
+                break;
             }
-            mine
-        }))
+        }
+        mine
     };
+    let profiled = sgx_sim::profile::enabled();
     let parts = std::thread::scope(|s| {
         let mut helpers = Vec::new();
-        for _ in 1..threads {
+        for _ in 1..threads.min(n) {
             let spawned = std::thread::Builder::new()
                 .stack_size(WORKER_STACK)
-                .spawn_scoped(s, || (drain(false), sgx_sim::counters::session_take()));
+                .spawn_scoped(s, || {
+                    sgx_sim::profile::set_enabled(profiled);
+                    drain(false)
+                });
             match spawned {
                 Ok(h) => helpers.push(h),
                 // The caller still drains every item below, so a failed
@@ -104,20 +154,30 @@ fn sweep_indices<R: Send>(
         }
         let mut parts = vec![drain(true)];
         for h in helpers {
-            let (part, counters) = h.join().unwrap_or_else(|p| panic::resume_unwind(p));
-            sgx_sim::counters::session_absorb(&counters);
-            parts.push(part);
+            parts.push(h.join().unwrap_or_else(|p| panic::resume_unwind(p)));
         }
         parts
     });
-    let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(n).collect();
-    for part in parts {
-        for (i, r) in part.unwrap_or_else(|p| panic::resume_unwind(p)) {
-            slots[i] = Some(r);
+    let mut slots: Vec<Option<Capture<R>>> = std::iter::repeat_with(|| None).take(n).collect();
+    for (i, captured) in parts.into_iter().flatten() {
+        slots[i] = Some(captured);
+    }
+    // Absorb in list order, a failed point's sessions included. Without a
+    // panic every item was claimed exactly once.
+    let mut results = Vec::with_capacity(n);
+    let mut failure = None;
+    for captured in slots.into_iter().flatten() {
+        match captured.absorb() {
+            Ok(r) => results.push(r),
+            Err(p) => {
+                failure.get_or_insert(p);
+            }
         }
     }
-    // Without a panic every item was claimed exactly once.
-    slots.into_iter().flatten().collect()
+    if let Some(p) = failure {
+        panic::resume_unwind(p);
+    }
+    results
 }
 
 /// Item indices from the smallest item to the largest; ties keep list
@@ -135,7 +195,7 @@ mod tests {
     use crate::report::{Figure, Stat};
     use crate::runner::{run_registry, FigureJob, JobStatus, RunConfig};
     use crate::{rep_seeds, repeat, repeat_grid_on};
-    use sgx_sim::{Machine, Setting};
+    use sgx_sim::{CostCategory, Machine, Setting};
     use std::sync::{Barrier, Mutex};
     use std::thread::{self, ThreadId};
 
@@ -187,29 +247,6 @@ mod tests {
                 "{threads} threads: counters must be conserved"
             );
         }
-    }
-
-    #[test]
-    fn profiled_sweeps_run_inline_in_list_order() {
-        let ran: Mutex<Vec<(usize, ThreadId)>> = Mutex::new(Vec::new());
-        sgx_sim::profile::set_enabled(true);
-        let got = sweep_on(
-            8,
-            &SIZES,
-            |&k| k,
-            |&k| {
-                ran.lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .push((k, thread::current().id()));
-                k
-            },
-        );
-        sgx_sim::profile::set_enabled(false);
-        let _ = sgx_sim::profile::session_take();
-        let me = thread::current().id();
-        let ran = ran.into_inner().unwrap_or_else(|e| e.into_inner());
-        assert_eq!(got, SIZES);
-        assert_eq!(ran, SIZES.iter().map(|&k| (k, me)).collect::<Vec<_>>());
     }
 
     /// Grid configurations in list order: unequal array lines with a
@@ -283,34 +320,140 @@ mod tests {
         }
     }
 
-    #[test]
-    fn profiled_grids_run_inline_configuration_major() {
-        let ran: Mutex<Vec<(usize, u64, ThreadId)>> = Mutex::new(Vec::new());
-        sgx_sim::profile::set_enabled(true);
-        let got = repeat_grid_on(
-            8,
-            3,
-            &GRID,
-            |&(k, _)| k,
-            |&(k, _), seed| {
-                ran.lock().unwrap_or_else(|e| e.into_inner()).push((
-                    k,
-                    seed,
-                    thread::current().id(),
-                ));
-                k as f64
-            },
-        );
-        sgx_sim::profile::set_enabled(false);
-        let _ = sgx_sim::profile::session_take();
-        let me = thread::current().id();
-        let want: Vec<(usize, u64, ThreadId)> = GRID
+    /// A profiled point that builds one machine for even `k` and two for
+    /// odd `k`, each with work in two phases, and returns its wall cycles.
+    fn profiled_point(k: usize, seed: u64) -> f64 {
+        let settings = [Setting::SgxDataInEnclave, Setting::PlainCpu];
+        let mut wall = 0.0;
+        for &setting in &settings[..1 + k % 2] {
+            let mut m = Machine::new(BenchProfile::tiny().hw, setting);
+            let mut v = m.alloc::<u64>(k * 8);
+            {
+                let _fill = m.phase("fill");
+                m.run(|c| {
+                    for i in 0..v.len() {
+                        v.set(c, i, seed ^ i as u64);
+                    }
+                });
+            }
+            let _sum = m.phase("sum");
+            let reads = v.len() - (seed % 5) as usize;
+            m.run(|c| {
+                let mut acc = 0u64;
+                for i in 0..reads {
+                    acc = acc.wrapping_add(v.get(c, i));
+                }
+                c.compute(acc % 7 + 1);
+            });
+            wall += m.wall_cycles();
+        }
+        wall
+    }
+
+    /// One line per phase with the bits of every bin and the phase
+    /// counters, then the bits of `charged_cycles`.
+    fn profile_bits(p: &Profile) -> Vec<String> {
+        let mut lines: Vec<String> = p
+            .phases
             .iter()
-            .flat_map(|&(k, _)| rep_seeds(3).map(move |seed| (k, seed, me)))
+            .map(|(path, ph)| {
+                let bins: Vec<u64> =
+                    CostCategory::ALL.iter().map(|&c| ph.cycles.get(c).to_bits()).collect();
+                format!("{path} {bins:?} {}", ph.counters.report())
+            })
             .collect();
-        assert_eq!(ran.into_inner().unwrap_or_else(|e| e.into_inner()), want);
-        let means: Vec<f64> = got.iter().map(|s| s.mean).collect();
-        assert_eq!(means, GRID.map(|(k, _)| k as f64));
+        lines.push(format!("charged {}", p.charged_cycles.to_bits()));
+        lines
+    }
+
+    /// The counter report and profile bits the sessions hold, taken.
+    fn take_sessions() -> (String, Vec<String>) {
+        let counters = sgx_sim::counters::session_take().report();
+        (counters, profile_bits(&sgx_sim::profile::session_take()))
+    }
+
+    #[test]
+    fn profiled_sweeps_and_grids_match_the_sequential_loop() {
+        sgx_sim::profile::set_enabled(true);
+        let _ = take_sessions();
+        let want: Vec<u64> = SIZES.iter().map(|&k| profiled_point(k, 0).to_bits()).collect();
+        let want_sessions = take_sessions();
+        assert!(want_sessions.1.len() > 2, "the profile covers several phases");
+        let reps = 3;
+        let want_grid: Vec<Stat> =
+            GRID.iter().map(|&(k, _)| repeat(reps, |seed| profiled_point(k, seed))).collect();
+        let want_grid_sessions = take_sessions();
+        let seeds: Vec<u64> = rep_seeds(reps).collect();
+        let (first, last) = (seeds[0], seeds[seeds.len() - 1]);
+        for threads in [1, 2, 8] {
+            // With helpers, the caller's first claim waits until a helper
+            // has reached its own first claim, so a helper always runs
+            // points.
+            let gate = Barrier::new(2);
+            let got: Vec<u64> = sweep_on(
+                threads,
+                &SIZES,
+                |&k| k,
+                |&k| {
+                    if threads > 1 && (k == 1 || k == 40) {
+                        gate.wait();
+                    }
+                    profiled_point(k, 0).to_bits()
+                },
+            );
+            assert_eq!(got, want, "{threads} threads: sweep results differ");
+            assert_eq!(take_sessions(), want_sessions, "{threads} threads: sweep sessions differ");
+            let got_grid = repeat_grid_on(
+                threads,
+                reps,
+                &GRID,
+                |&(k, _)| k,
+                |&(k, _), seed| {
+                    if threads > 1 && ((k == 3 && seed == first) || (k == 30 && seed == last)) {
+                        gate.wait();
+                    }
+                    profiled_point(k, seed)
+                },
+            );
+            assert_eq!(stat_bits(&got_grid), stat_bits(&want_grid), "{threads} threads: grid stats differ");
+            assert_eq!(
+                take_sessions(),
+                want_grid_sessions,
+                "{threads} threads: grid sessions differ"
+            );
+        }
+        sgx_sim::profile::set_enabled(false);
+    }
+
+    #[test]
+    fn a_failed_point_keeps_every_dropped_machines_sessions() {
+        sgx_sim::profile::set_enabled(true);
+        let _ = take_sessions();
+        // The caller's first claim (3) waits for the helper to reach 1,
+        // which fails after its machine has run; the caller then runs 2.
+        let gate = Barrier::new(2);
+        let failed = panic::catch_unwind(AssertUnwindSafe(|| {
+            sweep_on(
+                2,
+                &[1u64, 2, 3],
+                |&k| k as usize,
+                |&k| {
+                    if k == 1 || k == 3 {
+                        gate.wait();
+                    }
+                    let mut m = Machine::new(BenchProfile::tiny().hw, Setting::PlainCpu);
+                    m.run(|c| c.compute(1000 * k));
+                    assert!(k != 1, "helper point {k} failed");
+                    k
+                },
+            )
+        }));
+        sgx_sim::profile::set_enabled(false);
+        let cause = failed.expect_err("the helper's panic reaches the caller");
+        assert!(cause.downcast_ref::<String>().is_some_and(|e| e.contains("helper point 1 failed")));
+        let counters = sgx_sim::counters::session_take();
+        assert_eq!(counters.alu_ops, 6000, "every point's machine counts, the failed one's too");
+        assert_eq!(sgx_sim::profile::session_take().total_counters().alu_ops, 6000);
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! Besides the per-[`crate::Machine`] totals, this module keeps a
 //! *session accumulator*: a thread-local [`Counters`] that absorbs the
 //! totals of every `Machine` dropped on that thread. The parallel figure
-//! harness runs each job wholly on one worker thread, so
-//! [`session_take`] around a job yields that job's counter totals without
-//! threading a collector through the 25 experiment signatures; summing
+//! harness runs each job on one worker thread and absorbs the sessions
+//! of the job's sweep helpers into that thread's, so [`session_take`]
+//! around a job yields that job's counter totals without threading a
+//! collector through the 25 experiment signatures; summing
 //! the per-job results with [`Counters::merge`] reproduces the whole-run
 //! totals exactly (u64 addition is associative and commutative).
 

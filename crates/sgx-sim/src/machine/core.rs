@@ -367,9 +367,10 @@ impl Machine {
 }
 
 impl Drop for Machine {
-    /// Fold this machine's counter totals — and, when profiling, its
-    /// finished cycle-attribution profile — into the thread-local session
-    /// accumulators (see [`crate::counters::session_take`] and
+    /// Fold this machine's counter totals into the thread-local counter
+    /// session and, when profiling, append its finished cycle-attribution
+    /// profile to the profile session (see
+    /// [`crate::counters::session_take`] and
     /// [`crate::profile::session_take`]), so the figure harness can
     /// attribute work per job without plumbing a collector through every
     /// experiment.
@@ -377,7 +378,7 @@ impl Drop for Machine {
         crate::counters::session_absorb(&self.counters);
         if let Some(prof) = self.prof.as_deref_mut() {
             prof.flush(&self.counters);
-            crate::profile::session_absorb(&prof.take_profile());
+            crate::profile::session_absorb(prof.take_profile());
         }
     }
 }

@@ -36,10 +36,18 @@
 //!
 //! ## Determinism
 //!
-//! Profiles are [`BTreeMap`]-backed (sorted, no hash iteration), phase
-//! stacks and sessions are thread-local, and the figure harness runs each
-//! job wholly on one worker thread — so a job's profile is a pure
-//! function of the job, byte-identical at any `--jobs` value.
+//! Profiles are [`BTreeMap`]-backed (sorted, no hash iteration), and
+//! phase stacks and sessions are thread-local. Cycle bins are `f64`, so a
+//! fold of several machines' profiles depends on its order. A session
+//! therefore keeps each dropped machine's profile, in drop order, and
+//! [`session_take`] folds them only when it is called, with the same
+//! sequence of `+=` as merging each profile as it arrives. A job whose
+//! points run on several threads takes each point's profiles unfolded
+//! ([`session_take_list`]) and appends them to the job's session in the
+//! points' list order ([`session_extend`]), which is the order a
+//! sequential loop drops their machines in. A job's profile is thus a
+//! pure function of the job, byte-identical at any `--jobs` value and
+//! thread budget.
 //!
 //! When profiling is disabled (the default) a machine carries no
 //! `ProfCtx` and every commit pays a single `Option` branch.
@@ -254,6 +262,16 @@ impl Profile {
         self.charged_cycles += other.charged_cycles;
     }
 
+    /// Merge `parts` into an empty profile, in list order. Bins are
+    /// `f64`, so the order is part of the result.
+    pub fn fold(parts: &[Profile]) -> Profile {
+        let mut total = Profile::default();
+        for p in parts {
+            total.merge(p);
+        }
+        total
+    }
+
     /// Sum of all cycle bins over all phases. Equals
     /// [`Profile::charged_cycles`] up to float re-association.
     pub fn total_cycles(&self) -> f64 {
@@ -284,9 +302,9 @@ thread_local! {
     static VERSION: Cell<u64> = const { Cell::new(0) };
     /// The current phase scope stack.
     static STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
-    /// Session accumulator fed by `Machine::drop`, mirroring
-    /// `counters::SESSION` (one harness job runs wholly on one thread).
-    static SESSION: RefCell<Profile> = RefCell::new(Profile::default());
+    /// Profiles of the machines dropped on this thread, in drop order,
+    /// fed by `Machine::drop`; folded only by [`session_take`].
+    static SESSION: RefCell<Vec<Profile>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Enable or disable profiling for machines subsequently built on this
@@ -351,17 +369,31 @@ impl Drop for PhaseGuard {
     }
 }
 
-/// Fold `p` into the current thread's session accumulator.
-pub fn session_absorb(p: &Profile) {
+/// Append `p` to the current thread's session. Called by
+/// `Machine::drop`; an empty profile is left out.
+pub fn session_absorb(p: Profile) {
     if p.is_empty() && p.charged_cycles == 0.0 {
         return;
     }
-    SESSION.with(|s| s.borrow_mut().merge(p));
+    SESSION.with(|s| s.borrow_mut().push(p));
 }
 
-/// Take (and reset) the current thread's session accumulator.
+/// Take (and reset) the current thread's session, folded into one
+/// profile in drop order.
 pub fn session_take() -> Profile {
+    Profile::fold(&session_take_list())
+}
+
+/// Take (and reset) the current thread's session unfolded: one profile
+/// per dropped machine, in drop order.
+pub fn session_take_list() -> Vec<Profile> {
     SESSION.with(|s| std::mem::take(&mut *s.borrow_mut()))
+}
+
+/// Append `profiles` to the current thread's session, in order, as if
+/// their machines had dropped on this thread.
+pub fn session_extend(profiles: Vec<Profile>) {
+    SESSION.with(|s| s.borrow_mut().extend(profiles));
 }
 
 /// Per-machine attribution context, installed by `Machine::new` when
@@ -573,14 +605,33 @@ mod tests {
         let mut ctx = ctx_with(&[(CostCategory::Compute, 4.0)]);
         let c = Counters::default();
         ctx.flush(&c);
-        session_absorb(&ctx.take_profile());
+        session_absorb(ctx.take_profile());
         let mut ctx2 = ctx_with(&[(CostCategory::Compute, 6.0)]);
         ctx2.flush(&c);
-        session_absorb(&ctx2.take_profile());
+        session_absorb(ctx2.take_profile());
         let got = session_take();
         assert_eq!(got.phases["(unscoped)"].cycles.compute, 10.0);
         assert_eq!(got.charged_cycles, 10.0);
         assert!(session_take().is_empty());
+    }
+
+    #[test]
+    fn session_keeps_machine_profiles_and_folds_them_in_drop_order() {
+        let _ = session_take();
+        let c = Counters::default();
+        for v in [1e16, 1.0, -1e16] {
+            let mut ctx = ctx_with(&[(CostCategory::Mee, v)]);
+            ctx.flush(&c);
+            session_absorb(ctx.take_profile());
+        }
+        let list = session_take_list();
+        assert_eq!(list.len(), 3);
+        assert!(session_take_list().is_empty());
+        session_extend(list);
+        // (1e16 + 1) - 1e16 rounds the 1 away; (1e16 - 1e16) + 1 would not.
+        let got = session_take();
+        assert_eq!(got.phases["(unscoped)"].cycles.mee, 0.0);
+        assert_eq!(got.charged_cycles, 0.0);
     }
 
     #[test]

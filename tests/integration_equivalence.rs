@@ -5,9 +5,9 @@
 //! `tests/goldens/figure_digests.json` was recorded by
 //! `cargo run --release -p bench --bin record_goldens` on the
 //! pre-refactor (monolithic `machine.rs`, sequential harness) tree under
-//! `BenchProfile::golden()`. These tests re-run the full registry — once
-//! sequentially and once on 4 worker threads, with per-job cycle
-//! profiling on, then once unprofiled on one worker — and assert each run
+//! `BenchProfile::golden()`. These tests re-run the full registry twice —
+//! profiled on one worker, whose jobs share the host's cores among their
+//! points, and unprofiled on 4 worker threads — and assert each run
 //! reproduces every golden digest exactly: every figure's JSON bytes,
 //! every job's counter report, and (profiled) every job's
 //! `<job>.profile.json` bytes, so a hot-path rewrite cannot shift cycles
@@ -33,10 +33,11 @@ fn load_goldens() -> Goldens {
     Goldens::from_json(&text).expect("golden file must parse")
 }
 
-/// Assert one run's outcomes match the goldens job-for-job, and that each
-/// figure's SVG follows from its pinned JSON: the goldens digest the JSON
-/// only, so the figure parsed back from it must render the same SVG bytes.
-fn assert_matches_goldens(goldens: &Goldens, outcomes: &[JobOutcome], label: &str) {
+/// Assert one run's outcomes match the goldens job-for-job, profiles
+/// included when the run was profiled, and that each figure's SVG follows
+/// from its pinned JSON: the goldens digest the JSON only, so the figure
+/// parsed back from it must render the same SVG bytes.
+fn assert_matches_goldens(goldens: &Goldens, outcomes: &[JobOutcome], cfg: &RunConfig, label: &str) {
     assert_eq!(goldens.jobs.len(), outcomes.len(), "{label}: registry size changed — re-record goldens deliberately");
     for (g, o) in goldens.jobs.iter().zip(outcomes) {
         assert_eq!(g.id, o.id, "{label}: registry order changed");
@@ -47,13 +48,15 @@ fn assert_matches_goldens(goldens: &Goldens, outcomes: &[JobOutcome], label: &st
             "{label}: counter totals of job {} drifted from the pre-refactor model",
             o.id
         );
-        let prof = o.profile.as_ref().expect("equivalence runs are profiled");
-        assert_eq!(
-            profile_digest(&o.id, prof),
-            g.profile,
-            "{label}: cycle attribution of job {} shifted between CostCategory bins",
-            o.id
-        );
+        assert_eq!(o.profile.is_some(), cfg.profile, "{label}: job {} profile", o.id);
+        if let Some(prof) = &o.profile {
+            assert_eq!(
+                profile_digest(&o.id, prof),
+                g.profile,
+                "{label}: cycle attribution of job {} shifted between CostCategory bins",
+                o.id
+            );
+        }
         let got: Vec<(String, String)> =
             o.figures.iter().map(|f| (f.id.clone(), figure_digest(f))).collect();
         assert_eq!(
@@ -83,31 +86,15 @@ fn sequential_and_parallel_runs_reproduce_pre_refactor_goldens() {
     );
     let reg = registry();
     let profile = BenchProfile::golden();
-    let seq = run_registry(&reg, &profile, &RunConfig { jobs: 1, profile: true, ..RunConfig::default() });
-    let par = run_registry(&reg, &profile, &RunConfig { jobs: 4, profile: true, ..RunConfig::default() });
-    assert_matches_goldens(&goldens, &seq, "sequential");
-    assert_matches_goldens(&goldens, &par, "parallel(4)");
-}
-
-#[test]
-fn unprofiled_one_worker_registry_reproduces_goldens() {
-    // The golden sweep above runs profiled, which keeps every sweep's
-    // points on one thread. Unprofiled, a one-worker run gives each job
-    // every core to share its points among, and must still reproduce
-    // every job's figure and counter digests.
-    let goldens = load_goldens();
-    let cfg = RunConfig { jobs: 1, ..RunConfig::default() };
-    let outcomes = run_registry(&registry(), &BenchProfile::golden(), &cfg);
-    assert_eq!(goldens.jobs.len(), outcomes.len(), "registry size changed");
-    for (golden, o) in goldens.jobs.iter().zip(&outcomes) {
-        let id = &o.id;
-        assert_eq!(&golden.id, id, "registry order changed");
-        assert_eq!(o.status, JobStatus::Ok, "{id} failed: {:?}", o.error);
-        assert!(o.profile.is_none());
-        assert_eq!(counters_digest(&o.counters), golden.counters, "{id} counters drifted");
-        let got: Vec<(String, String)> =
-            o.figures.iter().map(|f| (f.id.clone(), figure_digest(f))).collect();
-        assert_eq!(got, golden.figures, "{id} figure bytes drifted");
+    // One worker gives each job every core, so on a host with two or more
+    // cores the profiled run's sweeps shard, and its profile digests check
+    // the list-order fold of the helpers' machine profiles.
+    for (cfg, label) in [
+        (RunConfig { jobs: 1, profile: true, ..RunConfig::default() }, "profiled, 1 worker"),
+        (RunConfig { jobs: 4, ..RunConfig::default() }, "unprofiled, 4 workers"),
+    ] {
+        let outcomes = run_registry(&reg, &profile, &cfg);
+        assert_matches_goldens(&goldens, &outcomes, &cfg, label);
     }
 }
 
