@@ -9,9 +9,9 @@
 # - a negative check that the toolchain and the provenance unit test
 #   reject one injected violation of each model-integrity invariant;
 # - `cargo test`. Its tests/integration_equivalence.rs is the determinism
-#   gate: two golden-profile registry runs (profiled on one worker, whose
-#   sweeps shard on two or more cores, and unprofiled on four) each match
-#   every digest in tests/goldens/;
+#   gate: three golden-profile registry runs (profiled on one worker,
+#   whose sweeps shard on two or more cores, unprofiled on four and
+#   unprofiled on one) each match every digest in tests/goldens/;
 # - one whole-registry all_figures smoke at 1/256 with --profile: every
 #   job ok, every figure's JSON and SVG, one profile per job;
 # - the machine.rs facade size gate;

@@ -5,10 +5,11 @@
 //! `tests/goldens/figure_digests.json` was recorded by
 //! `cargo run --release -p bench --bin record_goldens` on the
 //! pre-refactor (monolithic `machine.rs`, sequential harness) tree under
-//! `BenchProfile::golden()`. These tests re-run the full registry twice —
-//! profiled on one worker, whose jobs share the host's cores among their
-//! points, and unprofiled on 4 worker threads — and assert each run
-//! reproduces every golden digest exactly: every figure's JSON bytes,
+//! `BenchProfile::golden()`. These tests re-run the full registry three
+//! times — profiled on one worker, whose jobs share the host's cores
+//! among their points, unprofiled on 4 worker threads, and unprofiled on
+//! one worker — and assert each run reproduces every golden digest
+//! exactly: every figure's JSON bytes,
 //! every job's counter report, and (profiled) every job's
 //! `<job>.profile.json` bytes, so a hot-path rewrite cannot shift cycles
 //! between `CostCategory` bins unnoticed. Runs that match the same
@@ -96,6 +97,19 @@ fn sequential_and_parallel_runs_reproduce_pre_refactor_goldens() {
         let outcomes = run_registry(&reg, &profile, &cfg);
         assert_matches_goldens(&goldens, &outcomes, &cfg, label);
     }
+}
+
+#[test]
+fn unprofiled_one_worker_registry_reproduces_goldens() {
+    // The configuration of `all_figures --jobs 1`: one worker, so each
+    // job shares every core among its points, and no profiling. Its
+    // sweeps take the same path as the profiled one-worker run above, but
+    // only this run checks that the profiling flag moves no figure or
+    // counter digest on that path.
+    let goldens = load_goldens();
+    let cfg = RunConfig { jobs: 1, ..RunConfig::default() };
+    let outcomes = run_registry(&registry(), &BenchProfile::golden(), &cfg);
+    assert_matches_goldens(&goldens, &outcomes, &cfg, "unprofiled, 1 worker");
 }
 
 #[test]
