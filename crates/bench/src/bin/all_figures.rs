@@ -1,13 +1,14 @@
 //! Regenerate every table and figure of the paper — resiliently and in
 //! parallel.
 //!
-//! Figure jobs run on a work-stealing-lite thread pool
-//! (`sgx_bench_core::runner::run_registry`): `--jobs N` worker threads
-//! pull jobs from a shared cursor, each job owns its own deterministic
-//! `Machine`s, and results are committed in registry order — so every
-//! figure JSON is byte-identical for any `--jobs` value
+//! Figure jobs run on `--jobs N` threads of the harness's one thread pool
+//! (`sgx_bench_core::runner::run_registry`), which also shares each
+//! job's points among the cores the workers leave free. Each job owns
+//! its own deterministic `Machine`s and results come back in registry
+//! order, so every figure JSON is byte-identical for any `--jobs` value
 //! (`tests/integration_equivalence.rs` checks runs on one and on four
-//! workers against the same golden digests). A panicking experiment (a
+//! workers against the same golden digests). With `--jobs 1` the one
+//! worker runs the jobs in registry order. A panicking experiment (a
 //! violated shape assertion, a model regression) is isolated and
 //! recorded, the run continues, and the process exits nonzero if
 //! anything failed. The outcome of every registered job lands in
@@ -20,7 +21,7 @@
 use std::process::ExitCode;
 
 use sgx_bench_core::runner::{
-    default_jobs, registry, JobFilter, JobStatus, Manifest, RunConfig,
+    default_jobs, manifest_json, registry, JobFilter, JobStatus, RunConfig,
 };
 use sgx_bench_core::sgx_sim::Counters;
 use sgx_bench_core::RunOpts;
@@ -146,15 +147,15 @@ fn main() -> ExitCode {
         }
     }
 
-    let manifest = Manifest::from_outcomes(&outcomes);
+    let with = |status| outcomes.iter().filter(move |o| o.status == status).map(|o| o.id.as_str());
     let (n_ok, n_failed, n_skipped) = (
-        manifest.count(JobStatus::Ok),
-        manifest.count(JobStatus::Failed),
-        manifest.count(JobStatus::Skipped),
+        with(JobStatus::Ok).count(),
+        with(JobStatus::Failed).count(),
+        with(JobStatus::Skipped).count(),
     );
     let write = std::fs::create_dir_all("target/figures")
         .map_err(|e| e.to_string())
-        .and_then(|()| std::fs::write(MANIFEST_PATH, manifest.to_json()).map_err(|e| e.to_string()));
+        .and_then(|()| std::fs::write(MANIFEST_PATH, manifest_json(&outcomes)).map_err(|e| e.to_string()));
     if let Err(e) = write {
         eprintln!("error: could not write {MANIFEST_PATH}: {e}");
         return ExitCode::FAILURE;
@@ -172,7 +173,7 @@ fn main() -> ExitCode {
 
     eprintln!("manifest: {MANIFEST_PATH} ({n_ok} ok, {n_failed} failed, {n_skipped} skipped)");
     if n_failed > 0 {
-        let failed = manifest.failed_ids().join(",");
+        let failed = with(JobStatus::Failed).collect::<Vec<_>>().join(",");
         eprintln!("failed jobs: {failed}");
         let profile_flag = if cfg.profile { " --profile" } else { "" };
         eprintln!(

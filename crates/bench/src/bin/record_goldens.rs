@@ -28,9 +28,9 @@ fn main() -> ExitCode {
     // One worker on purpose: the goldens define the reference outcome,
     // and `jobs: 1` runs the jobs one after another. Each job's sweeps
     // still share the host's cores among their points, but a sweep
-    // returns its results in list order and appends its points' counter
-    // and profile sessions in list order, which is the order the
-    // pre-parallel harness built and dropped their machines in. So the
+    // returns its results in list order and appends its points' sessions
+    // (counters and machine profiles) in list order, which is the order
+    // the pre-parallel harness built and dropped their machines in. So the
     // goldens this writes do not change with the host's core count.
     // Profiling on so the goldens also pin per-bin cycle attribution.
     let cfg = RunConfig { jobs: 1, profile: true, ..RunConfig::default() };

@@ -89,7 +89,10 @@ fn main() {
                 }
             }
             "--expect-shedding" => expect_shedding = true,
-            "--json" => json_out = args.next(),
+            "--json" => {
+                let file = args.next().filter(|f| !f.starts_with("--"));
+                json_out = Some(file.unwrap_or_else(|| usage_error("--json needs a file name")));
+            }
             other => usage_error(&format!("unknown argument {other}")),
         }
     }

@@ -114,6 +114,8 @@ fn service_bench_bad_values_exit_2_before_calibrating() {
         ("svc-epc-negative", &["--scale", "512", "--epc", "-1"], "--epc"),
         ("svc-epc-above-1", &["--scale", "512", "--epc", "1.5"], "--epc"),
         ("svc-epc-inf", &["--scale", "512", "--epc", "inf"], "--epc"),
+        ("svc-json-missing", &["--scale", "512", "--json"], "--json"),
+        ("svc-json-option", &["--scale", "512", "--json", "--native"], "--json"),
     ] {
         let (out, emitted) = run(SERVICE_BENCH, case, args);
         assert_eq!(out.status.code(), Some(2), "{case}: {}", stderr(&out));

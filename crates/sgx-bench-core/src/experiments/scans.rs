@@ -2,9 +2,8 @@
 
 use crate::experiments::push_grid;
 use crate::profiles::BenchProfile;
-use crate::report::{Figure, Stat};
-use crate::sweep::sweep;
-use crate::{rep_seeds, repeat_grid};
+use crate::report::Figure;
+use crate::repeat_grid;
 use sgx_scans::linear::{linear_read, linear_write, LinearConfig, Width};
 use sgx_scans::{column_scan, gen_column, ScanConfig, ScanOutput};
 use sgx_sim::{Machine, Setting};
@@ -64,11 +63,8 @@ pub fn fig13_scan_scaling(p: &BenchProfile) -> Figure {
 }
 
 /// Fig 14: index-materializing scan under increasing selectivity (write
-/// rate up to 800%), 16 threads.
-///
-/// Every (setting, selectivity, repetition) point builds one machine of
-/// its own, and the scan keeps its indexes only as a digest, so the points
-/// run as one `crate::sweep`.
+/// rate up to 800%), 16 threads. The scan keeps its indexes only as a
+/// digest, so the points can run side by side.
 pub fn fig14_selectivity(p: &BenchProfile) -> Figure {
     let sels = [(1u8, "1%"), (25, "10%"), (127, "50%"), (191, "75%"), (255, "100%")];
     let settings = [Setting::PlainCpu, Setting::SgxDataInEnclave];
@@ -80,32 +76,15 @@ pub fn fig14_selectivity(p: &BenchProfile) -> Figure {
         "GB/s read",
     )
     .with_xs(sels.iter().map(|(_, l)| *l));
-
-    // The points in the order a sequential loop builds their machines: by
-    // setting, then selectivity, then repetition.
-    let points: Vec<(Setting, u8, u64)> = settings
-        .into_iter()
-        .flat_map(|setting| {
-            sels.iter()
-                .flat_map(move |&(hi, _)| rep_seeds(p.reps).map(move |seed| (setting, hi, seed)))
-        })
-        .collect();
-    let gb_per_sec = sweep(
-        &points,
-        |_| bytes,
-        |&(setting, hi, seed)| {
-            let mut m = Machine::new(p.hw.clone(), setting);
-            let col = gen_column(&mut m, bytes, seed);
-            let cfg = ScanConfig::new(16.min(p.hw.cores_per_socket));
-            column_scan(&mut m, &col, 0, hi, ScanOutput::Indexes, &cfg).gb_per_sec(p.hw.freq_ghz)
-        },
-    );
-    let mut per_point = gb_per_sec.chunks_exact(rep_seeds(p.reps).count());
-    for setting in settings {
-        let series =
-            per_point.by_ref().take(sels.len()).map(|runs| Some(Stat::from_runs(runs))).collect();
-        fig.push_series(setting.label(), series);
-    }
+    let configs: Vec<(Setting, u8)> =
+        settings.iter().flat_map(|&setting| sels.map(|(hi, _)| (setting, hi))).collect();
+    let stats = repeat_grid(p.reps, &configs, |_| bytes, |&(setting, hi), seed| {
+        let mut m = Machine::new(p.hw.clone(), setting);
+        let col = gen_column(&mut m, bytes, seed);
+        let cfg = ScanConfig::new(16.min(p.hw.cores_per_socket));
+        column_scan(&mut m, &col, 0, hi, ScanOutput::Indexes, &cfg).gb_per_sec(p.hw.freq_ghz)
+    });
+    push_grid(&mut fig, &settings.map(Setting::label), &stats);
     fig.note("paper: throughput falls with write volume, but equally inside and outside the enclave");
     fig
 }

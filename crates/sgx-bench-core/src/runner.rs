@@ -1,37 +1,37 @@
-//! Experiment registry, work-stealing-lite scheduler and run-manifest
-//! model for the resilient `all_figures` harness.
+//! Experiment registry, job scheduler and run manifest for the resilient
+//! `all_figures` harness.
 //!
 //! The harness binary owns process-level concerns (argument parsing,
 //! figure emission, exit codes); this module owns the deterministic
 //! parts: the ordered registry of every figure job, the `--only`/`--skip`
-//! selection logic, the parallel job scheduler ([`run_registry`]), and
-//! the `manifest.json` data model — serialized through [`crate::json`] so
-//! equal run outcomes always produce byte-identical manifests.
+//! selection logic, the job scheduler ([`run_registry`]), and the
+//! `manifest.json` text ([`manifest_json`]), serialized through
+//! [`crate::json`] so equal run outcomes always produce byte-identical
+//! manifests.
 //!
 //! ## Parallel determinism
 //!
-//! [`run_registry`] runs the selected jobs on `jobs` worker threads that
-//! pull indices from one shared atomic cursor (work-stealing-lite: no
-//! per-thread deques, just a strictly increasing claim counter). Each job
-//! builds its own [`sgx_sim::Machine`]s, whose cost model is a pure
-//! function of (profile, experiment) — no global mutable state — so
-//! *which* thread runs a job affects neither its figures nor its
-//! counters. Results are committed back in registry order. Each job runs
-//! inside a `crate::sweep::capture`, which hands back the counter totals
-//! and machine profiles of the machines dropped on its worker thread
-//! while it ran. The manifest's `seconds` field is the only legitimately
-//! nondeterministic output.
+//! [`run_registry`] runs the selected jobs on `jobs` threads of the
+//! harness's one pool (`crate::sweep::pool`), the calling thread
+//! included. The jobs are sized in decreasing registry order and the
+//! calling thread claims the largest remaining job, so a lone worker runs
+//! them in registry order. Each job builds its own [`sgx_sim::Machine`]s,
+//! whose cost model is a pure function of (profile, experiment) — no
+//! global mutable state — so *which* thread runs a job affects neither its
+//! figures nor its counters. Results come back in registry order. Each
+//! job runs inside a `crate::sweep::capture`, which hands back the
+//! session (counter totals and machine profiles) of the machines dropped
+//! on its thread while it ran. The manifest's `seconds` field is the only
+//! legitimately nondeterministic output.
 //!
-//! A job shares its independent points among helper threads through
-//! `crate::sweep`, which captures each point the same way and appends the
-//! captures to the worker's sessions in list order before it returns, so
-//! the job's counters and profile equal a sequential run's. Its thread
-//! budget (`sweep_threads`) splits the host's cores among the registry's
-//! workers, so a run never has more busy threads than cores.
+//! A job shares its independent points among helper threads of the same
+//! pool through `crate::sweep`, which captures each point the same way
+//! and appends the sessions to the worker's in list order before it
+//! returns, so the job's counters and profile equal a sequential run's.
+//! Its thread budget (`sweep_threads`) splits the host's cores among the
+//! registry's workers, so a run never has more busy threads than cores.
 
 use std::cell::Cell;
-use std::panic;
-use std::sync::atomic::{AtomicUsize, Ordering};
 #[expect(clippy::disallowed_types, reason = "harness-only wall-clock for manifest timings")]
 use std::time::Instant;
 
@@ -39,7 +39,8 @@ use crate::json::Value;
 use crate::profiles::BenchProfile;
 use crate::report::Figure;
 use crate::experiments as ex;
-use crate::sweep::{capture, Capture};
+use crate::sweep::{capture, pool};
+use sgx_sim::counters::Session;
 use sgx_sim::Counters;
 
 /// One registered figure job: an id (usually the figure id; `fig04`
@@ -151,10 +152,6 @@ pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-/// Stack size of every harness thread: experiments were sized for the
-/// main thread.
-pub(crate) const WORKER_STACK: usize = 16 << 20;
-
 thread_local! {
     /// Sweep thread budget of a registry worker; 0 outside the registry.
     static SWEEP_BUDGET: Cell<usize> = const { Cell::new(0) };
@@ -173,66 +170,40 @@ pub(crate) fn sweep_threads() -> usize {
 /// Run every selected registry job on `cfg.jobs` worker threads and
 /// return one [`JobOutcome`] per registered job, in registry order.
 ///
-/// Jobs are claimed from a shared atomic cursor, so thread assignment is
-/// timing-dependent — but each job owns its own deterministic `Machine`s,
-/// so its figures and counters are identical whatever thread ran it (the
-/// equivalence suite proves this byte-for-byte). A panicking job is
-/// isolated with `catch_unwind` and recorded as [`JobStatus::Failed`].
+/// Thread assignment is timing-dependent, but each job owns its own
+/// deterministic `Machine`s, so its figures and counters are identical
+/// whatever thread ran it (the equivalence suite proves this
+/// byte-for-byte). A panicking job is isolated with `catch_unwind` and
+/// recorded as [`JobStatus::Failed`].
 ///
-/// The calling thread participates as a worker (and is the only worker
-/// for `jobs <= 1`). Each job runs inside a `crate::sweep::capture`, which
-/// sets the caller's counter and profile sessions aside, so an open outer
-/// measurement session survives a registry run intact; the caller's
-/// profiling flag and sweep budget are restored on exit.
+/// The calling thread participates as a worker and runs the jobs it
+/// claims in registry order; for `jobs <= 1` it is the only worker. Each
+/// job runs inside a `crate::sweep::capture`, which sets the caller's
+/// session aside, so an open outer measurement session survives a
+/// registry run intact; the caller's profiling flag and sweep budget are
+/// restored on exit.
 pub fn run_registry(registry: &[FigureJob], profile: &BenchProfile, cfg: &RunConfig) -> Vec<JobOutcome> {
     let saved_enabled = sgx_sim::profile::enabled();
-    let saved_budget = SWEEP_BUDGET.with(Cell::get);
-    let selected: Vec<usize> =
-        (0..registry.len()).filter(|&i| cfg.filter.selects(registry[i].id)).collect();
+    let selected: Vec<&FigureJob> = registry.iter().filter(|job| cfg.filter.selects(job.id)).collect();
     let workers = cfg.jobs.max(1).min(selected.len().max(1));
     let budget = (default_jobs() / workers).max(1);
-    let cursor = AtomicUsize::new(0);
-    let drain = || {
-        SWEEP_BUDGET.with(|b| b.set(budget));
-        let mut mine: Vec<(usize, JobOutcome)> = Vec::new();
-        loop {
-            let k = cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(&idx) = selected.get(k) else { break };
-            mine.push((idx, run_one(&registry[idx], profile, cfg)));
-        }
-        mine
-    };
-    let mut done: Vec<Option<JobOutcome>> = Vec::new();
-    done.resize_with(registry.len(), || None);
-    std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for _ in 1..workers {
-            let spawned = std::thread::Builder::new()
-                .stack_size(WORKER_STACK)
-                .spawn_scoped(s, drain);
-            match spawned {
-                Ok(h) => handles.push(h),
-                // The calling thread still drains the whole queue below,
-                // so a failed spawn only costs parallelism.
-                Err(e) => eprintln!("warning: could not spawn harness worker: {e}"),
-            }
-        }
-        for (idx, outcome) in drain() {
-            done[idx] = Some(outcome);
-        }
-        for h in handles {
-            let part = h.join().unwrap_or_else(|p| panic::resume_unwind(p));
-            for (idx, outcome) in part {
-                done[idx] = Some(outcome);
-            }
-        }
-    });
-    SWEEP_BUDGET.with(|b| b.set(saved_budget));
+    // Sizes decrease in registry order, and the caller claims the largest
+    // remaining job, so it runs its jobs in registry order.
+    let sizes: Vec<usize> = (0..selected.len()).rev().collect();
+    let mut ran = pool(workers, &sizes, &|k| {
+        let outer = SWEEP_BUDGET.with(|b| b.replace(budget));
+        let outcome = run_one(selected[k], profile, cfg);
+        SWEEP_BUDGET.with(|b| b.set(outer));
+        outcome
+    })
+    .into_iter();
     sgx_sim::profile::set_enabled(saved_enabled);
     registry
         .iter()
-        .zip(done.iter_mut())
-        .map(|(job, slot)| slot.take().unwrap_or_else(|| JobOutcome::skipped(job.id)))
+        .map(|job| {
+            let outcome = if cfg.filter.selects(job.id) { ran.next() } else { None };
+            outcome.unwrap_or_else(|| JobOutcome::skipped(job.id))
+        })
         .collect()
 }
 
@@ -248,7 +219,7 @@ fn run_one(job: &FigureJob, profile: &BenchProfile, cfg: &RunConfig) -> JobOutco
     sgx_sim::profile::set_enabled(cfg.profile);
     let run = job.run;
     let inject = cfg.fail_injection.as_deref() == Some(job.id);
-    let Capture { result: outcome, counters, profiles } = capture(|| {
+    let (outcome, Session { counters, profiles }) = capture(|| {
         #[expect(clippy::panic, reason = "fault-injection hook, caught by the capture")]
         if inject {
             panic!("injected failure via ALL_FIGURES_FAIL={}", job.id);
@@ -315,90 +286,37 @@ impl JobStatus {
     }
 }
 
-/// Per-job record in the manifest.
-#[derive(Debug, Clone)]
-pub struct ManifestEntry {
-    /// Job id from the [`registry`].
-    pub id: String,
-    /// What happened.
-    pub status: JobStatus,
-    /// Wall-clock duration in seconds (0 for skipped jobs), rounded to
-    /// milliseconds so the serialization is stable.
-    pub seconds: f64,
-    /// Panic message for failed jobs.
-    pub error: Option<String>,
-    /// Ids of the figures the job emitted (e.g. `fig04` → `fig04a`,
-    /// `fig04b`).
-    pub outputs: Vec<String>,
-}
-
-/// The harness run record written to `target/figures/manifest.json`: one
-/// entry per registered job, in registry order, so a later invocation can
-/// resume with `--only` over the failed ids.
-#[derive(Debug, Clone, Default)]
-pub struct Manifest {
-    /// Per-job outcomes in registry order.
-    pub entries: Vec<ManifestEntry>,
-}
-
-impl Manifest {
-    /// Build the manifest for a [`run_registry`] result (one entry per
-    /// registered job, in registry order).
-    pub fn from_outcomes(outcomes: &[JobOutcome]) -> Manifest {
-        Manifest {
-            entries: outcomes
-                .iter()
-                .map(|o| ManifestEntry {
-                    id: o.id.clone(),
-                    status: o.status,
-                    seconds: o.seconds,
-                    error: o.error.clone(),
-                    outputs: o.figures.iter().map(|f| f.id.clone()).collect(),
-                })
-                .collect(),
-        }
-    }
-
-    /// Number of entries with the given status.
-    pub fn count(&self, status: JobStatus) -> usize {
-        self.entries.iter().filter(|e| e.status == status).count()
-    }
-
-    /// Ids of the failed entries, for the `--only` list that re-runs them.
-    pub fn failed_ids(&self) -> Vec<String> {
-        self.entries
-            .iter()
-            .filter(|e| e.status == JobStatus::Failed)
-            .map(|e| e.id.clone())
-            .collect()
-    }
-
-    /// Serialize to deterministic pretty JSON.
-    pub fn to_json(&self) -> String {
-        let entry = |e: &ManifestEntry| {
-            Value::Obj(vec![
-                ("id".into(), Value::Str(e.id.clone())),
-                ("status".into(), Value::Str(e.status.as_str().into())),
-                ("seconds".into(), Value::Num((e.seconds * 1000.0).round() / 1000.0)),
-                (
-                    "error".into(),
-                    e.error.as_ref().map_or(Value::Null, |m| Value::Str(m.clone())),
-                ),
-                (
-                    "outputs".into(),
-                    Value::Arr(e.outputs.iter().map(|o| Value::Str(o.clone())).collect()),
-                ),
-            ])
-        };
+/// The `sgx-bench-manifest/1` JSON of a [`run_registry`] result: one
+/// entry per registered job, in registry order, with its status, its
+/// seconds rounded to the millisecond (so the serialization is stable),
+/// its panic message and the ids of the figures it emitted, then the
+/// count of each status. A later invocation can resume with `--only`
+/// over the failed ids.
+pub fn manifest_json(outcomes: &[JobOutcome]) -> String {
+    let entry = |o: &JobOutcome| {
         Value::Obj(vec![
-            ("schema".into(), Value::Str("sgx-bench-manifest/1".into())),
-            ("jobs".into(), Value::Arr(self.entries.iter().map(entry).collect())),
-            ("n_ok".into(), Value::Num(self.count(JobStatus::Ok) as f64)),
-            ("n_failed".into(), Value::Num(self.count(JobStatus::Failed) as f64)),
-            ("n_skipped".into(), Value::Num(self.count(JobStatus::Skipped) as f64)),
+            ("id".into(), Value::Str(o.id.clone())),
+            ("status".into(), Value::Str(o.status.as_str().into())),
+            ("seconds".into(), Value::Num((o.seconds * 1000.0).round() / 1000.0)),
+            (
+                "error".into(),
+                o.error.as_ref().map_or(Value::Null, |m| Value::Str(m.clone())),
+            ),
+            (
+                "outputs".into(),
+                Value::Arr(o.figures.iter().map(|f| Value::Str(f.id.clone())).collect()),
+            ),
         ])
-        .pretty()
-    }
+    };
+    let count = |status| Value::Num(outcomes.iter().filter(|o| o.status == status).count() as f64);
+    Value::Obj(vec![
+        ("schema".into(), Value::Str("sgx-bench-manifest/1".into())),
+        ("jobs".into(), Value::Arr(outcomes.iter().map(entry).collect())),
+        ("n_ok".into(), count(JobStatus::Ok)),
+        ("n_failed".into(), count(JobStatus::Failed)),
+        ("n_skipped".into(), count(JobStatus::Skipped)),
+    ])
+    .pretty()
 }
 
 /// `--only`/`--skip` selection. `only` empty means "everything"; `skip`
@@ -437,6 +355,7 @@ mod tests {
     use super::*;
     use crate::golden::{counters_digest, figure_digest, profile_digest, Goldens};
     use sgx_sim::{Machine, Setting};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// A cheap machine-touching job: charges work so the scheduler's
     /// per-job counter capture has something real to capture.
@@ -523,10 +442,45 @@ mod tests {
         assert_eq!(out[1].seconds, 0.0);
         assert_eq!(out[2].status, JobStatus::Failed);
         assert!(out[2].error.as_deref().is_some_and(|e| e.contains("ALL_FIGURES_FAIL")));
-        let m = Manifest::from_outcomes(&out);
-        assert_eq!(m.count(JobStatus::Ok), 1);
-        assert_eq!(m.count(JobStatus::Skipped), 1);
-        assert_eq!(m.failed_ids(), vec!["omega".to_string()]);
+        let with = |status| out.iter().filter(move |o| o.status == status).map(|o| o.id.as_str());
+        assert_eq!(with(JobStatus::Ok).count(), 1);
+        assert_eq!(with(JobStatus::Skipped).count(), 1);
+        assert_eq!(with(JobStatus::Failed).collect::<Vec<_>>(), vec!["omega"]);
+    }
+
+    /// Start tickets handed out to [`order_job`]s, in the order they start.
+    static STARTS: AtomicUsize = AtomicUsize::new(0);
+
+    /// A job that records when it started, relative to the other
+    /// `order_job`s.
+    fn order_job(_profile: &BenchProfile) -> Vec<Figure> {
+        let mut f = Figure::new("order", "start order probe", "x", "ticket");
+        f.notes.push(STARTS.fetch_add(1, Ordering::SeqCst).to_string());
+        vec![f]
+    }
+
+    #[test]
+    fn one_worker_runs_the_jobs_in_registry_order() {
+        let ids = ["a", "b", "c", "d", "e", "f", "g"];
+        let reg: Vec<FigureJob> = ids.iter().map(|&id| FigureJob { id, run: order_job }).collect();
+        let cfg = RunConfig {
+            jobs: 1,
+            filter: JobFilter { only: vec![], skip: vec!["b".into(), "e".into()] },
+            ..RunConfig::default()
+        };
+        let out = run_registry(&reg, &BenchProfile::tiny(), &cfg);
+        let ran: Vec<&str> =
+            out.iter().filter(|o| o.status == JobStatus::Ok).map(|o| o.id.as_str()).collect();
+        assert_eq!(ran, ["a", "c", "d", "f", "g"]);
+        let tickets: Vec<usize> = out
+            .iter()
+            .filter_map(|o| o.figures.first())
+            .map(|f| f.notes[0].parse().expect("a ticket"))
+            .collect();
+        assert!(
+            tickets.windows(2).all(|w| w[0] < w[1]),
+            "the jobs must start in registry order: {tickets:?}"
+        );
     }
 
     #[test]
@@ -662,31 +616,20 @@ mod tests {
 
     #[test]
     fn manifest_json_is_byte_stable() {
-        let m = Manifest {
-            entries: vec![
-                ManifestEntry {
-                    id: "fig04".into(),
-                    status: JobStatus::Ok,
-                    seconds: 1.23456,
-                    error: None,
-                    outputs: vec!["fig04a".into(), "fig04b".into()],
-                },
-                ManifestEntry {
-                    id: "fig07".into(),
-                    status: JobStatus::Failed,
-                    seconds: 0.5,
-                    error: Some("panicked: shape assertion".into()),
-                    outputs: vec![],
-                },
-                ManifestEntry {
-                    id: "fig08".into(),
-                    status: JobStatus::Skipped,
-                    seconds: 0.0,
-                    error: None,
-                    outputs: vec![],
-                },
-            ],
+        let outcome = |id: &str, status, seconds, error: Option<&str>, outputs: &[&str]| JobOutcome {
+            id: id.into(),
+            status,
+            seconds,
+            error: error.map(String::from),
+            figures: outputs.iter().map(|&f| Figure::new(f, "t", "x", "y")).collect(),
+            counters: Counters::default(),
+            profile: None,
         };
+        let outcomes = [
+            outcome("fig04", JobStatus::Ok, 1.23456, None, &["fig04a", "fig04b"]),
+            outcome("fig07", JobStatus::Failed, 0.5, Some("panicked: shape assertion"), &[]),
+            outcome("fig08", JobStatus::Skipped, 0.0, None, &[]),
+        ];
         // Seconds are rounded to the millisecond on write.
         let expected = r#"{
   "schema": "sgx-bench-manifest/1",
@@ -720,7 +663,7 @@ mod tests {
   "n_failed": 1.0,
   "n_skipped": 1.0
 }"#;
-        assert_eq!(m.to_json(), expected);
+        assert_eq!(manifest_json(&outcomes), expected);
     }
 
     #[test]

@@ -1,79 +1,127 @@
-//! Deterministic point sweep: run a figure's independent single-machine
-//! points on up to the job's thread budget, and hand back exactly what a
-//! sequential loop over them would.
+//! The harness's one thread pool, and the deterministic point sweep
+//! built on it: run a figure's independent single-machine points on up to
+//! the job's thread budget, and hand back exactly what a sequential loop
+//! over them would.
 //!
-//! * **Results in list order.** The caller receives one result per item,
-//!   in the order of the item list, whichever thread ran it.
-//! * **Sessions in list order.** Each point runs inside a [`capture`],
-//!   which sets the thread's counter and profile sessions aside, so it
-//!   returns the point's result together with the counters and the
-//!   machine profiles of the machines the point dropped. After every
-//!   thread has joined, the caller appends the captures to its own
-//!   sessions in list order, which is the order a sequential loop drops
-//!   the points' machines in. `u64` counters are exact in any order, and
-//!   profile sessions fold their `f64` bins only when taken, in that
-//!   order, so the job's counters and profile equal a sequential run's
-//!   bit for bit. A budget of one thread runs the same code with no
-//!   helper.
-//! * **Helpers start clean.** A helper thread starts with the caller's
-//!   profiling flag and an empty phase stack. No job opens a phase scope
-//!   around a sweep; one that did would attribute its helpers' points
-//!   outside that scope, and the profiled golden run would catch it.
+//! * **One pool.** [`pool`] runs a list of items on up to a given number
+//!   of threads, the caller included, and returns their results in list
+//!   order, whichever thread ran each. It knows nothing of sessions.
+//!   `run_registry` runs its jobs on it, and [`sweep`] a job's points.
 //! * **Claims by size.** The calling thread claims the largest remaining
 //!   item, helpers the smallest. The largest machines therefore run one
 //!   after another on the caller, never side by side, while helpers work
 //!   through the small ones; this keeps the job's peak memory near a
 //!   sequential run's.
-//! * **Failures as before.** A thread stops claiming after a point
-//!   panics. The caller still absorbs every captured session, the
+//! * **Helpers start clean.** A helper thread starts with the caller's
+//!   profiling flag and an empty phase stack. No job opens a phase scope
+//!   around a sweep; one that did would attribute its helpers' points
+//!   outside that scope, and the profiled golden run would catch it.
+//! * **Sessions in list order.** Each point runs inside a [`capture`],
+//!   which sets the thread's session (`sgx_sim::counters::Session`, the
+//!   record of dropped machines) aside, so it returns the point's result
+//!   together with the counters and the machine profiles of the machines
+//!   the point dropped. The sessions wait in one slot per point, outside
+//!   the results. After every thread has joined, the caller appends them
+//!   to its own session in list order, which is the order a sequential
+//!   loop drops the points' machines in. `u64` counters are exact in any
+//!   order, and the session folds its `f64` profile bins only when taken,
+//!   in that order, so the job's counters and profile equal a sequential
+//!   run's bit for bit. A budget of one thread runs the same code with no
+//!   helper.
+//! * **Failures.** A point's panic is caught by its capture, so
+//!   every point runs. The caller appends every point's session, the
 //!   panicking point's included, and then re-raises the panic of the
-//!   first failed item in list order, so the registry's `catch_unwind`
-//!   records the job as failed.
+//!   first failed item in list order, so the registry's `run_one` records
+//!   the job as failed.
 //!
 //! DESIGN.md §17 gives the argument and the measured claim orders.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
-use crate::runner::{sweep_threads, WORKER_STACK};
-use sgx_sim::{Counters, Profile};
+use crate::runner::sweep_threads;
+use sgx_sim::counters::{session_replace, Session};
 
-/// What one [`capture`] ran: its result, or its panic, and the sessions
-/// of the machines it dropped.
-pub(crate) struct Capture<R> {
-    /// The closure's result, or its panic payload.
-    pub(crate) result: std::thread::Result<R>,
-    /// Counter totals of the machines dropped while it ran.
-    pub(crate) counters: Counters,
-    /// Profiles of those machines, in drop order (empty unless profiled).
-    pub(crate) profiles: Vec<Profile>,
+/// Stack size of every pool thread: experiments were sized for the main
+/// thread.
+const WORKER_STACK: usize = 16 << 20;
+
+/// Run `item` on every index of `sizes` on at most `threads` threads in
+/// total, the caller included, and return the results in list order.
+/// `sizes[i]` sizes item `i` for the claim order: the caller claims the
+/// largest remaining item, helpers the smallest, ties in list order.
+/// Helpers start with the caller's profiling flag. `item` is expected to
+/// catch its own panics, as [`sweep`]'s points and `run_registry`'s jobs
+/// do; a panic that escapes it reaches the caller once every thread has
+/// stopped.
+pub(crate) fn pool<R: Send>(
+    threads: usize,
+    sizes: &[usize],
+    item: &(dyn Fn(usize) -> R + Sync),
+) -> Vec<R> {
+    // Each item's result waits in a slot of its own; a slot's only update
+    // is one move, so a poisoned lock still holds a whole value.
+    let slots: Vec<Mutex<Option<R>>> = sizes.iter().map(|_| Mutex::new(None)).collect();
+    claim_all(threads, sizes, &|i| {
+        let result = item(i);
+        *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
+    });
+    slots
+        .into_iter()
+        .filter_map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner))
+        .collect()
 }
 
-impl<R> Capture<R> {
-    /// Append the captured sessions to the current thread's and hand back
-    /// the result.
-    fn absorb(self) -> std::thread::Result<R> {
-        sgx_sim::counters::session_absorb(&self.counters);
-        sgx_sim::profile::session_extend(self.profiles);
-        self.result
-    }
-}
-
-/// Run `f` with this thread's counter and profile sessions set aside,
-/// catching a panic, and return what it produced and dropped. The
-/// thread's sessions are as before on return.
-pub(crate) fn capture<R>(f: impl FnOnce() -> R) -> Capture<R> {
-    let outer_counters = sgx_sim::counters::session_take();
-    let outer_profiles = sgx_sim::profile::session_take_list();
-    let result = panic::catch_unwind(AssertUnwindSafe(f));
-    let captured = Capture {
-        result,
-        counters: sgx_sim::counters::session_take(),
-        profiles: sgx_sim::profile::session_take_list(),
+/// [`pool`]'s claims and threads, once for every result type.
+fn claim_all(threads: usize, sizes: &[usize], item: &(dyn Fn(usize) + Sync)) {
+    let n = sizes.len();
+    let by_size = smallest_first(sizes);
+    // Every successful claim takes one item from exactly one end, and at
+    // most `n` claims succeed, so the two ends never cross. The counters
+    // publish no data: results travel back through the slots' locks.
+    let claims = AtomicUsize::new(0);
+    let (smallest, largest) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    let drain = |largest_first: bool| {
+        while claims.fetch_add(1, Ordering::Relaxed) < n {
+            item(if largest_first {
+                by_size[n - 1 - largest.fetch_add(1, Ordering::Relaxed)]
+            } else {
+                by_size[smallest.fetch_add(1, Ordering::Relaxed)]
+            });
+        }
     };
-    sgx_sim::counters::session_absorb(&outer_counters);
-    sgx_sim::profile::session_extend(outer_profiles);
-    captured
+    let profiled = sgx_sim::profile::enabled();
+    std::thread::scope(|s| {
+        let mut helpers = Vec::new();
+        for _ in 1..threads.min(n) {
+            let spawned = std::thread::Builder::new()
+                .stack_size(WORKER_STACK)
+                .spawn_scoped(s, || {
+                    sgx_sim::profile::set_enabled(profiled);
+                    drain(false)
+                });
+            match spawned {
+                Ok(h) => helpers.push(h),
+                // The caller still drains every item below, so a failed
+                // spawn only costs parallelism.
+                Err(e) => eprintln!("warning: could not spawn a pool helper: {e}"),
+            }
+        }
+        drain(true);
+        for h in helpers {
+            h.join().unwrap_or_else(|p| panic::resume_unwind(p));
+        }
+    });
+}
+
+/// Run `f` with this thread's session set aside, catching a panic, and
+/// return what it produced together with the session of the machines it
+/// dropped. The thread's session is as before on return.
+pub(crate) fn capture<R>(f: impl FnOnce() -> R) -> (std::thread::Result<R>, Session) {
+    let outer = session_replace(Session::default());
+    let result = panic::catch_unwind(AssertUnwindSafe(f));
+    (result, session_replace(outer))
 }
 
 /// Run `point` on every item, sharing the items among up to the calling
@@ -100,84 +148,34 @@ pub(crate) fn sweep_on<T: Sync, R: Send>(
 
 /// [`sweep_on`] over item indices, given each item's size. Calling the
 /// point only through a trait object keeps one copy of each figure's
-/// point body, and one copy of the thread machinery per result type.
+/// point body.
 fn sweep_indices<R: Send>(
     threads: usize,
     sizes: &[usize],
     point: &(dyn Fn(usize) -> R + Sync),
 ) -> Vec<R> {
-    let n = sizes.len();
-    let by_size = smallest_first(sizes);
-    // Every successful claim takes one item from exactly one end, and at
-    // most `n` claims succeed, so the two ends never cross. The counters
-    // publish no data: results travel back through `join`.
-    let claims = AtomicUsize::new(0);
-    let (smallest, largest) = (AtomicUsize::new(0), AtomicUsize::new(0));
-    let claim = |largest_first: bool| {
-        (claims.fetch_add(1, Ordering::Relaxed) < n).then(|| {
-            if largest_first {
-                by_size[n - 1 - largest.fetch_add(1, Ordering::Relaxed)]
-            } else {
-                by_size[smallest.fetch_add(1, Ordering::Relaxed)]
-            }
-        })
-    };
-    // One thread's claims, each captured; the thread stops at a panic.
-    let drain = |largest_first: bool| {
-        let mut mine = Vec::new();
-        while let Some(i) = claim(largest_first) {
-            let captured = capture(|| point(i));
-            let failed = captured.result.is_err();
-            mine.push((i, captured));
-            if failed {
-                break;
-            }
-        }
-        mine
-    };
-    let profiled = sgx_sim::profile::enabled();
-    let parts = std::thread::scope(|s| {
-        let mut helpers = Vec::new();
-        for _ in 1..threads.min(n) {
-            let spawned = std::thread::Builder::new()
-                .stack_size(WORKER_STACK)
-                .spawn_scoped(s, || {
-                    sgx_sim::profile::set_enabled(profiled);
-                    drain(false)
-                });
-            match spawned {
-                Ok(h) => helpers.push(h),
-                // The caller still drains every item below, so a failed
-                // spawn only costs parallelism.
-                Err(e) => eprintln!("warning: could not spawn sweep helper: {e}"),
-            }
-        }
-        let mut parts = vec![drain(true)];
-        for h in helpers {
-            parts.push(h.join().unwrap_or_else(|p| panic::resume_unwind(p)));
-        }
-        parts
+    // Each point's session waits in a slot of its own, outside the
+    // result-typed slots, so its drop glue exists once.
+    let sessions: Vec<Mutex<Session>> = sizes.iter().map(|_| Mutex::default()).collect();
+    let results = pool(threads, sizes, &|i| {
+        let (result, session) = capture(|| point(i));
+        *sessions[i].lock().unwrap_or_else(PoisonError::into_inner) = session;
+        result
     });
-    let mut slots: Vec<Option<Capture<R>>> = std::iter::repeat_with(|| None).take(n).collect();
-    for (i, captured) in parts.into_iter().flatten() {
-        slots[i] = Some(captured);
-    }
-    // Absorb in list order, a failed point's sessions included. Without a
-    // panic every item was claimed exactly once.
-    let mut results = Vec::with_capacity(n);
-    let mut failure = None;
-    for captured in slots.into_iter().flatten() {
-        match captured.absorb() {
-            Ok(r) => results.push(r),
-            Err(p) => {
-                failure.get_or_insert(p);
-            }
-        }
-    }
-    if let Some(p) = failure {
-        panic::resume_unwind(p);
-    }
+    append_in_list_order(sessions);
     results
+        .into_iter()
+        .collect::<std::thread::Result<Vec<R>>>()
+        .unwrap_or_else(|p| panic::resume_unwind(p))
+}
+
+/// Append the points' sessions to this thread's, in list order.
+fn append_in_list_order(sessions: Vec<Mutex<Session>>) {
+    let mut mine = session_replace(Session::default());
+    for point in sessions {
+        mine.append(point.into_inner().unwrap_or_else(PoisonError::into_inner));
+    }
+    session_replace(mine);
 }
 
 /// Item indices from the smallest item to the largest; ties keep list
@@ -195,7 +193,7 @@ mod tests {
     use crate::report::{Figure, Stat};
     use crate::runner::{run_registry, FigureJob, JobStatus, RunConfig};
     use crate::{rep_seeds, repeat, repeat_grid_on};
-    use sgx_sim::{CostCategory, Machine, Setting};
+    use sgx_sim::{CostCategory, Machine, Profile, Setting};
     use std::sync::{Barrier, Mutex};
     use std::thread::{self, ThreadId};
 
@@ -430,7 +428,8 @@ mod tests {
         sgx_sim::profile::set_enabled(true);
         let _ = take_sessions();
         // The caller's first claim (3) waits for the helper to reach 1,
-        // which fails after its machine has run; the caller then runs 2.
+        // which fails after its machine has run; whichever thread is free
+        // first then runs 2.
         let gate = Barrier::new(2);
         let failed = panic::catch_unwind(AssertUnwindSafe(|| {
             sweep_on(

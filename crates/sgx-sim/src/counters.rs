@@ -1,35 +1,65 @@
 //! Performance counters collected by the simulator.
 //!
-//! Besides the per-[`crate::Machine`] totals, this module keeps a
-//! *session accumulator*: a thread-local [`Counters`] that absorbs the
-//! totals of every `Machine` dropped on that thread. The parallel figure
-//! harness runs each job on one worker thread and absorbs the sessions
-//! of the job's sweep helpers into that thread's, so [`session_take`]
-//! around a job yields that job's counter totals without threading a
-//! collector through the 25 experiment signatures; summing
-//! the per-job results with [`Counters::merge`] reproduces the whole-run
+//! Besides the per-[`crate::Machine`] totals, this module keeps the
+//! *session*: one thread-local record of the machines dropped on that
+//! thread, their summed [`Counters`] and, when profiled, their profiles in
+//! drop order. `Machine::drop` writes to it once. [`session_take`] and
+//! [`crate::profile::session_take`] are views of it, so the figure harness
+//! gets a job's counter totals and profile without threading a collector
+//! through the 25 experiment signatures. The harness sets the record aside
+//! around a job or a sweep point with [`session_replace`] and appends the
+//! points' records in list order with [`Session::append`]; summing the
+//! per-job results with [`Counters::merge`] reproduces the whole-run
 //! totals exactly (u64 addition is associative and commutative).
 
 // The counters are exact u64 totals: a narrowing cast would wrap one.
 #![deny(clippy::cast_possible_truncation)]
 
+use crate::profile::Profile;
 use std::cell::RefCell;
 
+/// What the machines dropped on one thread left behind.
+#[derive(Debug, Default)]
+pub struct Session {
+    /// Their summed counter totals.
+    pub counters: Counters,
+    /// Their profiles, in drop order (empty unless profiled). `f64` bins
+    /// make the fold order part of the result, so the list is folded only
+    /// by [`crate::profile::session_take`].
+    pub profiles: Vec<Profile>,
+}
+
+impl Session {
+    /// Add one dropped machine: its counter totals and, when it was
+    /// profiled, its profile (an empty profile is left out).
+    pub(crate) fn record(&mut self, counters: &Counters, profile: Option<Profile>) {
+        self.counters.merge(counters);
+        if let Some(p) = profile.filter(|p| !p.is_empty() || p.charged_cycles != 0.0) {
+            self.profiles.push(p);
+        }
+    }
+
+    /// Append `later`, as if its machines had dropped after this record's.
+    pub fn append(&mut self, later: Session) {
+        self.counters.merge(&later.counters);
+        self.profiles.extend(later.profiles);
+    }
+}
+
 thread_local! {
-    /// Per-thread session accumulator fed by `Machine::drop`.
-    static SESSION: RefCell<Counters> = RefCell::new(Counters::default());
+    /// This thread's session, fed by `Machine::drop`.
+    pub(crate) static SESSION: RefCell<Session> = RefCell::new(Session::default());
 }
 
-/// Fold `c` into the current thread's session accumulator. Called by
-/// `Machine::drop`; also usable directly for counters captured before a
-/// machine is dropped.
-pub fn session_absorb(c: &Counters) {
-    SESSION.with(|s| s.borrow_mut().merge(c));
+/// Put `with` in place of the current thread's session and return the
+/// session it held.
+pub fn session_replace(with: Session) -> Session {
+    SESSION.with(|s| std::mem::replace(&mut *s.borrow_mut(), with))
 }
 
-/// Take (and reset) the current thread's session accumulator.
+/// Take (and reset) the counter totals of the current thread's session.
 pub fn session_take() -> Counters {
-    SESSION.with(|s| std::mem::take(&mut *s.borrow_mut()))
+    SESSION.with(|s| std::mem::take(&mut s.borrow_mut().counters))
 }
 
 /// Event totals across the whole machine, analogous to the hardware PMU and
@@ -386,8 +416,9 @@ mod tests {
     fn session_accumulator_takes_and_resets() {
         // Drain whatever earlier tests on this thread left behind.
         let _ = session_take();
-        session_absorb(&Counters { loads: 10, ..Default::default() });
-        session_absorb(&Counters { loads: 5, vec_ops: 2, ..Default::default() });
+        let record = |c: &Counters| SESSION.with(|s| s.borrow_mut().record(c, None));
+        record(&Counters { loads: 10, ..Default::default() });
+        record(&Counters { loads: 5, vec_ops: 2, ..Default::default() });
         let got = session_take();
         assert_eq!(got.loads, 15);
         assert_eq!(got.vec_ops, 2);

@@ -367,19 +367,17 @@ impl Machine {
 }
 
 impl Drop for Machine {
-    /// Fold this machine's counter totals into the thread-local counter
-    /// session and, when profiling, append its finished cycle-attribution
-    /// profile to the profile session (see
-    /// [`crate::counters::session_take`] and
-    /// [`crate::profile::session_take`]), so the figure harness can
-    /// attribute work per job without plumbing a collector through every
-    /// experiment.
+    /// Record this machine on the thread's session
+    /// ([`crate::counters::Session`]): its counter totals and, when
+    /// profiling, its finished cycle-attribution profile, so the figure
+    /// harness can attribute work per job without plumbing a collector
+    /// through every experiment.
     fn drop(&mut self) {
-        crate::counters::session_absorb(&self.counters);
-        if let Some(prof) = self.prof.as_deref_mut() {
+        let profile = self.prof.as_deref_mut().map(|prof| {
             prof.flush(&self.counters);
-            crate::profile::session_absorb(prof.take_profile());
-        }
+            prof.take_profile()
+        });
+        crate::counters::SESSION.with(|s| s.borrow_mut().record(&self.counters, profile));
     }
 }
 

@@ -37,20 +37,19 @@
 //! ## Determinism
 //!
 //! Profiles are [`BTreeMap`]-backed (sorted, no hash iteration), and
-//! phase stacks and sessions are thread-local. Cycle bins are `f64`, so a
-//! fold of several machines' profiles depends on its order. A session
-//! therefore keeps each dropped machine's profile, in drop order, and
-//! [`session_take`] folds them only when it is called, with the same
-//! sequence of `+=` as merging each profile as it arrives. A job whose
-//! points run on several threads takes each point's profiles unfolded
-//! ([`session_take_list`]) and appends them to the job's session in the
-//! points' list order ([`session_extend`]), which is the order a
-//! sequential loop drops their machines in. A job's profile is thus a
-//! pure function of the job, byte-identical at any `--jobs` value and
-//! thread budget.
+//! phase stacks are thread-local. Cycle bins are `f64`, so a fold of
+//! several machines' profiles depends on its order. The thread's record
+//! of dropped machines ([`crate::counters::Session`]) therefore keeps each
+//! machine's profile, in drop order, and [`session_take`] folds them only
+//! when it is called, with the same sequence of `+=` as merging each
+//! profile as it arrives. A job whose points run on several threads
+//! appends each point's record to the job's in the points' list order,
+//! which is the order a sequential loop drops their machines in. A job's
+//! profile is thus a pure function of the job, byte-identical at any
+//! `--jobs` value and thread budget.
 //!
 //! When profiling is disabled (the default) a machine carries no
-//! `ProfCtx` and every commit pays a single `Option` branch.
+//! `ProfCtx`, and every commit pays two `None` branches on it.
 
 // Profile counters are exact u64 totals: a narrowing cast would wrap one.
 #![deny(clippy::cast_possible_truncation)]
@@ -302,9 +301,6 @@ thread_local! {
     static VERSION: Cell<u64> = const { Cell::new(0) };
     /// The current phase scope stack.
     static STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
-    /// Profiles of the machines dropped on this thread, in drop order,
-    /// fed by `Machine::drop`; folded only by [`session_take`].
-    static SESSION: RefCell<Vec<Profile>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Enable or disable profiling for machines subsequently built on this
@@ -369,31 +365,11 @@ impl Drop for PhaseGuard {
     }
 }
 
-/// Append `p` to the current thread's session. Called by
-/// `Machine::drop`; an empty profile is left out.
-pub fn session_absorb(p: Profile) {
-    if p.is_empty() && p.charged_cycles == 0.0 {
-        return;
-    }
-    SESSION.with(|s| s.borrow_mut().push(p));
-}
-
-/// Take (and reset) the current thread's session, folded into one
-/// profile in drop order.
+/// Take the profiles of the current thread's session (see
+/// [`crate::counters::Session`]), folded into one profile in drop order.
 pub fn session_take() -> Profile {
-    Profile::fold(&session_take_list())
-}
-
-/// Take (and reset) the current thread's session unfolded: one profile
-/// per dropped machine, in drop order.
-pub fn session_take_list() -> Vec<Profile> {
-    SESSION.with(|s| std::mem::take(&mut *s.borrow_mut()))
-}
-
-/// Append `profiles` to the current thread's session, in order, as if
-/// their machines had dropped on this thread.
-pub fn session_extend(profiles: Vec<Profile>) {
-    SESSION.with(|s| s.borrow_mut().extend(profiles));
+    let profiles = crate::counters::SESSION.with(|s| std::mem::take(&mut s.borrow_mut().profiles));
+    Profile::fold(&profiles)
 }
 
 /// Per-machine attribution context, installed by `Machine::new` when
@@ -487,6 +463,7 @@ impl ProfCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counters::{session_replace, Session};
 
     fn ctx_with(cats: &[(CostCategory, f64)]) -> ProfCtx {
         let mut ctx = ProfCtx::new();
@@ -599,16 +576,21 @@ mod tests {
         set_enabled(false);
     }
 
+    /// Record a machine drop with `p` on this thread's session.
+    fn record(p: Profile) {
+        crate::counters::SESSION.with(|s| s.borrow_mut().record(&Counters::default(), Some(p)));
+    }
+
     #[test]
     fn session_accumulator_merges_and_resets() {
         let _ = session_take();
         let mut ctx = ctx_with(&[(CostCategory::Compute, 4.0)]);
         let c = Counters::default();
         ctx.flush(&c);
-        session_absorb(ctx.take_profile());
+        record(ctx.take_profile());
         let mut ctx2 = ctx_with(&[(CostCategory::Compute, 6.0)]);
         ctx2.flush(&c);
-        session_absorb(ctx2.take_profile());
+        record(ctx2.take_profile());
         let got = session_take();
         assert_eq!(got.phases["(unscoped)"].cycles.compute, 10.0);
         assert_eq!(got.charged_cycles, 10.0);
@@ -622,12 +604,12 @@ mod tests {
         for v in [1e16, 1.0, -1e16] {
             let mut ctx = ctx_with(&[(CostCategory::Mee, v)]);
             ctx.flush(&c);
-            session_absorb(ctx.take_profile());
+            record(ctx.take_profile());
         }
-        let list = session_take_list();
-        assert_eq!(list.len(), 3);
-        assert!(session_take_list().is_empty());
-        session_extend(list);
+        let taken = session_replace(Session::default());
+        assert_eq!(taken.profiles.len(), 3);
+        assert!(session_replace(Session::default()).profiles.is_empty());
+        session_replace(taken);
         // (1e16 + 1) - 1e16 rounds the 1 away; (1e16 - 1e16) + 1 would not.
         let got = session_take();
         assert_eq!(got.phases["(unscoped)"].cycles.mee, 0.0);
