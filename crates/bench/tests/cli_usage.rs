@@ -2,8 +2,9 @@
 //! the options and exits 0; an unknown option, a bad value or an unknown
 //! job id exits 2; and none of them runs a figure or a calibration.
 //!
-//! Each case runs in a directory of its own, so a figure the binary
-//! wrongly emitted would show up there as `target/figures/`.
+//! Each case runs in an empty directory of its own, so anything the
+//! binary wrongly wrote there (`target/figures/`, a `--json` report)
+//! would be left behind in it.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -12,7 +13,7 @@ const ALL_FIGURES: &str = env!("CARGO_BIN_EXE_all_figures");
 const SERVICE_BENCH: &str = env!("CARGO_BIN_EXE_service_bench");
 
 /// Run `bin` with `args` in a fresh directory named after `case`; return
-/// its output and whether it left any figure output behind.
+/// its output and whether it left anything in that directory.
 fn run(bin: &str, case: &str, args: &[&str]) -> (Output, bool) {
     let dir: PathBuf =
         std::env::temp_dir().join(format!("cli-usage-{}-{case}", std::process::id()));
@@ -23,7 +24,7 @@ fn run(bin: &str, case: &str, args: &[&str]) -> (Output, bool) {
         .current_dir(&dir)
         .output()
         .expect("spawn the binary");
-    let emitted = dir.join("target").exists();
+    let emitted = std::fs::read_dir(&dir).expect("list the case directory").next().is_some();
     let _ = std::fs::remove_dir_all(&dir);
     (out, emitted)
 }

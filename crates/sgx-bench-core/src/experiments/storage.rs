@@ -1,5 +1,5 @@
-//! Secure storage data path extension (ROADMAP item 3): sealed blocks
-//! decrypted, filtered and aggregated inside the enclave.
+//! Secure storage data path extension: sealed blocks decrypted,
+//! filtered and aggregated inside the enclave.
 //!
 //! The paper benchmarks operators over data already resident in plain
 //! EPC memory; a protected analytical engine additionally pays to move

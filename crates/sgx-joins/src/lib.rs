@@ -11,8 +11,6 @@
 //! * [`mway::mway_join`] — Multi-Way Sort-Merge join (Kim et al.).
 //! * [`inl::inl_join`] — Index Nested Loop join over the `sgx-index`
 //!   B+-tree.
-//! * [`cht::cht_join`] — Concise Hash Table join (TEEBench family;
-//!   reproduction extension): bitmap + rank-addressed dense array.
 //! * [`crkjoin::crk_join`] — CrkJoin (Maliszewski et al.), the
 //!   SGXv1-optimized cracking join that partitions in place one radix bit
 //!   at a time with two-pointer swaps.
@@ -32,7 +30,6 @@
 )]
 #![warn(missing_docs)]
 
-pub mod cht;
 pub mod common;
 pub mod crkjoin;
 pub mod data;

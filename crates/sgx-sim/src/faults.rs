@@ -100,12 +100,6 @@ impl OcallFaults {
         self.backoff_cycles * (1u64 << exp) as f64
     }
 
-    /// Total simulated cost of one OCALL under this fault setting that
-    /// suffered `retries` transient failures (see [`ocall_cost`]).
-    pub fn call_cost(&self, retries: u32, transition_cycles: f64) -> f64 {
-        ocall_cost(retries, transition_cycles, self.backoff_cycles)
-    }
-
     /// Deterministically decide how many transient failures an attempt
     /// stream starting at index `k` suffers, mirroring the engine's
     /// `FaultEngine::plan_ocall` semantics exactly: one uniform draw per
@@ -527,7 +521,8 @@ mod tests {
         // these waits: each extra retry adds one round trip + one wait.
         let t = 10_000.0;
         for retries in 1..=12u32 {
-            let delta = of.call_cost(retries, t) - of.call_cost(retries - 1, t);
+            let delta = ocall_cost(retries, t, of.backoff_cycles)
+                - ocall_cost(retries - 1, t, of.backoff_cycles);
             assert_eq!(delta, 2.0 * t + of.backoff_wait(retries));
         }
     }

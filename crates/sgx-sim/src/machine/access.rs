@@ -300,11 +300,6 @@ impl<'v, T: Copy> StreamReader<'v, T> {
         (self.pos < self.end).then(|| self.vec.peek(self.pos))
     }
 
-    /// Elements remaining.
-    pub fn remaining(&self) -> usize {
-        self.end - self.pos
-    }
-
     /// Current read position.
     pub fn pos(&self) -> usize {
         self.pos

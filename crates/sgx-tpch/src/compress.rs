@@ -1,19 +1,51 @@
 //! Dictionary + RLE columnar compression with decompress-inside-enclave
-//! scan kernels (ROADMAP item 3).
+//! scan kernels.
 //!
 //! Compression trades bytes for compute, and the simulator already
 //! prices both sides: a compressed column moves fewer cache lines
 //! through the DRAM/MEE path (cheap in the enclave, where every line
 //! pays MEE decryption), but every scan spends extra ALU work decoding.
-//! Encoding happens uncharged on the data-owner side — the enclave
-//! receives already-encoded columns — while decompression and scans are
-//! fully charged enclave kernels.
+//! Encoding happens uncharged on the data-owner side, in the one host
+//! encoder per format (`rank_dictionary`, `split_runs`) that
+//! [`seal_column`](crate::storage::seal_column) calls — the enclave
+//! receives already-encoded columns — while scans are fully charged
+//! enclave kernels.
 //!
 //! Both encodings are verified by round-trip and scan-equivalence
 //! oracles (unit tests here, lockstep proptests in
 //! `tests/proptest_operators.rs`).
 
-use sgx_sim::{Core, Machine, SimVec};
+use sgx_sim::{Core, SimVec};
+
+/// Dictionary-encode `values` on the host: the sorted distinct values
+/// and each row's code, its value's rank among them (deterministic).
+/// Panics if the column has more than 2^16 distinct values; callers pick
+/// dictionary encoding only for low-cardinality columns.
+pub(crate) fn rank_dictionary(values: &[i32]) -> (Vec<i32>, Vec<u16>) {
+    let mut rank = std::collections::BTreeMap::new();
+    for &v in values {
+        rank.entry(v).or_insert(0u16);
+    }
+    assert!(rank.len() <= usize::from(u16::MAX) + 1, "dictionary overflows 16-bit codes");
+    for (i, code) in rank.values_mut().enumerate() {
+        *code = i as u16;
+    }
+    let codes = values.iter().map(|v| rank[v]).collect();
+    (rank.into_keys().collect(), codes)
+}
+
+/// Run-length-encode `values` on the host: `(value, run length)` pairs
+/// in row order, a run capped at `u32::MAX` rows.
+pub(crate) fn split_runs(values: &[i32]) -> Vec<(i32, u32)> {
+    let mut runs: Vec<(i32, u32)> = Vec::new();
+    for &v in values {
+        match runs.last_mut() {
+            Some((last, l)) if *last == v && *l < u32::MAX => *l += 1,
+            _ => runs.push((v, 1)),
+        }
+    }
+    runs
+}
 
 /// Dictionary-encoded i32 column: `codes[i]` indexes into `dict`.
 /// 16-bit codes halve (vs i32) the bytes a scan streams; the dictionary
@@ -21,58 +53,13 @@ use sgx_sim::{Core, Machine, SimVec};
 pub struct DictColumn {
     codes: SimVec<u16>,
     dict: SimVec<i32>,
-    len: usize,
 }
 
 impl DictColumn {
     /// Assemble a column from already-built parts (the storage path
     /// rebuilds encoded columns from unsealed bytes).
     pub(crate) fn from_parts(codes: SimVec<u16>, dict: SimVec<i32>) -> DictColumn {
-        let len = codes.len();
-        DictColumn { codes, dict, len }
-    }
-
-    /// Encode `values` (uncharged — runs on the data owner, outside the
-    /// simulated machine's cost envelope). The dictionary is the sorted
-    /// set of distinct values, so encoding is deterministic. Panics if
-    /// the column has more than 2^16 distinct values; callers pick
-    /// dictionary encoding only for low-cardinality columns.
-    pub fn encode(machine: &mut Machine, values: &[i32]) -> DictColumn {
-        let mut rank = std::collections::BTreeMap::new();
-        for &v in values {
-            rank.entry(v).or_insert(0u16);
-        }
-        assert!(rank.len() <= usize::from(u16::MAX) + 1, "dictionary overflows 16-bit codes");
-        let mut dict = machine.alloc::<i32>(rank.len());
-        for (i, (v, code)) in rank.iter_mut().enumerate() {
-            *code = i as u16;
-            dict.poke(i, *v);
-        }
-        let mut codes = machine.alloc::<u16>(values.len());
-        for (i, v) in values.iter().enumerate() {
-            codes.poke(i, rank[v]);
-        }
-        DictColumn { codes, dict, len: values.len() }
-    }
-
-    /// Encoded rows.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the column holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Distinct values in the dictionary.
-    pub fn dict_len(&self) -> usize {
-        self.dict.len()
-    }
-
-    /// Bytes of the encoded representation (codes + dictionary).
-    pub fn payload_bytes(&self) -> usize {
-        self.codes.len() * 2 + self.dict.len() * 4
+        DictColumn { codes, dict }
     }
 
     /// Charged scan over `range`: loads the dictionary once (it is
@@ -90,16 +77,6 @@ impl DictColumn {
             f(c, i, table[usize::from(code)]);
         });
     }
-
-    /// Charged full decompression into a plain column inside the machine.
-    pub fn decompress(&self, machine: &mut Machine) -> SimVec<i32> {
-        let mut out = machine.alloc::<i32>(self.len);
-        machine.run(|c| {
-            let mut writer = out.stream_writer(0);
-            self.scan(c, 0..self.len, &mut |c, _, v| writer.push(c, v));
-        });
-        out
-    }
 }
 
 /// Run-length-encoded i32 column: run `r` repeats `values[r]` for
@@ -109,58 +86,13 @@ impl DictColumn {
 pub struct RleColumn {
     values: SimVec<i32>,
     lengths: SimVec<u32>,
-    len: usize,
 }
 
 impl RleColumn {
     /// Assemble a column from already-built parts (the storage path
     /// rebuilds encoded columns from unsealed bytes).
-    pub(crate) fn from_parts(values: SimVec<i32>, lengths: SimVec<u32>, len: usize) -> RleColumn {
-        RleColumn { values, lengths, len }
-    }
-
-    /// Encode `values` (uncharged — data-owner side, deterministic).
-    pub fn encode(machine: &mut Machine, values: &[i32]) -> RleColumn {
-        let mut vs: Vec<i32> = Vec::new();
-        let mut ls: Vec<u32> = Vec::new();
-        for &v in values {
-            match (vs.last(), ls.last_mut()) {
-                (Some(&last), Some(l)) if last == v && *l < u32::MAX => *l += 1,
-                _ => {
-                    vs.push(v);
-                    ls.push(1);
-                }
-            }
-        }
-        let mut values_sv = machine.alloc::<i32>(vs.len());
-        let mut lengths_sv = machine.alloc::<u32>(ls.len());
-        for (i, &v) in vs.iter().enumerate() {
-            values_sv.poke(i, v);
-        }
-        for (i, &l) in ls.iter().enumerate() {
-            lengths_sv.poke(i, l);
-        }
-        RleColumn { values: values_sv, lengths: lengths_sv, len: values.len() }
-    }
-
-    /// Decoded rows.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the column holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of runs.
-    pub fn run_count(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Bytes of the encoded representation (values + lengths).
-    pub fn payload_bytes(&self) -> usize {
-        self.values.len() * 4 + self.lengths.len() * 4
+    pub(crate) fn from_parts(values: SimVec<i32>, lengths: SimVec<u32>) -> RleColumn {
+        RleColumn { values, lengths }
     }
 
     /// Charged whole-run scan: streams `(value, run_len)` pairs — the
@@ -174,20 +106,6 @@ impl RleColumn {
             }
         });
     }
-
-    /// Charged full decompression into a plain column inside the machine.
-    pub fn decompress(&self, machine: &mut Machine) -> SimVec<i32> {
-        let mut out = machine.alloc::<i32>(self.len);
-        machine.run(|c| {
-            let mut writer = out.stream_writer(0);
-            self.scan_runs(c, &mut |c, v, l| {
-                for _ in 0..l {
-                    writer.push(c, v);
-                }
-            });
-        });
-        out
-    }
 }
 
 /// Uncharged reference: decoded contents of a dictionary column.
@@ -200,7 +118,7 @@ pub fn reference_dict_decode(col: &DictColumn) -> Vec<i32> {
 /// Uncharged reference: decoded contents of an RLE column.
 #[expect(clippy::disallowed_methods, reason = "uncharged reference oracle for verification")]
 pub fn reference_rle_decode(col: &RleColumn) -> Vec<i32> {
-    let mut out = Vec::with_capacity(col.len);
+    let mut out = Vec::new();
     let values = col.values.as_slice_untracked();
     for (v, l) in values.iter().zip(col.lengths.as_slice_untracked()) {
         out.extend(std::iter::repeat_n(*v, *l as usize));
@@ -209,14 +127,10 @@ pub fn reference_rle_decode(col: &RleColumn) -> Vec<i32> {
 }
 
 #[cfg(test)]
-#[expect(
-    clippy::disallowed_methods,
-    reason = "tests check results against the uncharged backing storage"
-)]
 mod tests {
     use super::*;
     use sgx_sim::config::xeon_gold_6326;
-    use sgx_sim::Setting;
+    use sgx_sim::{Machine, Setting};
 
     fn clustered(n: usize) -> Vec<i32> {
         let mut x = 0xD1C7u64 | 1;
@@ -232,15 +146,42 @@ mod tests {
         out
     }
 
+    /// Copy host values into a fresh machine vector, uncharged.
+    fn sim_vec<T: Copy + Default>(
+        m: &mut Machine,
+        xs: impl ExactSizeIterator<Item = T>,
+    ) -> SimVec<T> {
+        let mut v = m.alloc::<T>(xs.len());
+        for (i, x) in xs.enumerate() {
+            v.poke(i, x);
+        }
+        v
+    }
+
+    fn dict_column(m: &mut Machine, dict: &[i32], codes: &[u16]) -> DictColumn {
+        let dict = sim_vec(m, dict.iter().copied());
+        DictColumn::from_parts(sim_vec(m, codes.iter().copied()), dict)
+    }
+
+    fn rle_column(m: &mut Machine, runs: &[(i32, u32)]) -> RleColumn {
+        let values = sim_vec(m, runs.iter().map(|r| r.0));
+        RleColumn::from_parts(values, sim_vec(m, runs.iter().map(|r| r.1)))
+    }
+
     #[test]
     fn dict_round_trip_and_scan_match_plain() {
         let mut m = Machine::new(xeon_gold_6326().scaled(64), Setting::SgxDataInEnclave);
         let plain = clustered(5000);
-        let col = DictColumn::encode(&mut m, &plain);
-        assert!(col.payload_bytes() < plain.len() * 4, "dict must shrink a 64-value column");
+        let (dict, codes) = rank_dictionary(&plain);
+        assert!(
+            codes.len() * 2 + dict.len() * 4 < plain.len() * 4,
+            "dict must shrink a 64-value column"
+        );
+        let col = dict_column(&mut m, &dict, &codes);
         assert_eq!(reference_dict_decode(&col), plain);
-        let decoded = col.decompress(&mut m);
-        assert_eq!(decoded.as_slice_untracked(), plain.as_slice());
+        let mut decoded = Vec::new();
+        m.run(|c| col.scan(c, 0..plain.len(), &mut |_, _, v| decoded.push(v)));
+        assert_eq!(decoded, plain);
         let mut sum = 0i64;
         m.run(|c| {
             col.scan(c, 100..4000, &mut |_, _, v| sum += i64::from(v));
@@ -253,18 +194,19 @@ mod tests {
     fn rle_round_trip_and_run_scan_match_plain() {
         let mut m = Machine::new(xeon_gold_6326().scaled(64), Setting::SgxDataInEnclave);
         let plain = clustered(5000);
-        let col = RleColumn::encode(&mut m, &plain);
-        assert!(col.run_count() < plain.len(), "clustered data must form multi-row runs");
+        let runs = split_runs(&plain);
+        assert!(runs.len() < plain.len(), "clustered data must form multi-row runs");
+        let col = rle_column(&mut m, &runs);
         assert_eq!(reference_rle_decode(&col), plain);
-        let decoded = col.decompress(&mut m);
-        assert_eq!(decoded.as_slice_untracked(), plain.as_slice());
-        let (mut sum, mut rows) = (0i64, 0u64);
+        let (mut decoded, mut sum, mut rows) = (Vec::new(), 0i64, 0u64);
         m.run(|c| {
             col.scan_runs(c, &mut |_, v, l| {
+                decoded.extend(std::iter::repeat_n(v, l as usize));
                 sum += i64::from(v) * i64::from(l);
                 rows += u64::from(l);
             });
         });
+        assert_eq!(decoded, plain);
         let expect: i64 = plain.iter().map(|&v| i64::from(v)).sum();
         assert_eq!(sum, expect);
         assert_eq!(rows, plain.len() as u64);
@@ -276,12 +218,10 @@ mod tests {
         let n = 200_000;
         let plain_vals = clustered(n);
         let mut m = Machine::new(xeon_gold_6326().scaled(64), Setting::SgxDataInEnclave);
-        let mut plain = m.alloc::<i32>(n);
-        for (i, &v) in plain_vals.iter().enumerate() {
-            plain.poke(i, v);
-        }
-        let dict = DictColumn::encode(&mut m, &plain_vals);
-        let rle = RleColumn::encode(&mut m, &plain_vals);
+        let plain = sim_vec(&mut m, plain_vals.iter().copied());
+        let (dict, codes) = rank_dictionary(&plain_vals);
+        let dict = dict_column(&mut m, &dict, &codes);
+        let rle = rle_column(&mut m, &split_runs(&plain_vals));
 
         m.reset_wall();
         let mut s0 = 0i64;
@@ -312,11 +252,11 @@ mod tests {
     #[test]
     fn empty_and_constant_columns_encode() {
         let mut m = Machine::new(xeon_gold_6326().scaled(64), Setting::PlainCpu);
-        let empty = RleColumn::encode(&mut m, &[]);
-        assert!(empty.is_empty());
-        assert_eq!(reference_rle_decode(&empty), Vec::<i32>::new());
-        let konst = DictColumn::encode(&mut m, &[7; 100]);
-        assert_eq!(konst.dict_len(), 1);
-        assert_eq!(reference_dict_decode(&konst), vec![7; 100]);
+        let runs = split_runs(&[]);
+        assert!(runs.is_empty());
+        assert_eq!(reference_rle_decode(&rle_column(&mut m, &runs)), Vec::<i32>::new());
+        let (dict, codes) = rank_dictionary(&[7; 100]);
+        assert_eq!(dict.len(), 1);
+        assert_eq!(reference_dict_decode(&dict_column(&mut m, &dict, &codes)), vec![7; 100]);
     }
 }

@@ -6,10 +6,9 @@
 //! arbitrary scale factor. The joins are the RHO implementations from
 //! `sgx-joins`, so the §4.2 optimization can be toggled per query — the
 //! experiment behind Fig 17. Beyond the paper's `count(*)` cut-off,
-//! Q3/Q10 run real grouped + ordered tails through the operator zoo of
-//! ROADMAP item 3: external merge sort ([`sort`]), dictionary/RLE
-//! compression ([`compress`]), and the sealed storage data path
-//! ([`storage`]).
+//! Q3/Q10 run real grouped + ordered tails through the external merge
+//! sort ([`sort`]); dictionary/RLE compression ([`compress`]) and the
+//! sealed storage data path ([`storage`]) complete the operator zoo.
 
 #![deny(
     clippy::unwrap_used,
@@ -36,9 +35,8 @@ pub use aggregate::{
 pub use compress::{DictColumn, RleColumn};
 pub use gen::{date, generate, TpchDb};
 pub use queries::{
-    cost_estimate, q1_pricing_summary, q6_forecast_revenue, reference_count,
-    reference_q10_revenue, reference_q3_topk, run_query, Query, QueryConfig, QueryStats,
-    ESTIMATE_SPREAD_TOLERANCE, Q3_TOP_K,
+    cost_estimate, reference_count, reference_q10_revenue, reference_q3_topk, run_query, Query,
+    QueryConfig, QueryStats, ESTIMATE_SPREAD_TOLERANCE, Q3_TOP_K,
 };
 pub use sort::{external_merge_sort, reference_sort, SortRow, SortStats};
 pub use storage::{

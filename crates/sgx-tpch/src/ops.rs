@@ -158,6 +158,7 @@ pub fn retuple(
 )]
 mod tests {
     use super::*;
+    use crate::gen::{date, generate};
     use sgx_sim::config::scaled_profile;
     use sgx_sim::Setting;
 
@@ -217,6 +218,50 @@ mod tests {
         assert_eq!(all.len(), 100);
         let (none, _) = select_rows(&mut m, &[0], &[&key], &key, Payload::RowIndex, &|_| false);
         assert_eq!(none.len(), 0);
+    }
+
+    #[test]
+    fn lineitem_selection_runs_at_parity_in_the_enclave() {
+        // §6: "scan & selection performance is very similar across
+        // settings". One ECALL plus a three-column lineitem selection
+        // (TPC-H Q6's predicate) stays within 12% of native; SF 0.08 is
+        // large enough that the fixed ECALL cost does not dominate.
+        let run = |setting: Setting| {
+            let mut m = Machine::new(scaled_profile(), setting);
+            let db = generate(&mut m, 0.08, 42);
+            let l = &db.lineitem;
+            let (lo, hi) = (date(1994, 1, 1), date(1995, 1, 1));
+            let pred = |i: usize| {
+                let d = l.shipdate.peek(i);
+                d >= lo
+                    && d < hi
+                    && (5..=7).contains(&l.discount.peek(i))
+                    && l.quantity.peek(i) < 24
+            };
+            m.reset_wall();
+            let start = m.wall_cycles();
+            m.ecall();
+            let (rows, _) = select_rows(
+                &mut m,
+                &[0, 1, 2, 3, 4, 5, 6, 7],
+                &[&l.shipdate, &l.discount, &l.quantity],
+                &l.orderkey,
+                Payload::RowIndex,
+                &pred,
+            );
+            let cycles = m.wall_cycles() - start;
+            assert!(!rows.is_empty());
+            assert_eq!(rows.len(), (0..db.lineitem_len()).filter(|&i| pred(i)).count());
+            cycles
+        };
+        let native = run(Setting::PlainCpu);
+        let sgx = run(Setting::SgxDataInEnclave);
+        let overhead = sgx / native - 1.0;
+        assert!(
+            overhead < 0.12,
+            "a selection should run near parity, got {:.1}%",
+            overhead * 100.0
+        );
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The four TPC-H queries of §6 (Fig 17), simplified as the paper
 //! describes: scans + RHO joins, integer-encoded dates/categories, full
 //! materialization between operators. Q12/Q19 keep the paper's
-//! `count(*)` materialization; Q3 and Q10 go further (ROADMAP item 3)
-//! and run the plan tail the paper elides — grouped revenue aggregation
-//! and an ordered (top-k) result through the external merge sort.
+//! `count(*)` materialization; Q3 and Q10 go further and run the plan
+//! tail the paper elides — grouped revenue aggregation and an ordered
+//! (top-k) result through the external merge sort.
 //! [`cost_estimate`] prices each plan from table cardinalities alone, for
 //! the service model's admission control.
 
@@ -95,7 +95,7 @@ pub struct QueryStats {
     /// The real grouped + ordered output, where the plan produces one:
     /// Q3 = top-[`Q3_TOP_K`] `(orderkey, revenue)` by revenue desc;
     /// Q10 = all `(nationkey, revenue)` by revenue desc. Empty for the
-    /// count-only plans (Q12, Q19, extensions).
+    /// count-only plans (Q12, Q19).
     pub grouped: Vec<(u32, u64)>,
     /// Total simulated wall cycles.
     pub wall_cycles: f64,
@@ -113,21 +113,64 @@ pub fn run_query(machine: &mut Machine, db: &TpchDb, q: Query, cfg: &QueryConfig
     }
 }
 
-/// RHO join sized for the build side, materializing unless `count_only`.
+/// One plan execution. Entering pays the ECALL; each step then runs
+/// under a profile scope and lands in [`QueryStats::ops`] under the same
+/// name, so `--profile` yields a per-operator cycle breakdown.
+struct Plan<'m> {
+    machine: &'m mut Machine,
+    start: f64,
+    ops: Vec<(&'static str, f64)>,
+}
+
+impl<'m> Plan<'m> {
+    fn enter(machine: &'m mut Machine) -> Plan<'m> {
+        let start = machine.wall_cycles();
+        machine.ecall();
+        Plan { machine, start, ops: Vec::new() }
+    }
+
+    /// Run step `name`, recording the cycles the step returns.
+    fn step<T>(&mut self, name: &'static str, run: impl FnOnce(&mut Machine) -> (T, f64)) -> T {
+        let scope = self.machine.phase(name);
+        let (out, cycles) = run(self.machine);
+        drop(scope);
+        self.ops.push((name, cycles));
+        out
+    }
+
+    /// Run step `name`, recording the wall cycles it took.
+    fn timed<T>(&mut self, name: &'static str, run: impl FnOnce(&mut Machine) -> T) -> T {
+        self.step(name, |m| {
+            let start = m.wall_cycles();
+            let out = run(m);
+            (out, m.wall_cycles() - start)
+        })
+    }
+
+    fn finish(self, count: u64, grouped: Vec<(u32, u64)>) -> QueryStats {
+        let wall_cycles = self.machine.wall_cycles() - self.start;
+        QueryStats { count, grouped, wall_cycles, ops: self.ops }
+    }
+}
+
+/// RHO join sized for the build side, materializing unless `count_only`;
+/// returns the join with its wall cycles, as [`Plan::step`] takes them.
 fn join(
     machine: &mut Machine,
     build: &SimVec<Row>,
     probe: &SimVec<Row>,
     cfg: &QueryConfig,
     count_only: bool,
-) -> JoinStats {
+) -> (JoinStats, f64) {
     let bits = JoinConfig::auto_radix_bits(build.size_bytes().max(64), machine.cfg().l2.size);
     let jcfg = JoinConfig::new(cfg.cores.len())
         .on_cores(cfg.cores.clone())
         .with_radix_bits(bits)
         .with_optimization(cfg.optimized)
         .with_materialization(!count_only);
-    rho_join(machine, build, probe, &jcfg)
+    let j = rho_join(machine, build, probe, &jcfg);
+    let cycles = j.wall_cycles;
+    (j, cycles)
 }
 
 /// The materialized tuple table of a join executed with
@@ -154,33 +197,23 @@ fn gather_revenue(c: &mut sgx_sim::Core, db: &TpchDb, line_idx: usize) -> u64 {
 /// Q3 step: order the co⋈l join output by orderkey through the external
 /// merge sort (`SortRow { key: orderkey, tag: lineitem row id }`), so
 /// the revenue aggregation can run as a streaming per-group fold.
-fn q3_sort_step(
-    machine: &mut Machine,
-    cfg: &QueryConfig,
-    j2: &JoinStats,
-) -> (SimVec<SortRow>, f64) {
-    let start = machine.wall_cycles();
-    let scope = machine.phase("sort");
+fn q3_sort_step(machine: &mut Machine, cfg: &QueryConfig, j2: &JoinStats) -> SimVec<SortRow> {
     let jt2 = materialized_output(j2);
     let (input, _) = sort_input_from_join(machine, &cfg.cores, jt2, &j2.output_runs, &|t| {
         SortRow { key: u64::from(t.r_payload), tag: t.s_payload }
     });
-    let (sorted, _) = external_merge_sort(machine, &cfg.cores, &input, input.len());
-    drop(scope);
-    (sorted, machine.wall_cycles() - start)
+    external_merge_sort(machine, &cfg.cores, &input, input.len()).0
 }
 
 /// Q3 step: fold the orderkey-sorted join output into per-order revenue
 /// groups. Emits `SortRow { key: !revenue, tag: orderkey }` (bitwise
 /// complement, so an ascending sort yields revenue-descending order with
-/// orderkey-ascending ties) and returns `(groups, group_count, cycles)`.
+/// orderkey-ascending ties) and returns `(groups, group_count)`.
 fn q3_agg_step(
     machine: &mut Machine,
     db: &TpchDb,
     sorted: &SimVec<SortRow>,
-) -> (SimVec<SortRow>, usize, f64) {
-    let start = machine.wall_cycles();
-    let scope = machine.phase("agg revenue");
+) -> (SimVec<SortRow>, usize) {
     let mut groups = machine.alloc::<SortRow>(sorted.len());
     let mut glen = 0usize;
     machine.run(|c| {
@@ -209,8 +242,7 @@ fn q3_agg_step(
             glen += 1;
         }
     });
-    drop(scope);
-    (groups, glen, machine.wall_cycles() - start)
+    (groups, glen)
 }
 
 /// Q3 step: order the revenue groups (external sort again — group count
@@ -220,9 +252,7 @@ fn q3_topk_step(
     cfg: &QueryConfig,
     groups: &SimVec<SortRow>,
     glen: usize,
-) -> (Vec<(u32, u64)>, f64) {
-    let start = machine.wall_cycles();
-    let scope = machine.phase("top-k");
+) -> Vec<(u32, u64)> {
     let (ordered, _) = external_merge_sort(machine, &cfg.cores, groups, glen);
     let mut top = Vec::with_capacity(Q3_TOP_K.min(glen));
     machine.run(|c| {
@@ -231,45 +261,24 @@ fn q3_topk_step(
             top.push((row.tag, !row.key));
         });
     });
-    drop(scope);
-    (top, machine.wall_cycles() - start)
+    top
 }
 
 /// Q10 step: grouped revenue over the ⋈nation join output — group id is
 /// the nation row (== nationkey), revenue gathered per lineitem row id.
 /// The radix-histogram pattern of §4.2, so `cfg.optimized` batches the
 /// counter updates exactly like [`crate::aggregate::group_count`].
-fn q10_agg_step(
-    machine: &mut Machine,
-    db: &TpchDb,
-    cfg: &QueryConfig,
-    j3: &JoinStats,
-) -> (Vec<u64>, f64) {
-    let start = machine.wall_cycles();
-    let scope = machine.phase("agg revenue");
+fn q10_agg_step(machine: &mut Machine, db: &TpchDb, cfg: &QueryConfig, j3: &JoinStats) -> Vec<u64> {
     let jt3 = materialized_output(j3);
-    let agg = group_sum_tuples(
-        machine,
-        &cfg.cores,
-        jt3,
-        &j3.output_runs,
-        32,
-        cfg.optimized,
-        &|c, tup| (tup.r_payload as usize, gather_revenue(c, db, tup.s_payload as usize)),
-    );
-    drop(scope);
-    (agg.sums, machine.wall_cycles() - start)
+    group_sum_tuples(machine, &cfg.cores, jt3, &j3.output_runs, 32, cfg.optimized, &|c, tup| {
+        (tup.r_payload as usize, gather_revenue(c, db, tup.s_payload as usize))
+    })
+    .sums
 }
 
 /// Q10 step: order the (at most 32) per-nation sums by revenue
 /// descending, dropping empty groups.
-fn q10_order_step(
-    machine: &mut Machine,
-    cfg: &QueryConfig,
-    sums: &[u64],
-) -> (Vec<(u32, u64)>, f64) {
-    let start = machine.wall_cycles();
-    let scope = machine.phase("order groups");
+fn q10_order_step(machine: &mut Machine, cfg: &QueryConfig, sums: &[u64]) -> Vec<(u32, u64)> {
     let mut groups = machine.alloc::<SortRow>(sums.len());
     let mut glen = 0usize;
     machine.run(|c| {
@@ -290,8 +299,7 @@ fn q10_order_step(
             out.push((row.tag, !row.key));
         });
     });
-    drop(scope);
-    (out, machine.wall_cycles() - start)
+    out
 }
 
 /// TPC-H Q3 (simplified): the top-[`Q3_TOP_K`] orders by revenue over
@@ -301,74 +309,49 @@ fn q10_order_step(
 pub fn q3(machine: &mut Machine, db: &TpchDb, cfg: &QueryConfig) -> QueryStats {
     let cores = &cfg.cores;
     let cutoff = date(1995, 3, 15);
-    let start = machine.wall_cycles();
-    machine.ecall();
-    let mut ops = Vec::new();
-
-    // Each plan operator runs under a profile scope named like its `ops`
-    // entry, so `--profile` yields a per-operator cycle breakdown.
-    let scope = machine.phase("sel customer");
-    let (cust, t) = select_rows(
-        machine,
-        cores,
-        &[&db.customer.mktsegment],
-        &db.customer.custkey,
-        Payload::RowIndex,
-        &|i| db.customer.mktsegment.peek(i) == SEG_BUILDING,
-    );
-    drop(scope);
-    ops.push(("sel customer", t));
-
-    let scope = machine.phase("sel orders");
-    let (orders, t) = select_rows(
-        machine,
-        cores,
-        &[&db.orders.orderdate],
-        &db.orders.custkey,
-        Payload::Col(&db.orders.orderkey),
-        &|i| db.orders.orderdate.peek(i) < cutoff,
-    );
-    drop(scope);
-    ops.push(("sel orders", t));
-
-    let scope = machine.phase("join c⋈o");
-    let j1 = join(machine, &cust, &orders, cfg, false);
-    drop(scope);
-    ops.push(("join c⋈o", j1.wall_cycles));
-    let jt1 = materialized_output(&j1);
-    let scope = machine.phase("reshape");
-    let (co, t) = retuple(machine, cores, jt1, &j1.output_runs, &|t| Row {
-        key: t.s_payload,
-        payload: t.s_payload,
+    let mut plan = Plan::enter(machine);
+    let cust = plan.step("sel customer", |m| {
+        select_rows(
+            m,
+            cores,
+            &[&db.customer.mktsegment],
+            &db.customer.custkey,
+            Payload::RowIndex,
+            &|i| db.customer.mktsegment.peek(i) == SEG_BUILDING,
+        )
     });
-    drop(scope);
-    ops.push(("reshape", t));
-
-    let scope = machine.phase("sel lineitem");
-    let (line, t) = select_rows(
-        machine,
-        cores,
-        &[&db.lineitem.shipdate],
-        &db.lineitem.orderkey,
-        Payload::RowIndex,
-        &|i| db.lineitem.shipdate.peek(i) > cutoff,
-    );
-    drop(scope);
-    ops.push(("sel lineitem", t));
-
-    let scope = machine.phase("join co⋈l");
-    let j2 = join(machine, &co, &line, cfg, false);
-    drop(scope);
-    ops.push(("join co⋈l", j2.wall_cycles));
-
-    let (sorted, t) = q3_sort_step(machine, cfg, &j2);
-    ops.push(("sort", t));
-    let (groups, glen, t) = q3_agg_step(machine, db, &sorted);
-    ops.push(("agg revenue", t));
-    let (grouped, t) = q3_topk_step(machine, cfg, &groups, glen);
-    ops.push(("top-k", t));
-
-    QueryStats { count: j2.matches, grouped, wall_cycles: machine.wall_cycles() - start, ops }
+    let orders = plan.step("sel orders", |m| {
+        select_rows(
+            m,
+            cores,
+            &[&db.orders.orderdate],
+            &db.orders.custkey,
+            Payload::Col(&db.orders.orderkey),
+            &|i| db.orders.orderdate.peek(i) < cutoff,
+        )
+    });
+    let j1 = plan.step("join c⋈o", |m| join(m, &cust, &orders, cfg, false));
+    let co = plan.step("reshape", |m| {
+        retuple(m, cores, materialized_output(&j1), &j1.output_runs, &|t| Row {
+            key: t.s_payload,
+            payload: t.s_payload,
+        })
+    });
+    let line = plan.step("sel lineitem", |m| {
+        select_rows(
+            m,
+            cores,
+            &[&db.lineitem.shipdate],
+            &db.lineitem.orderkey,
+            Payload::RowIndex,
+            &|i| db.lineitem.shipdate.peek(i) > cutoff,
+        )
+    });
+    let j2 = plan.step("join co⋈l", |m| join(m, &co, &line, cfg, false));
+    let sorted = plan.timed("sort", |m| q3_sort_step(m, cfg, &j2));
+    let (groups, glen) = plan.timed("agg revenue", |m| q3_agg_step(m, db, &sorted));
+    let grouped = plan.timed("top-k", |m| q3_topk_step(m, cfg, &groups, glen));
+    plan.finish(j2.matches, grouped)
 }
 
 /// TPC-H Q10 (simplified): revenue per nation, descending, over
@@ -377,100 +360,70 @@ pub fn q3(machine: &mut Machine, db: &TpchDb, cfg: &QueryConfig) -> QueryStats {
 pub fn q10(machine: &mut Machine, db: &TpchDb, cfg: &QueryConfig) -> QueryStats {
     let cores = &cfg.cores;
     let (lo, hi) = (date(1993, 10, 1), date(1994, 1, 1));
-    let start = machine.wall_cycles();
-    machine.ecall();
-    let mut ops = Vec::new();
-
-    let scope = machine.phase("scan customer");
-    let (cust, t) = select_rows(
-        machine,
-        cores,
-        &[&db.customer.custkey],
-        &db.customer.custkey,
-        Payload::Col(&db.customer.nationkey),
-        &|_| true,
-    );
-    drop(scope);
-    ops.push(("scan customer", t));
-
-    let scope = machine.phase("sel orders");
-    let (orders, t) = select_rows(
-        machine,
-        cores,
-        &[&db.orders.orderdate],
-        &db.orders.custkey,
-        Payload::Col(&db.orders.orderkey),
-        &|i| {
-            let d = db.orders.orderdate.peek(i);
-            d >= lo && d < hi
-        },
-    );
-    drop(scope);
-    ops.push(("sel orders", t));
-
-    let scope = machine.phase("join c⋈o");
-    let j1 = join(machine, &cust, &orders, cfg, false);
-    drop(scope);
-    ops.push(("join c⋈o", j1.wall_cycles));
-    let jt1 = materialized_output(&j1);
+    let mut plan = Plan::enter(machine);
+    let cust = plan.step("scan customer", |m| {
+        select_rows(
+            m,
+            cores,
+            &[&db.customer.custkey],
+            &db.customer.custkey,
+            Payload::Col(&db.customer.nationkey),
+            &|_| true,
+        )
+    });
+    let orders = plan.step("sel orders", |m| {
+        select_rows(
+            m,
+            cores,
+            &[&db.orders.orderdate],
+            &db.orders.custkey,
+            Payload::Col(&db.orders.orderkey),
+            &|i| {
+                let d = db.orders.orderdate.peek(i);
+                d >= lo && d < hi
+            },
+        )
+    });
+    let j1 = plan.step("join c⋈o", |m| join(m, &cust, &orders, cfg, false));
     // key: orderkey, payload: the customer's nationkey.
-    let scope = machine.phase("reshape");
-    let (co, t) = retuple(machine, cores, jt1, &j1.output_runs, &|t| Row {
-        key: t.s_payload,
-        payload: t.r_payload,
+    let co = plan.step("reshape", |m| {
+        retuple(m, cores, materialized_output(&j1), &j1.output_runs, &|t| Row {
+            key: t.s_payload,
+            payload: t.r_payload,
+        })
     });
-    drop(scope);
-    ops.push(("reshape", t));
-
-    let scope = machine.phase("sel lineitem");
-    let (line, t) = select_rows(
-        machine,
-        cores,
-        &[&db.lineitem.returnflag],
-        &db.lineitem.orderkey,
-        Payload::RowIndex,
-        &|i| db.lineitem.returnflag.peek(i) == FLAG_R,
-    );
-    drop(scope);
-    ops.push(("sel lineitem", t));
-
-    let scope = machine.phase("join co⋈l");
-    let j2 = join(machine, &co, &line, cfg, false);
-    drop(scope);
-    ops.push(("join co⋈l", j2.wall_cycles));
-    let jt2 = materialized_output(&j2);
+    let line = plan.step("sel lineitem", |m| {
+        select_rows(
+            m,
+            cores,
+            &[&db.lineitem.returnflag],
+            &db.lineitem.orderkey,
+            Payload::RowIndex,
+            &|i| db.lineitem.returnflag.peek(i) == FLAG_R,
+        )
+    });
+    let j2 = plan.step("join co⋈l", |m| join(m, &co, &line, cfg, false));
     // key: nationkey carried from the customer side.
-    let scope = machine.phase("reshape");
-    let (col, t) = retuple(machine, cores, jt2, &j2.output_runs, &|t| Row {
-        key: t.r_payload,
-        payload: t.s_payload,
+    let col = plan.step("reshape", |m| {
+        retuple(m, cores, materialized_output(&j2), &j2.output_runs, &|t| Row {
+            key: t.r_payload,
+            payload: t.s_payload,
+        })
     });
-    drop(scope);
-    ops.push(("reshape", t));
-
-    let scope = machine.phase("scan nation");
-    let (nation, t) = select_rows(
-        machine,
-        cores,
-        &[&db.nation.nationkey],
-        &db.nation.nationkey,
-        Payload::RowIndex,
-        &|_| true,
-    );
-    drop(scope);
-    ops.push(("scan nation", t));
-
-    let scope = machine.phase("join ⋈n");
-    let j3 = join(machine, &nation, &col, cfg, false);
-    drop(scope);
-    ops.push(("join ⋈n", j3.wall_cycles));
-
-    let (sums, t) = q10_agg_step(machine, db, cfg, &j3);
-    ops.push(("agg revenue", t));
-    let (grouped, t) = q10_order_step(machine, cfg, &sums);
-    ops.push(("order groups", t));
-
-    QueryStats { count: j3.matches, grouped, wall_cycles: machine.wall_cycles() - start, ops }
+    let nation = plan.step("scan nation", |m| {
+        select_rows(
+            m,
+            cores,
+            &[&db.nation.nationkey],
+            &db.nation.nationkey,
+            Payload::RowIndex,
+            &|_| true,
+        )
+    });
+    let j3 = plan.step("join ⋈n", |m| join(m, &nation, &col, cfg, false));
+    let sums = plan.timed("agg revenue", |m| q10_agg_step(m, db, cfg, &j3));
+    let grouped = plan.timed("order groups", |m| q10_order_step(m, cfg, &sums));
+    plan.finish(j3.matches, grouped)
 }
 
 /// Q12 lineitem predicate (shared with the reference count).
@@ -487,50 +440,34 @@ pub fn q12_line_pred(db: &TpchDb, i: usize) -> bool {
 /// consistent dates, received in 1994).
 pub fn q12(machine: &mut Machine, db: &TpchDb, cfg: &QueryConfig) -> QueryStats {
     let cores = &cfg.cores;
-    let start = machine.wall_cycles();
-    machine.ecall();
-    let mut ops = Vec::new();
-
-    let scope = machine.phase("scan orders");
-    let (orders, t) = select_rows(
-        machine,
-        cores,
-        &[&db.orders.orderkey],
-        &db.orders.orderkey,
-        Payload::RowIndex,
-        &|_| true,
-    );
-    drop(scope);
-    ops.push(("scan orders", t));
-
-    let scope = machine.phase("sel lineitem");
-    let (line, t) = select_rows(
-        machine,
-        cores,
-        &[
-            &db.lineitem.shipmode,
-            &db.lineitem.commitdate,
-            &db.lineitem.receiptdate,
-            &db.lineitem.shipdate,
-        ],
-        &db.lineitem.orderkey,
-        Payload::RowIndex,
-        &|i| q12_line_pred(db, i),
-    );
-    drop(scope);
-    ops.push(("sel lineitem", t));
-
-    let scope = machine.phase("join o⋈l");
-    let j = join(machine, &orders, &line, cfg, true);
-    drop(scope);
-    ops.push(("join o⋈l", j.wall_cycles));
-
-    QueryStats {
-        count: j.matches,
-        grouped: Vec::new(),
-        wall_cycles: machine.wall_cycles() - start,
-        ops,
-    }
+    let mut plan = Plan::enter(machine);
+    let orders = plan.step("scan orders", |m| {
+        select_rows(
+            m,
+            cores,
+            &[&db.orders.orderkey],
+            &db.orders.orderkey,
+            Payload::RowIndex,
+            &|_| true,
+        )
+    });
+    let line = plan.step("sel lineitem", |m| {
+        select_rows(
+            m,
+            cores,
+            &[
+                &db.lineitem.shipmode,
+                &db.lineitem.commitdate,
+                &db.lineitem.receiptdate,
+                &db.lineitem.shipdate,
+            ],
+            &db.lineitem.orderkey,
+            Payload::RowIndex,
+            &|i| q12_line_pred(db, i),
+        )
+    });
+    let j = plan.step("join o⋈l", |m| join(m, &orders, &line, cfg, true));
+    plan.finish(j.matches, Vec::new())
 }
 
 /// Q19's three disjuncts: `(brand, container class, quantity range,
@@ -578,57 +515,44 @@ pub fn q19_joint_pred(db: &TpchDb, part_idx: usize, line_idx: usize) -> bool {
 /// columns by row id).
 pub fn q19(machine: &mut Machine, db: &TpchDb, cfg: &QueryConfig) -> QueryStats {
     let cores = &cfg.cores;
-    let start = machine.wall_cycles();
-    machine.ecall();
-    let mut ops = Vec::new();
-
-    let scope = machine.phase("sel part");
-    let (part, t) = select_rows(
-        machine,
-        cores,
-        &[&db.part.brand, &db.part.container, &db.part.size],
-        &db.part.partkey,
-        Payload::RowIndex,
-        &|i| q19_part_pred(db, i),
-    );
-    drop(scope);
-    ops.push(("sel part", t));
-
-    let scope = machine.phase("sel lineitem");
-    let (line, t) = select_rows(
-        machine,
-        cores,
-        &[&db.lineitem.shipmode, &db.lineitem.shipinstruct, &db.lineitem.quantity],
-        &db.lineitem.partkey,
-        Payload::RowIndex,
-        &|i| q19_line_pred(db, i),
-    );
-    drop(scope);
-    ops.push(("sel lineitem", t));
-
-    let scope = machine.phase("join p⋈l");
-    let j = join(machine, &part, &line, cfg, false);
-    drop(scope);
-    ops.push(("join p⋈l", j.wall_cycles));
-    let jt = materialized_output(&j);
-
+    let mut plan = Plan::enter(machine);
+    let part = plan.step("sel part", |m| {
+        select_rows(
+            m,
+            cores,
+            &[&db.part.brand, &db.part.container, &db.part.size],
+            &db.part.partkey,
+            Payload::RowIndex,
+            &|i| q19_part_pred(db, i),
+        )
+    });
+    let line = plan.step("sel lineitem", |m| {
+        select_rows(
+            m,
+            cores,
+            &[&db.lineitem.shipmode, &db.lineitem.shipinstruct, &db.lineitem.quantity],
+            &db.lineitem.partkey,
+            Payload::RowIndex,
+            &|i| q19_line_pred(db, i),
+        )
+    });
+    let j = plan.step("join p⋈l", |m| join(m, &part, &line, cfg, false));
     // Post-join disjunct evaluation: gather the part attributes (random
     // reads by row id) and the lineitem quantity for every surviving pair.
-    let mut count = 0u64;
-    let scope = machine.phase("post filter");
-    let t = for_each_join_tuple(machine, cores, jt, &j.output_runs, |c, tup| {
-        let (pi, li) = (tup.r_payload as usize, tup.s_payload as usize);
-        let _ = db.part.brand.get(c, pi);
-        let _ = db.lineitem.quantity.get(c, li);
-        c.compute(8);
-        if q19_joint_pred(db, pi, li) {
-            count += 1;
-        }
+    let count = plan.step("post filter", |m| {
+        let mut count = 0u64;
+        let t = for_each_join_tuple(m, cores, materialized_output(&j), &j.output_runs, |c, tup| {
+            let (pi, li) = (tup.r_payload as usize, tup.s_payload as usize);
+            let _ = db.part.brand.get(c, pi);
+            let _ = db.lineitem.quantity.get(c, li);
+            c.compute(8);
+            if q19_joint_pred(db, pi, li) {
+                count += 1;
+            }
+        });
+        (count, t)
     });
-    drop(scope);
-    ops.push(("post filter", t));
-
-    QueryStats { count, grouped: Vec::new(), wall_cycles: machine.wall_cycles() - start, ops }
+    plan.finish(count, Vec::new())
 }
 
 /// Deterministic admission-control cost estimate for one plan, in
@@ -670,117 +594,6 @@ pub fn cost_estimate(db: &TpchDb, q: Query, optimized: bool) -> f64 {
 /// A test in this module keeps the estimate honest as plans grow new
 /// steps.
 pub const ESTIMATE_SPREAD_TOLERANCE: f64 = 3.0;
-
-/// TPC-H Q1-style pricing summary (reproduction extension): scan LINEITEM
-/// with the shipdate predicate and aggregate `count(*)` grouped by
-/// `(returnflag, shipmode)` — the aggregation operator the paper's
-/// simplification elides. Returns the per-group counts alongside the
-/// timing; the group id is `returnflag * 8 + shipmode` (32 radix groups).
-pub fn q1_pricing_summary(
-    machine: &mut Machine,
-    db: &TpchDb,
-    cfg: &QueryConfig,
-) -> (QueryStats, Vec<u64>) {
-    let cores = &cfg.cores;
-    let cutoff = date(1998, 9, 2);
-    let start = machine.wall_cycles();
-    machine.ecall();
-    let mut ops = Vec::new();
-
-    // Materialize group ids for qualifying rows: key = group id.
-    let n = db.lineitem_len();
-    let mut group_col = machine.alloc::<i32>(n);
-    for i in 0..n {
-        group_col.poke(i, db.lineitem.returnflag.peek(i) * 8 + db.lineitem.shipmode.peek(i));
-    }
-    let scope = machine.phase("sel lineitem");
-    let (rows, t) = select_rows(
-        machine,
-        cores,
-        &[&db.lineitem.shipdate],
-        &group_col,
-        Payload::RowIndex,
-        &|i| db.lineitem.shipdate.peek(i) <= cutoff,
-    );
-    drop(scope);
-    ops.push(("sel lineitem", t));
-
-    let scope = machine.phase("group count");
-    let agg = crate::aggregate::group_count(machine, cores, &rows, 32, cfg.optimized);
-    drop(scope);
-    ops.push(("group count", agg.cycles));
-
-    let total: u64 = agg.counts.iter().sum();
-    (
-        QueryStats {
-            count: total,
-            grouped: Vec::new(),
-            wall_cycles: machine.wall_cycles() - start,
-            ops,
-        },
-        agg.counts,
-    )
-}
-
-/// TPC-H Q6-style forecasting revenue query (reproduction extension): a
-/// pure scan — no join — counting lineitems shipped in 1994 with a
-/// discount of 5–7 % and quantity below 24. End to end it demonstrates the
-/// paper's §6 observation that "scan & selection performance is very
-/// similar across settings".
-pub fn q6_forecast_revenue(machine: &mut Machine, db: &TpchDb, cfg: &QueryConfig) -> QueryStats {
-    let (lo, hi) = (date(1994, 1, 1), date(1995, 1, 1));
-    let start = machine.wall_cycles();
-    machine.ecall();
-    let scope = machine.phase("sel lineitem");
-    let (rows, t) = select_rows(
-        machine,
-        &cfg.cores,
-        &[&db.lineitem.shipdate, &db.lineitem.discount, &db.lineitem.quantity],
-        &db.lineitem.orderkey,
-        Payload::RowIndex,
-        &|i| {
-            let d = db.lineitem.shipdate.peek(i);
-            d >= lo
-                && d < hi
-                && (5..=7).contains(&db.lineitem.discount.peek(i))
-                && db.lineitem.quantity.peek(i) < 24
-        },
-    );
-    drop(scope);
-    QueryStats {
-        count: rows.len() as u64,
-        grouped: Vec::new(),
-        wall_cycles: machine.wall_cycles() - start,
-        ops: vec![("sel lineitem", t)],
-    }
-}
-
-/// Uncharged reference for [`q6_forecast_revenue`].
-pub fn reference_q6(db: &TpchDb) -> u64 {
-    let (lo, hi) = (date(1994, 1, 1), date(1995, 1, 1));
-    (0..db.lineitem_len())
-        .filter(|&i| {
-            let d = db.lineitem.shipdate.peek(i);
-            d >= lo
-                && d < hi
-                && (5..=7).contains(&db.lineitem.discount.peek(i))
-                && db.lineitem.quantity.peek(i) < 24
-        })
-        .count() as u64
-}
-
-/// Uncharged reference for [`q1_pricing_summary`]'s per-group counts.
-pub fn reference_q1(db: &TpchDb) -> Vec<u64> {
-    let cutoff = date(1998, 9, 2);
-    let mut counts = vec![0u64; 32];
-    for i in 0..db.lineitem_len() {
-        if db.lineitem.shipdate.peek(i) <= cutoff {
-            let g = db.lineitem.returnflag.peek(i) * 8 + db.lineitem.shipmode.peek(i);
-            counts[g as usize] += 1;
-        }
-    }
-    counts
-}
 
 /// Uncharged reference counts for all four queries (tests).
 pub fn reference_count(db: &TpchDb, q: Query) -> u64 {
@@ -1062,42 +875,36 @@ mod tests {
     }
 
     #[test]
-    fn q6_extension_matches_reference_and_scans_at_parity() {
-        let (mut m, db) = setup(0.01, Setting::PlainCpu);
-        let stats = q6_forecast_revenue(&mut m, &db, &QueryConfig::new(8));
-        assert_eq!(stats.count, reference_q6(&db));
-        assert!(stats.count > 0);
-        // Pure-scan query: the enclave overhead stays in single digits.
-        // (SF large enough that the fixed ECALL cost does not dominate.)
-        let run = |setting: Setting| {
-            let mut m = Machine::new(scaled_profile(), setting);
-            let db = generate(&mut m, 0.08, 42);
-            m.reset_wall();
-            q6_forecast_revenue(&mut m, &db, &QueryConfig::new(8)).wall_cycles
-        };
-        let native = run(Setting::PlainCpu);
-        let sgx = run(Setting::SgxDataInEnclave);
-        let overhead = sgx / native - 1.0;
-        assert!(
-            overhead < 0.12,
-            "scan-only query should be near parity, got {:.1}%",
-            overhead * 100.0
-        );
-    }
-
-    #[test]
-    fn q1_extension_matches_reference() {
-        let (mut m, db) = setup(0.005, Setting::PlainCpu);
-        for optimized in [false, true] {
-            let (stats, counts) = q1_pricing_summary(
-                &mut m,
-                &db,
-                &QueryConfig::new(4).with_optimization(optimized),
-            );
-            assert_eq!(counts, reference_q1(&db), "optimized={optimized}");
-            assert_eq!(stats.count, counts.iter().sum::<u64>());
-            // returnflag 0..3 x shipmode 0..7 => only ids < 24 populated.
-            assert!(counts[24..].iter().all(|&c| c == 0));
+    fn plan_phases_are_named_after_plan_steps() {
+        // Each step's profile scope and its `ops` entry share one name:
+        // every scoped phase sits under an `ops` step, and every step
+        // shows up as a phase.
+        for q in [Query::Q3, Query::Q10, Query::Q12, Query::Q19] {
+            sgx_sim::profile::set_enabled(true);
+            let _ = sgx_sim::profile::session_take();
+            let ops = {
+                let (mut m, db) = setup(0.003, Setting::SgxDataInEnclave);
+                run_query(&mut m, &db, q, &QueryConfig::new(2)).ops
+            };
+            let profile = sgx_sim::profile::session_take();
+            sgx_sim::profile::set_enabled(false);
+            let steps: Vec<&str> = ops.iter().map(|&(name, _)| name).collect();
+            let roots: Vec<&str> = profile
+                .phases
+                .keys()
+                .filter(|p| *p != "(unscoped)")
+                .map(|p| p.split_once('/').map_or(p.as_str(), |(root, _)| root))
+                .collect();
+            for root in &roots {
+                assert!(
+                    steps.contains(root),
+                    "{}: phase {root} is no step of {steps:?}",
+                    q.label()
+                );
+            }
+            for step in &steps {
+                assert!(roots.contains(step), "{}: step {step} has no phase", q.label());
+            }
         }
     }
 

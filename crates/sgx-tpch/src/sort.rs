@@ -1,4 +1,4 @@
-//! External merge sort under EPC pressure (ROADMAP item 3).
+//! External merge sort under EPC pressure.
 //!
 //! The paper's queries stop at `count(*)` (§6), so nothing in the
 //! original suite ever orders data. Real analytical plans do — and an

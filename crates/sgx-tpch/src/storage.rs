@@ -19,7 +19,7 @@
 //! honest (tests recover the exact column from sealed bytes only).
 
 use crate::aggregate::group_mask;
-use crate::compress::{DictColumn, RleColumn};
+use crate::compress::{rank_dictionary, split_runs, DictColumn, RleColumn};
 use crate::ops::{charged_zero_fill, chunk};
 use sgx_sim::{Machine, Region, SimVec};
 
@@ -114,30 +114,17 @@ pub fn seal_column(machine: &mut Machine, values: &[i32], format: StorageFormat)
             }
         }
         StorageFormat::Dict => {
-            let mut rank = std::collections::BTreeMap::new();
-            for &v in values {
-                rank.entry(v).or_insert(0u16);
-            }
-            assert!(rank.len() <= usize::from(u16::MAX) + 1, "dictionary overflows 16-bit codes");
-            for (i, code) in rank.values_mut().enumerate() {
-                *code = i as u16;
-            }
-            push_u32(&mut payload, rank.len() as u32);
-            for &v in rank.keys() {
+            let (dict, codes) = rank_dictionary(values);
+            push_u32(&mut payload, dict.len() as u32);
+            for v in dict {
                 payload.extend_from_slice(&v.to_le_bytes());
             }
-            for v in values {
-                payload.extend_from_slice(&rank[v].to_le_bytes());
+            for code in codes {
+                payload.extend_from_slice(&code.to_le_bytes());
             }
         }
         StorageFormat::Rle => {
-            let mut runs: Vec<(i32, u32)> = Vec::new();
-            for &v in values {
-                match runs.last_mut() {
-                    Some((last, l)) if *last == v && *l < u32::MAX => *l += 1,
-                    _ => runs.push((v, 1)),
-                }
-            }
+            let runs = split_runs(values);
             push_u32(&mut payload, runs.len() as u32);
             for &(v, _) in &runs {
                 payload.extend_from_slice(&v.to_le_bytes());
@@ -261,7 +248,7 @@ pub fn unseal(machine: &mut Machine, cores: &[usize], col: &SealedColumn) -> (Un
                     lw.push(c, read_u32(&plain, lengths_at + i * 4));
                 }
             });
-            UnsealedColumn::Rle(RleColumn::from_parts(values, lengths, col.rows))
+            UnsealedColumn::Rle(RleColumn::from_parts(values, lengths))
         }
     };
     drop(scope);

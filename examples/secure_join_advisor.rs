@@ -12,8 +12,7 @@
 
 use sgx_bench_core::prelude::*;
 use sgx_bench_core::sgx_joins::{
-    cht::cht_join, crkjoin::crk_join, inl::inl_join, mway::mway_join, pht::pht_join,
-    rho::rho_join,
+    crkjoin::crk_join, inl::inl_join, mway::mway_join, pht::pht_join, rho::rho_join,
 };
 
 /// The workload under consideration: a fact-to-dimension FK join.
@@ -41,7 +40,6 @@ fn run(
     let stats = match algo {
         "RHO" => rho_join(&mut machine, &r, &s, &cfg),
         "PHT" => pht_join(&mut machine, &r, &s, &cfg),
-        "CHT" => cht_join(&mut machine, &r, &s, &cfg),
         "MWAY" => mway_join(&mut machine, &r, &s, &cfg),
         "INL" => inl_join(&mut machine, &r, &s, &cfg),
         "CrkJoin" => crk_join(&mut machine, &mut r, &mut s, &cfg),
@@ -62,7 +60,7 @@ fn main() {
         println!("workload: {} ({} ⋈ {} rows, {} threads)", w.name, w.build_rows, w.probe_rows, w.threads);
         println!("{:<10} {:>14} {:>14} {:>14} {:>10}", "join", "native M/s", "SGX M/s", "SGX+opt M/s", "retained");
         let mut best: Option<(&str, f64)> = None;
-        for algo in ["RHO", "PHT", "CHT", "MWAY", "INL", "CrkJoin"] {
+        for algo in ["RHO", "PHT", "MWAY", "INL", "CrkJoin"] {
             let native = run(&hw, Setting::PlainCpu, algo, w, false);
             let sgx = run(&hw, Setting::SgxDataInEnclave, algo, w, false);
             let sgx_opt = run(&hw, Setting::SgxDataInEnclave, algo, w, true);

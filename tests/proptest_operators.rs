@@ -13,9 +13,10 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use sgx_bench_core::sgx_sim::config::xeon_gold_6326;
 use sgx_bench_core::sgx_sim::{Machine, Setting};
+use sgx_bench_core::sgx_tpch::compress::{reference_dict_decode, reference_rle_decode};
 use sgx_bench_core::sgx_tpch::{
     external_merge_sort, reference_storage_query, reference_unseal, seal_column,
-    storage_path_query, DictColumn, RleColumn, SortRow, StorageFormat,
+    storage_path_query, unseal, SortRow, StorageFormat, UnsealedColumn,
 };
 
 /// A 1/4096-scale enclave machine: the L3 is so small that a few hundred
@@ -105,10 +106,14 @@ proptest! {
         b in 0usize..601,
     ) {
         let mut m = tiny_enclave();
-        let col = DictColumn::encode(&mut m, &values);
-        prop_assert!(col.dict_len() <= values.len().max(1));
-        let decoded = col.decompress(&mut m);
-        prop_assert_eq!(decoded.as_slice_untracked(), values.as_slice());
+        let sealed = seal_column(&mut m, &values, StorageFormat::Dict);
+        // Sealed layout: entry count, 4 bytes per entry, 2 bytes per code.
+        let dict_len = (sealed.sealed_bytes() - 4 - 2 * values.len()) / 4;
+        prop_assert!(dict_len <= values.len().max(1));
+        let UnsealedColumn::Dict(col) = unseal(&mut m, &[0], &sealed).0 else {
+            unreachable!("a dict-sealed column unseals as a dictionary column")
+        };
+        prop_assert_eq!(reference_dict_decode(&col), values.clone());
         let (lo, hi) = (a.min(values.len()), b.min(values.len()));
         let range = lo.min(hi)..lo.max(hi);
         let mut got: Vec<(usize, i32)> = Vec::new();
@@ -129,10 +134,13 @@ proptest! {
         values in vec(0i32..8, 0..600),
     ) {
         let mut m = tiny_enclave();
-        let col = RleColumn::encode(&mut m, &values);
-        prop_assert!(col.run_count() <= values.len());
-        let decoded = col.decompress(&mut m);
-        prop_assert_eq!(decoded.as_slice_untracked(), values.as_slice());
+        let sealed = seal_column(&mut m, &values, StorageFormat::Rle);
+        // Sealed layout: run count, then a 4-byte value and length per run.
+        prop_assert!((sealed.sealed_bytes() - 4) / 8 <= values.len());
+        let UnsealedColumn::Rle(col) = unseal(&mut m, &[0], &sealed).0 else {
+            unreachable!("an RLE-sealed column unseals as an RLE column")
+        };
+        prop_assert_eq!(reference_rle_decode(&col), values.clone());
         let mut expanded: Vec<i32> = Vec::new();
         m.run(|c| {
             col.scan_runs(c, &mut |_c, v, l| {
