@@ -7,7 +7,9 @@
 #   which catches an entry nothing uses any more (a deleted crate's);
 # - release build, rustdoc and workspace clippy, warnings as errors;
 # - a negative check that the toolchain and the provenance unit test
-#   reject one injected violation of each model-integrity invariant;
+#   reject one injected violation of each model-integrity invariant, and
+#   that a new counter, service counter or cost category does not compile
+#   until the one list of its set names it;
 # - `cargo test`. Its tests/integration_equivalence.rs is the determinism
 #   gate: three golden-profile registry runs (profiled on one worker,
 #   whose sweeps shard on two or more cores, unprofiled on four and
@@ -164,25 +166,26 @@ if ! grep -q "hold a numeric constant without" "$TC_TMP/provenance.log"; then
     exit 1
 fi
 cp "$TC_TMP/config.rs" "$CFG"
-# One new field per counter struct must fail to compile (E0027: a
-# destructuring pattern does not mention it) until it is merged and
-# reported.
-for spec in "sgx-sim/src/counters.rs:pub struct Counters {" \
-    "sgx-sim/src/profile.rs:pub struct CategoryCycles {" \
-    "sgx-serve/src/counters.rs:pub struct ServiceCounters {"; do
-    file="$TC_TMP/ws/crates/${spec%%:*}"
-    decl=${spec#*:}
-    cp "$file" "$TC_TMP/orig.rs"
-    awk -v decl="$decl" '{ print } $0 == decl { print "    pub injected: u64," }' \
-        "$TC_TMP/orig.rs" > "$file"
-    if ! grep -q "pub injected: u64" "$file"; then
-        echo "ci: FAIL — no \`$decl\` line to inject a field after" >&2
+tc_inject() { # <file under crates/> <line> <line to add after it> <code>: must fail
+    _file="$TC_TMP/ws/crates/$1"
+    cp "$_file" "$TC_TMP/orig.rs"
+    awk -v decl="$2" -v add="$3" '{ print } $0 == decl { print add }' "$TC_TMP/orig.rs" > "$_file"
+    if ! grep -qF -- "$3" "$_file"; then
+        echo "ci: FAIL — no \`$2\` line to inject after" >&2
         exit 1
     fi
     tc_build "$TC_TMP/check.json" check -q --workspace
-    tc_names "$TC_TMP/check.json" E0027
-    cp "$TC_TMP/orig.rs" "$file"
-done
+    tc_names "$TC_TMP/check.json" "$4"
+    cp "$TC_TMP/orig.rs" "$_file"
+}
+# The closed sets of the model are each written once. A new field in a
+# counter struct must fail to compile (E0027) until the one destructuring
+# that lists its counters (`fields_mut`; for the service counters also
+# `reconcile`) names it, and a new cost category (E0004) until
+# `CostCategory::label` matches it.
+tc_inject sgx-sim/src/counters.rs "pub struct Counters {" "    pub injected: u64," E0027
+tc_inject sgx-serve/src/counters.rs "pub struct ServiceCounters {" "    pub injected: u64," E0027
+tc_inject sgx-sim/src/profile.rs "pub enum CostCategory {" "    Injected," E0004
 rm -rf "$TC_TMP"
 
 echo "== ci: cargo test -q"

@@ -154,12 +154,9 @@ fn main() {
         out.events_processed as f64 / secs,
         out.total.submitted as f64 / secs,
     );
-    let c = &out.total;
-    eprintln!(
-        "service_bench: submitted={} admitted={} rejected={} completed={} timed_out={} \
-         retries={} degraded={}",
-        c.submitted, c.admitted, c.rejected, c.completed, c.timed_out, c.retries, c.degraded
-    );
+    let counts: Vec<String> =
+        out.total.fields().iter().map(|(name, v)| format!("{name}={v}")).collect();
+    eprintln!("service_bench: {}", counts.join(" "));
     for (q, lats) in &out.latencies {
         let h: Histogram = lats.iter().copied().collect();
         eprintln!(
@@ -191,17 +188,6 @@ fn main() {
 
 /// The byte-stable simulated-side report (no wall-clock anywhere).
 fn report(scale: usize, stress: &StressPoint, setting: Setting, out: &ServiceOutcome) -> Value {
-    let counters = |c: &sgx_serve::ServiceCounters| {
-        Value::Obj(vec![
-            ("submitted".into(), Value::Num(c.submitted as f64)),
-            ("admitted".into(), Value::Num(c.admitted as f64)),
-            ("rejected".into(), Value::Num(c.rejected as f64)),
-            ("completed".into(), Value::Num(c.completed as f64)),
-            ("timed_out".into(), Value::Num(c.timed_out as f64)),
-            ("retries".into(), Value::Num(c.retries as f64)),
-            ("degraded".into(), Value::Num(c.degraded as f64)),
-        ])
-    };
     let classes: Vec<Value> = out
         .latencies
         .iter()
@@ -223,7 +209,16 @@ fn report(scale: usize, stress: &StressPoint, setting: Setting, out: &ServiceOut
         ("epc_level".into(), Value::Num(stress.epc_level)),
         ("events_processed".into(), Value::Num(out.events_processed as f64)),
         ("end_cycles".into(), Value::Num(out.end_cycles as f64)),
-        ("total".into(), counters(&out.total)),
+        (
+            "total".into(),
+            Value::Obj(
+                out.total
+                    .fields()
+                    .iter()
+                    .map(|&(name, v)| (name.into(), Value::Num(v as f64)))
+                    .collect(),
+            ),
+        ),
         ("classes".into(), Value::Arr(classes)),
     ])
 }

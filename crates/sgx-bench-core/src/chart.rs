@@ -4,7 +4,7 @@
 //! <id>` drops a ready-to-view `.svg` next to the `.json`.
 
 use crate::report::Figure;
-use sgx_sim::profile::CostCategory;
+use sgx_sim::profile::{CostCategory, Profile};
 
 /// Canvas geometry (pixels).
 const WIDTH: f64 = 860.0;
@@ -182,18 +182,18 @@ impl Figure {
 }
 
 /// Render a job's cycle-attribution profile as a stacked bar chart: one
-/// bar per phase (sorted path order, as produced by
-/// [`crate::report::profile_phase_rows`]), one colored segment per cost
+/// bar per phase (sorted path order), one colored segment per cost
 /// category, stacked bottom-up in [`CostCategory::ALL`] order. Non-finite
 /// or non-positive segments are skipped, so a degenerate profile still
 /// yields a well-formed SVG.
-pub fn profile_svg(job_id: &str, rows: &[(String, [f64; 9])]) -> String {
+pub fn profile_svg(job_id: &str, p: &Profile) -> String {
     let plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT;
     let plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM;
-    let n_x = rows.len().max(1) as f64;
+    let n_x = p.phases.len().max(1) as f64;
     let y_max = nice_ceil(
-        rows.iter()
-            .map(|(_, bins)| bins.iter().filter(|v| v.is_finite()).sum::<f64>())
+        p.phases
+            .values()
+            .map(|ph| ph.cycles.iter().map(|(_, v)| v).filter(|v| v.is_finite()).sum::<f64>())
             .filter(|v| v.is_finite())
             .fold(0.0, f64::max),
     );
@@ -239,11 +239,10 @@ pub fn profile_svg(job_id: &str, rows: &[(String, [f64; 9])]) -> String {
     // Stacked bars.
     let group_w = plot_w / n_x;
     let bar_w = group_w * 0.6;
-    for (xi, (path, bins)) in rows.iter().enumerate() {
+    for (xi, (path, ph)) in p.phases.iter().enumerate() {
         let x0 = MARGIN_LEFT + group_w * (xi as f64 + 0.2);
         let mut acc = 0.0;
-        for cat in CostCategory::ALL {
-            let v = bins[cat.index()];
+        for (cat, v) in ph.cycles.iter() {
             if !v.is_finite() || v <= 0.0 {
                 continue;
             }
@@ -382,29 +381,21 @@ mod tests {
 
     #[test]
     fn profile_svg_stacks_categories_and_survives_degenerate_rows() {
-        use sgx_sim::profile::CostCategory;
-        let rows = vec![
-            ("build".to_string(), {
-                let mut b = [0.0; 9];
-                b[CostCategory::Compute.index()] = 30.0;
-                b[CostCategory::Mee.index()] = 70.0;
-                b
-            }),
-            ("probe".to_string(), {
-                let mut b = [0.0; 9];
-                b[CostCategory::Dram.index()] = f64::NAN;
-                b[CostCategory::Cache.index()] = 10.0;
-                b
-            }),
-        ];
-        let svg = profile_svg("fig06", &rows);
+        let mut p = Profile::default();
+        let build = &mut p.phases.entry("build".to_string()).or_default().cycles;
+        build.add(CostCategory::Compute, 30.0);
+        build.add(CostCategory::Mee, 70.0);
+        let probe = &mut p.phases.entry("probe".to_string()).or_default().cycles;
+        probe.add(CostCategory::Dram, f64::NAN);
+        probe.add(CostCategory::Cache, 10.0);
+        let svg = profile_svg("fig06", &p);
         assert!(svg.starts_with("<svg") && svg.ends_with("</svg>"));
         assert!(!svg.contains("NaN"), "NaN segments are skipped: {svg}");
         // background + 3 finite segments + 9 legend swatches.
         assert_eq!(svg.matches("<rect").count(), 1 + 3 + 9);
         assert!(svg.contains("build / mee: 70.0"));
         // Empty profile still renders.
-        let empty = profile_svg("none", &[]);
+        let empty = profile_svg("none", &Profile::default());
         assert!(empty.contains("</svg>") && !empty.contains("NaN"));
     }
 

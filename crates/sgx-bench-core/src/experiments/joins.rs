@@ -325,19 +325,18 @@ pub fn fig10_queues(p: &BenchProfile) -> Figure {
     // partitioning pass and the join pull tasks from the contended queue.
     let nr = p.rel_rows(100);
     let bits = (usize::BITS - (nr / 128).max(4).leading_zeros()).clamp(9, 16);
+    let queues = [QueueKind::LockFree, QueueKind::SdkMutex];
     let mut fig = Figure::new(
         "fig10",
         "RHO with forced task-queue contention (16 threads, tiny partitions)",
         "queue",
         "M rows/s",
     )
-    .with_xs(["lock-free queue", "SDK mutex queue"]);
+    .with_xs(queues.map(QueueKind::label));
     let settings = [Setting::PlainCpu, Setting::SgxDataInEnclave];
     let configs: Vec<(Setting, QueueKind)> = settings
         .iter()
-        .flat_map(|&setting| {
-            [QueueKind::LockFree, QueueKind::SdkMutex].map(|queue| (setting, queue))
-        })
+        .flat_map(|&setting| queues.map(|queue| (setting, queue)))
         .collect();
     let stats = repeat_grid(p.reps, &configs, |_| 0, |&(setting, queue), seed| {
         let (s, nr, ns) = run_join(

@@ -138,8 +138,6 @@ pub fn fig15_linear(p: &BenchProfile) -> Figure {
 pub fn fig16_numa_scan(p: &BenchProfile) -> Figure {
     let threads = [1usize, 2, 4, 8, 16];
     let bytes = p.mb(2048);
-    let socket1: Vec<usize> =
-        (p.hw.cores_per_socket..2 * p.hw.cores_per_socket).collect();
     let mut fig =
         Figure::new("fig16", "Cross-NUMA column scan throughput", "threads", "GB/s")
             .with_xs(threads.iter().map(|t| t.to_string()));
@@ -159,7 +157,7 @@ pub fn fig16_numa_scan(p: &BenchProfile) -> Figure {
         // Data always lives on node 0; remote runs pin the scan threads to
         // socket 1, crossing the UPI.
         let col = gen_column(&mut m, bytes, seed);
-        let cores: Vec<usize> = if remote { socket1[..t].to_vec() } else { (0..t).collect() };
+        let cores: Vec<usize> = if remote { p.socket1(t) } else { (0..t).collect() };
         let cfg = ScanConfig::new(t).on_cores(cores);
         column_scan(&mut m, &col, 32, 96, ScanOutput::BitVector, &cfg).gb_per_sec(p.hw.freq_ghz)
     });

@@ -5,7 +5,7 @@
 //! relationship while keeping the whole suite runnable in minutes.
 //! `--full` is `--scale 1`: paper-exact sizes on the unscaled machine.
 
-use sgx_sim::config::{scaled_profile, xeon_gold_6326};
+use sgx_sim::config::xeon_gold_6326;
 use sgx_sim::HwConfig;
 
 /// The profile options of `all_figures` (`--full`, `--reps N`,
@@ -84,13 +84,6 @@ pub struct BenchProfile {
 }
 
 impl BenchProfile {
-    /// The paper machine and data at 1/16 scale, the command line's
-    /// default scale, with one repetition per point (the command line
-    /// defaults to 3).
-    pub fn quick() -> BenchProfile {
-        BenchProfile { hw: scaled_profile(), data_div: 16, reps: 1 }
-    }
-
     /// A tiny profile for integration tests (1/64 machine and data).
     pub fn tiny() -> BenchProfile {
         BenchProfile { hw: xeon_gold_6326().scaled(64), data_div: 64, reps: 1 }
@@ -135,12 +128,6 @@ impl BenchProfile {
     /// TPC-H scale factor equivalent to the paper's SF under this profile.
     pub fn tpch_sf(&self, paper_sf: f64) -> f64 {
         paper_sf / self.data_div as f64
-    }
-
-    /// Core ids `0..n` on socket 0.
-    pub fn socket0(&self, n: usize) -> Vec<usize> {
-        assert!(n <= self.hw.cores_per_socket);
-        (0..n).collect()
     }
 
     /// Core ids `0..n` on socket 1.
@@ -188,14 +175,13 @@ mod tests {
 
     #[test]
     fn socket_helpers_pin_correctly() {
-        let p = BenchProfile::quick();
-        assert_eq!(p.socket0(3), vec![0, 1, 2]);
+        let p = RunOpts::default().profile();
         assert_eq!(p.socket1(2), vec![16, 17]);
     }
 
     #[test]
     fn tpch_sf_scales() {
-        let p = BenchProfile::quick();
+        let p = RunOpts::default().profile();
         assert!((p.tpch_sf(10.0) - 0.625).abs() < 1e-12);
     }
 }

@@ -272,75 +272,17 @@ impl Figure {
     }
 }
 
-/// The nine cycle bins of one phase as a JSON object. The destructuring
-/// names every `CategoryCycles` bin, so a new bin does not compile until
-/// it is reported here.
+/// The nine cycle bins of one phase as a JSON object, keyed by category
+/// label in `CostCategory::ALL` order.
 fn category_cycles_json(c: &CategoryCycles) -> Value {
-    let CategoryCycles { compute, cache, dram, mee, epc_paging, edmm, transition, upi, fault } = *c;
-    Value::Obj(vec![
-        ("compute".into(), Value::Num(compute)),
-        ("cache".into(), Value::Num(cache)),
-        ("dram".into(), Value::Num(dram)),
-        ("mee".into(), Value::Num(mee)),
-        ("epc_paging".into(), Value::Num(epc_paging)),
-        ("edmm".into(), Value::Num(edmm)),
-        ("transition".into(), Value::Num(transition)),
-        ("upi".into(), Value::Num(upi)),
-        ("fault".into(), Value::Num(fault)),
-    ])
+    Value::Obj(c.iter().map(|(cat, cycles)| (cat.label().into(), Value::Num(cycles))).collect())
 }
 
-/// All 21 counters as a JSON object (u64 counts are exact in f64 far
-/// beyond any simulated run; the JSON printer writes integral values as
-/// `N.0`). The destructuring names every counter, so a new one does not
-/// compile until it is reported here.
+/// All 21 counters as a JSON object keyed by field name, in field order
+/// (u64 counts are exact in f64 far beyond any simulated run; the JSON
+/// printer writes integral values as `N.0`).
 fn counters_json(c: &Counters) -> Value {
-    let Counters {
-        loads,
-        stores,
-        l1_hits,
-        l2_hits,
-        l3_hits,
-        dram_fills,
-        prefetched_fills,
-        epc_fills,
-        remote_fills,
-        writebacks,
-        stream_lines,
-        transitions,
-        futex_waits,
-        edmm_pages,
-        epc_page_faults,
-        enclave_groups,
-        tlb_misses,
-        alu_ops,
-        vec_ops,
-        aex_events,
-        ocall_retries,
-    } = *c;
-    Value::Obj(vec![
-        ("loads".into(), Value::Num(loads as f64)),
-        ("stores".into(), Value::Num(stores as f64)),
-        ("l1_hits".into(), Value::Num(l1_hits as f64)),
-        ("l2_hits".into(), Value::Num(l2_hits as f64)),
-        ("l3_hits".into(), Value::Num(l3_hits as f64)),
-        ("dram_fills".into(), Value::Num(dram_fills as f64)),
-        ("prefetched_fills".into(), Value::Num(prefetched_fills as f64)),
-        ("epc_fills".into(), Value::Num(epc_fills as f64)),
-        ("remote_fills".into(), Value::Num(remote_fills as f64)),
-        ("writebacks".into(), Value::Num(writebacks as f64)),
-        ("stream_lines".into(), Value::Num(stream_lines as f64)),
-        ("transitions".into(), Value::Num(transitions as f64)),
-        ("futex_waits".into(), Value::Num(futex_waits as f64)),
-        ("edmm_pages".into(), Value::Num(edmm_pages as f64)),
-        ("epc_page_faults".into(), Value::Num(epc_page_faults as f64)),
-        ("enclave_groups".into(), Value::Num(enclave_groups as f64)),
-        ("tlb_misses".into(), Value::Num(tlb_misses as f64)),
-        ("alu_ops".into(), Value::Num(alu_ops as f64)),
-        ("vec_ops".into(), Value::Num(vec_ops as f64)),
-        ("aex_events".into(), Value::Num(aex_events as f64)),
-        ("ocall_retries".into(), Value::Num(ocall_retries as f64)),
-    ])
+    Value::Obj(c.fields().iter().map(|&(name, _, v)| (name.into(), Value::Num(v as f64))).collect())
 }
 
 /// Serialize one job's cycle-attribution profile to deterministic pretty
@@ -371,36 +313,13 @@ pub fn profile_json(job_id: &str, p: &Profile) -> String {
     .pretty()
 }
 
-/// Chart-ready rows for a profile's stacked-bar SVG: one `(phase path,
-/// nine cycle bins)` row per phase, in sorted-path order.
-pub fn profile_phase_rows(p: &Profile) -> Vec<(String, [f64; 9])> {
-    p.phases
-        .iter()
-        .map(|(path, ph)| {
-            let c = &ph.cycles;
-            let bins = [
-                c.compute,
-                c.cache,
-                c.dram,
-                c.mee,
-                c.epc_paging,
-                c.edmm,
-                c.transition,
-                c.upi,
-                c.fault,
-            ];
-            (path.clone(), bins)
-        })
-        .collect()
-}
-
 /// Write one job's profile artifacts (`<job>.profile.json` and
 /// `<job>.profile.svg`) under `target/figures/`, mirroring
 /// [`Figure::emit`]'s warning-not-panicking IO policy.
 pub fn emit_profile(job_id: &str, p: &Profile) {
     let dir = std::path::Path::new("target/figures");
     if std::fs::create_dir_all(dir).is_ok() {
-        let svg = crate::chart::profile_svg(job_id, &profile_phase_rows(p));
+        let svg = crate::chart::profile_svg(job_id, p);
         for (ext, content) in [("profile.json", profile_json(job_id, p)), ("profile.svg", svg)] {
             let path = dir.join(format!("{job_id}.{ext}"));
             if let Err(e) = std::fs::write(&path, content) {

@@ -1,6 +1,6 @@
 //! Shared types for all join implementations.
 
-use sgx_sim::sync::{LockFreeQueue, QueueModel, SdkMutexQueue, SpinLockQueue};
+pub use sgx_sim::sync::QueueKind;
 
 /// An 8-byte join tuple: 32-bit key, 32-bit payload (§4 "Join data").
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -18,39 +18,6 @@ pub struct JoinTuple {
     pub r_payload: u32,
     /// Payload of the probe-side (S) row.
     pub s_payload: u32,
-}
-
-/// Task-queue implementation used to distribute partition/join tasks
-/// (§4.4, Fig 10).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QueueKind {
-    /// Lock-free MPMC queue (the paper's fix; Boost lock-free queue).
-    LockFree,
-    /// The SGX SDK mutex, which sleeps contended threads outside the
-    /// enclave.
-    SdkMutex,
-    /// An in-enclave spinlock.
-    SpinLock,
-}
-
-impl QueueKind {
-    /// Instantiate the queue's cost model.
-    pub fn build(self) -> Box<dyn QueueModel> {
-        match self {
-            QueueKind::LockFree => Box::new(LockFreeQueue::default()),
-            QueueKind::SdkMutex => Box::new(SdkMutexQueue::default()),
-            QueueKind::SpinLock => Box::new(SpinLockQueue::default()),
-        }
-    }
-
-    /// Label used in reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            QueueKind::LockFree => "lock-free queue",
-            QueueKind::SdkMutex => "SDK mutex queue",
-            QueueKind::SpinLock => "spinlock queue",
-        }
-    }
 }
 
 /// Configuration shared by all joins.

@@ -103,8 +103,7 @@ pub fn crk_join(
         for (v, bounds) in [(&mut *r, &mut r_bounds), (&mut *s, &mut s_bounds)] {
             let n_segments = bounds.len() - 1;
             let mut splits = vec![0usize; n_segments];
-            let mut queue = cfg.queue.build();
-            let stats = machine.parallel_tasks(&cfg.cores, queue.as_mut(), n_segments, |c, seg| {
+            let stats = machine.parallel_tasks(&cfg.cores, cfg.queue, n_segments, |c, seg| {
                 splits[seg] = crack_segment(c, v, bounds[seg]..bounds[seg + 1], bit);
             });
             crack_cycles += stats.wall_cycles;
@@ -139,8 +138,7 @@ pub fn crk_join(
     let mut matches = 0u64;
     let mut checksum = 0u64;
     let mut build_busy = 0.0;
-    let mut queue = cfg.queue.build();
-    let dfs_stats = machine.parallel_tasks(&cfg.cores, queue.as_mut(), n_segments, |c, seg| {
+    let dfs_stats = machine.parallel_tasks(&cfg.cores, cfg.queue, n_segments, |c, seg| {
         let w = c.worker();
         // DFS-crack both segments; identical recursion order yields the
         // final partitions in matching radix order.

@@ -422,10 +422,9 @@ pub fn rho_join(
         let mut counts: Vec<SimVec<u32>> = (0..t).map(|_| machine.alloc::<u32>(fanout2)).collect();
         let mut buffers: Vec<SimVec<Row>> =
             (0..t).map(|_| machine.alloc::<Row>(fanout2 * WCB_ROWS)).collect();
-        let mut queue = cfg.queue.build();
         // Each task repartitions one pass-1 partition of R and S.
         let _scope = machine.phase("part2");
-        let stats = machine.parallel_tasks(&cfg.cores, queue.as_mut(), fanout1, |c, p| {
+        let stats = machine.parallel_tasks(&cfg.cores, cfg.queue, fanout1, |c, p| {
             let w = c.worker();
             for (src, dst, starts, bounds) in [
                 (&r1, &mut r2, &r_starts, &mut r_bounds),
@@ -477,9 +476,8 @@ pub fn rho_join(
     let mut build_busy = 0.0f64;
     let mut overflow = false;
     let mut output_runs: Vec<std::ops::Range<usize>> = Vec::new();
-    let mut queue = cfg.queue.build();
     let join_stats: PhaseStats =
-        machine.parallel_tasks(&cfg.cores, queue.as_mut(), n_parts, |c, p| {
+        machine.parallel_tasks(&cfg.cores, cfg.queue, n_parts, |c, p| {
             let w = c.worker();
             let s_range = s_bounds[p]..s_bounds[p + 1];
             let mut out = output

@@ -37,21 +37,6 @@ pub use random_write::{lcg_next, random_write, WriteResult};
 
 use sgx_sim::{HwConfig, Machine, Setting};
 
-/// Measured cost of enclave boundary crossings (the ECALL/OCALL round
-/// trips behind §4.4's mutex and memory-allocation findings): issue `n`
-/// OCALL round trips from a worker and return the average cycles per
-/// round trip (0 in native mode — there is no boundary to cross).
-pub fn transition_bench(cfg: HwConfig, setting: Setting, n: u64) -> f64 {
-    let mut machine = Machine::new(cfg, setting);
-    machine.run(|c| {
-        for _ in 0..n {
-            c.transition(); // OCALL out
-            c.transition(); // EENTER back
-        }
-    });
-    machine.wall_cycles() / n as f64
-}
-
 /// The isolating check from §4.2: increment random slots of one
 /// cache-resident array, with ALU-generated indexes. The paper observed no
 /// enclave slowdown here, pinning the histogram regression on the
@@ -74,15 +59,6 @@ pub fn increment_bench(cfg: HwConfig, setting: Setting, bins: usize, n: u64, see
 mod tests {
     use super::*;
     use sgx_sim::config::scaled_profile;
-
-    #[test]
-    fn transitions_cost_tens_of_thousands_of_cycles_only_in_enclave() {
-        let native = transition_bench(scaled_profile(), Setting::PlainCpu, 100);
-        assert_eq!(native, 0.0, "no boundary to cross natively");
-        let sgx = transition_bench(scaled_profile(), Setting::SgxDataInEnclave, 100);
-        // TEEBench/sgx-perf report ~8k-14k cycles per one-way crossing.
-        assert!((15_000.0..30_000.0).contains(&sgx), "round trip {sgx}");
-    }
 
     #[test]
     fn increment_bench_near_parity_in_enclave() {

@@ -5,8 +5,6 @@
 //! [`sgx_sim::Machine`] under the stress point being studied and keeping
 //! their per-operator cycles ([`sgx_tpch::QueryStats::ops`]), so every
 //! cycle here was charged through the simulator's commit choke point.
-//! [`CostTable::synthetic`] exists for standalone tools and tests that
-//! need plausible, fixed numbers without running a calibration.
 
 use sgx_tpch::Query;
 use std::collections::BTreeMap;
@@ -85,29 +83,6 @@ impl CostTable {
         let sum: u64 = self.classes.values().map(|c| c.total(variant)).sum();
         sum as f64 / self.classes.len() as f64
     }
-
-    /// A fixed, plausible table for standalone tools: step counts match
-    /// the real plans ([`sgx_tpch::Query::steps_total`]), costs are
-    /// arbitrary-but-stable cycles scaled by `scale`, and the degraded
-    /// variant is uniformly ~25% cheaper.
-    pub fn synthetic(scale: u64) -> CostTable {
-        let scale = scale.max(1);
-        let mut t = CostTable::new();
-        let base: [(Query, &[u64]); 4] = [
-            (Query::Q3, &[40, 110, 220, 60, 170, 260, 140, 80, 30]),
-            (Query::Q10, &[45, 90, 210, 55, 150, 280, 65, 20, 120, 95, 25]),
-            (Query::Q12, &[80, 190, 240]),
-            (Query::Q19, &[70, 160, 230, 90]),
-        ];
-        for (q, steps) in base {
-            assert_eq!(steps.len(), q.steps_total());
-            let normal: Vec<u64> = steps.iter().map(|s| s * scale * 1_000).collect();
-            let degraded: Vec<u64> = normal.iter().map(|s| s * 3 / 4).collect();
-            let estimate = normal.iter().sum();
-            t.insert(q, PlanCost { normal_steps: normal, degraded_steps: degraded, estimate });
-        }
-        t
-    }
 }
 
 #[cfg(test)]
@@ -115,17 +90,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn synthetic_table_covers_all_classes_with_real_step_counts() {
-        let t = CostTable::synthetic(2);
-        let classes: Vec<Query> = t.classes().collect();
-        assert_eq!(classes.len(), 4);
-        for q in Query::all() {
-            let c = t.get(q).expect("class present");
-            assert_eq!(c.normal_steps.len(), q.steps_total());
-            assert_eq!(c.degraded_steps.len(), c.normal_steps.len());
-            assert!(c.total(PlanVariant::Degraded) < c.total(PlanVariant::Normal));
-            assert!(c.estimate > 0);
-        }
+    fn table_looks_up_classes_and_sums_their_steps() {
+        let mut t = CostTable::new();
+        assert_eq!(t.mean_total(PlanVariant::Normal), 0.0);
+        let cost = |steps: &[u64]| PlanCost {
+            normal_steps: steps.to_vec(),
+            degraded_steps: steps.iter().map(|s| s * 3 / 4).collect(),
+            estimate: steps.iter().sum(),
+        };
+        t.insert(Query::Q12, cost(&[80, 190, 240]));
+        t.insert(Query::Q3, cost(&[40, 110, 220, 60]));
+        assert_eq!(t.classes().collect::<Vec<_>>(), [Query::Q3, Query::Q12]);
+        assert!(t.get(Query::Q10).is_none());
+        let q12 = t.get(Query::Q12).expect("class present");
+        assert_eq!(q12.total(PlanVariant::Normal), 510);
+        assert_eq!(q12.total(PlanVariant::Degraded), 60 + 142 + 180);
+        assert_eq!(q12.steps(PlanVariant::Degraded).len(), q12.normal_steps.len());
+        assert_eq!(t.mean_total(PlanVariant::Normal), (510 + 430) as f64 / 2.0);
         assert!(t.mean_total(PlanVariant::Normal) > t.mean_total(PlanVariant::Degraded));
     }
 }

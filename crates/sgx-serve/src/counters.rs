@@ -32,9 +32,11 @@ pub struct ServiceCounters {
 }
 
 impl ServiceCounters {
-    /// Element-wise accumulate. The destructuring names every field, so
-    /// a new counter does not compile until it is accumulated here.
-    pub fn add(&mut self, other: &ServiceCounters) {
+    /// Every counter as `(JSON name, value)`, in field order: the one
+    /// list of the counters. The destructuring names every field, so a
+    /// new counter does not compile (E0027) until it is listed here, and
+    /// [`ServiceCounters::add`] and the reports follow from this list.
+    fn fields_mut(&mut self) -> [(&'static str, &mut u64); 7] {
         let ServiceCounters {
             submitted,
             admitted,
@@ -43,14 +45,30 @@ impl ServiceCounters {
             timed_out,
             retries,
             degraded,
-        } = *other;
-        self.submitted += submitted;
-        self.admitted += admitted;
-        self.rejected += rejected;
-        self.completed += completed;
-        self.timed_out += timed_out;
-        self.retries += retries;
-        self.degraded += degraded;
+        } = self;
+        [
+            ("submitted", submitted),
+            ("admitted", admitted),
+            ("rejected", rejected),
+            ("completed", completed),
+            ("timed_out", timed_out),
+            ("retries", retries),
+            ("degraded", degraded),
+        ]
+    }
+
+    /// Every counter as `(JSON name, value)`, in field order. The JSON
+    /// name is the field's name.
+    pub fn fields(&self) -> [(&'static str, u64); 7] {
+        let mut c = *self;
+        c.fields_mut().map(|(name, v)| (name, *v))
+    }
+
+    /// Element-wise accumulate.
+    pub fn add(&mut self, other: &ServiceCounters) {
+        for ((_, total), (_, v)) in self.fields_mut().into_iter().zip(other.fields()) {
+            *total += v;
+        }
     }
 
     /// Check this counter set's internal conservation laws (valid after

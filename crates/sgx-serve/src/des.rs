@@ -447,6 +447,7 @@ pub fn run_service(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::costs::PlanCost;
     use crate::spec::{AdmissionPolicy, DegradePolicy};
     use sgx_sim::OcallFaults;
 
@@ -469,6 +470,27 @@ mod tests {
         ]
     }
 
+    /// A fixed, plausible table: arbitrary-but-stable cycles per plan
+    /// step scaled by `scale`, and a degraded variant uniformly ~25%
+    /// cheaper.
+    fn synthetic(scale: u64) -> CostTable {
+        let scale = scale.max(1);
+        let mut t = CostTable::new();
+        let base: [(Query, &[u64]); 4] = [
+            (Query::Q3, &[40, 110, 220, 60, 170, 260, 140, 80, 30]),
+            (Query::Q10, &[45, 90, 210, 55, 150, 280, 65, 20, 120, 95, 25]),
+            (Query::Q12, &[80, 190, 240]),
+            (Query::Q19, &[70, 160, 230, 90]),
+        ];
+        for (q, steps) in base {
+            let normal: Vec<u64> = steps.iter().map(|s| s * scale * 1_000).collect();
+            let degraded: Vec<u64> = normal.iter().map(|s| s * 3 / 4).collect();
+            let estimate = normal.iter().sum();
+            t.insert(q, PlanCost { normal_steps: normal, degraded_steps: degraded, estimate });
+        }
+        t
+    }
+
     fn base_cfg(seed: u64) -> ServiceConfig {
         let mut c = ServiceConfig::new(seed);
         c.sockets = 2;
@@ -479,7 +501,7 @@ mod tests {
 
     #[test]
     fn identical_configs_replay_identical_outcomes() {
-        let costs = CostTable::synthetic(1);
+        let costs = synthetic(1);
         let a = run_service(&base_cfg(7), &tenants(), &costs);
         let b = run_service(&base_cfg(7), &tenants(), &costs);
         assert_eq!(a, b, "the DES must be a pure function of its inputs");
@@ -491,7 +513,7 @@ mod tests {
 
     #[test]
     fn counters_reconcile_after_drain() {
-        let costs = CostTable::synthetic(2);
+        let costs = synthetic(2);
         let mut cfg = base_cfg(11);
         cfg.faults = Some(OcallFaults { failure_prob: 0.3, max_retries: 4, backoff_cycles: 50_000.0 });
         let out = run_service(&cfg, &tenants(), &costs);
@@ -504,7 +526,7 @@ mod tests {
 
     #[test]
     fn overload_sheds_load_only_with_admission_control() {
-        let costs = CostTable::synthetic(8);
+        let costs = synthetic(8);
         let mut storm = tenants();
         // Open-loop overload: arrivals far beyond capacity.
         storm[0].arrival = Arrival::Open { mean_gap_cycles: 2_000_000 };
@@ -531,7 +553,7 @@ mod tests {
 
     #[test]
     fn tight_deadlines_time_out_and_latencies_respect_slo() {
-        let costs = CostTable::synthetic(4);
+        let costs = synthetic(4);
         let mut ts = tenants();
         ts[0].deadline_cycles = 6_000_000; // below a single plan's cost
         let cfg = base_cfg(5);
@@ -550,7 +572,7 @@ mod tests {
 
     #[test]
     fn epc_pressure_degrades_new_queries_and_helps_tails() {
-        let costs = CostTable::synthetic(6);
+        let costs = synthetic(6);
         let mut cfg = base_cfg(9);
         cfg.epc_pressure_level = 0.9; // above the default 0.7 threshold
         let on = run_service(&cfg, &tenants(), &costs);
@@ -569,7 +591,7 @@ mod tests {
 
     #[test]
     fn faults_inflate_latency_through_bounded_backoff() {
-        let costs = CostTable::synthetic(2);
+        let costs = synthetic(2);
         let calm_out = run_service(&base_cfg(13), &tenants(), &costs);
         let mut cfg = base_cfg(13);
         cfg.faults =
@@ -593,7 +615,7 @@ mod tests {
 
     #[test]
     fn queue_watermark_triggers_load_reactive_degradation() {
-        let costs = CostTable::synthetic(8);
+        let costs = synthetic(8);
         let mut storm = tenants();
         storm[0].arrival = Arrival::Open { mean_gap_cycles: 3_000_000 };
         storm[0].deadline_cycles = 400_000_000; // keep admission from shedding first

@@ -114,15 +114,13 @@ pub struct Counters {
 }
 
 impl Counters {
-    /// Field-wise sum: add every counter of `other` into `self`.
-    ///
-    /// Conservation contract (tested in `tests/integration_counters.rs`
-    /// and `tests/integration_equivalence.rs`): merging the per-job
-    /// counters of a partitioned run equals the counters of the whole
-    /// run, whatever the partition. The destructuring names every field,
-    /// so a new counter does not compile until it is merged here (and in
-    /// [`Counters::any`] and [`Counters::report`]).
-    pub fn merge(&mut self, other: &Counters) {
+    /// Every counter as `(JSON name, report label, value)`, in field
+    /// order: the one list of the counters. The destructuring names every
+    /// field, so a new counter does not compile (E0027) until it is listed
+    /// here, and [`Counters::merge`], [`Counters::delta`],
+    /// [`Counters::any`], [`Counters::report`] and the report layer's JSON
+    /// all follow from this list.
+    fn fields_mut(&mut self) -> [(&'static str, &'static str, &mut u64); 21] {
         let Counters {
             loads,
             stores,
@@ -145,28 +143,48 @@ impl Counters {
             vec_ops,
             aex_events,
             ocall_retries,
-        } = *other;
-        self.loads += loads;
-        self.stores += stores;
-        self.l1_hits += l1_hits;
-        self.l2_hits += l2_hits;
-        self.l3_hits += l3_hits;
-        self.dram_fills += dram_fills;
-        self.prefetched_fills += prefetched_fills;
-        self.epc_fills += epc_fills;
-        self.remote_fills += remote_fills;
-        self.writebacks += writebacks;
-        self.stream_lines += stream_lines;
-        self.transitions += transitions;
-        self.futex_waits += futex_waits;
-        self.edmm_pages += edmm_pages;
-        self.epc_page_faults += epc_page_faults;
-        self.enclave_groups += enclave_groups;
-        self.tlb_misses += tlb_misses;
-        self.alu_ops += alu_ops;
-        self.vec_ops += vec_ops;
-        self.aex_events += aex_events;
-        self.ocall_retries += ocall_retries;
+        } = self;
+        [
+            ("loads", "loads", loads),
+            ("stores", "stores", stores),
+            ("l1_hits", "L1 hits", l1_hits),
+            ("l2_hits", "L2 hits", l2_hits),
+            ("l3_hits", "L3 hits", l3_hits),
+            ("dram_fills", "DRAM fills", dram_fills),
+            ("prefetched_fills", "  prefetched", prefetched_fills),
+            ("epc_fills", "  EPC (MEE)", epc_fills),
+            ("remote_fills", "  remote (UPI)", remote_fills),
+            ("writebacks", "writebacks", writebacks),
+            ("stream_lines", "stream lines", stream_lines),
+            ("transitions", "transitions", transitions),
+            ("futex_waits", "futex waits", futex_waits),
+            ("edmm_pages", "EDMM pages", edmm_pages),
+            ("epc_page_faults", "EPC page faults", epc_page_faults),
+            ("enclave_groups", "enclave issue groups", enclave_groups),
+            ("tlb_misses", "TLB misses", tlb_misses),
+            ("alu_ops", "ALU ops", alu_ops),
+            ("vec_ops", "vector ops", vec_ops),
+            ("aex_events", "AEX events", aex_events),
+            ("ocall_retries", "OCALL retries", ocall_retries),
+        ]
+    }
+
+    /// Every counter as `(JSON name, report label, value)`, in field
+    /// order. The JSON name is the field's name.
+    pub fn fields(&self) -> [(&'static str, &'static str, u64); 21] {
+        self.clone().fields_mut().map(|(name, label, v)| (name, label, *v))
+    }
+
+    /// Field-wise sum: add every counter of `other` into `self`.
+    ///
+    /// Conservation contract (tested in `tests/integration_counters.rs`
+    /// and `tests/integration_equivalence.rs`): merging the per-job
+    /// counters of a partitioned run equals the counters of the whole
+    /// run, whatever the partition.
+    pub fn merge(&mut self, other: &Counters) {
+        for ((.., total), (.., v)) in self.fields_mut().into_iter().zip(other.fields()) {
+            *total += v;
+        }
     }
 
     /// Field-wise difference `self - since`. Counters are monotone (every
@@ -175,78 +193,16 @@ impl Counters {
     /// ([`crate::profile`]) relies on these deltas telescoping exactly to
     /// the run totals.
     pub fn delta(&self, since: &Counters) -> Counters {
-        Counters {
-            loads: self.loads - since.loads,
-            stores: self.stores - since.stores,
-            l1_hits: self.l1_hits - since.l1_hits,
-            l2_hits: self.l2_hits - since.l2_hits,
-            l3_hits: self.l3_hits - since.l3_hits,
-            dram_fills: self.dram_fills - since.dram_fills,
-            prefetched_fills: self.prefetched_fills - since.prefetched_fills,
-            epc_fills: self.epc_fills - since.epc_fills,
-            remote_fills: self.remote_fills - since.remote_fills,
-            writebacks: self.writebacks - since.writebacks,
-            stream_lines: self.stream_lines - since.stream_lines,
-            transitions: self.transitions - since.transitions,
-            futex_waits: self.futex_waits - since.futex_waits,
-            edmm_pages: self.edmm_pages - since.edmm_pages,
-            epc_page_faults: self.epc_page_faults - since.epc_page_faults,
-            enclave_groups: self.enclave_groups - since.enclave_groups,
-            tlb_misses: self.tlb_misses - since.tlb_misses,
-            alu_ops: self.alu_ops - since.alu_ops,
-            vec_ops: self.vec_ops - since.vec_ops,
-            aex_events: self.aex_events - since.aex_events,
-            ocall_retries: self.ocall_retries - since.ocall_retries,
+        let mut d = self.clone();
+        for ((.., total), (.., v)) in d.fields_mut().into_iter().zip(since.fields()) {
+            *total -= v;
         }
+        d
     }
 
     /// True when at least one counter is nonzero.
     pub fn any(&self) -> bool {
-        let Counters {
-            loads,
-            stores,
-            l1_hits,
-            l2_hits,
-            l3_hits,
-            dram_fills,
-            prefetched_fills,
-            epc_fills,
-            remote_fills,
-            writebacks,
-            stream_lines,
-            transitions,
-            futex_waits,
-            edmm_pages,
-            epc_page_faults,
-            enclave_groups,
-            tlb_misses,
-            alu_ops,
-            vec_ops,
-            aex_events,
-            ocall_retries,
-        } = *self;
-        (loads
-            | stores
-            | l1_hits
-            | l2_hits
-            | l3_hits
-            | dram_fills
-            | prefetched_fills
-            | epc_fills
-            | remote_fills
-            | writebacks
-            | stream_lines
-            | transitions
-            | futex_waits
-            | edmm_pages
-            | epc_page_faults
-            | enclave_groups
-            | tlb_misses
-            | alu_ops
-            | vec_ops
-            | aex_events
-            | ocall_retries)
-            != 0
+        self.fields().iter().any(|&(.., v)| v != 0)
     }
 
     /// Total charged memory accesses.
@@ -264,59 +220,19 @@ impl Counters {
     }
 
     /// Formatted multi-line report (the `perf stat`-style dump examples
-    /// print after a run).
+    /// print after a run): one row per nonzero counter, by its label.
     pub fn report(&self) -> String {
-        let Counters {
-            loads,
-            stores,
-            l1_hits,
-            l2_hits,
-            l3_hits,
-            dram_fills,
-            prefetched_fills,
-            epc_fills,
-            remote_fills,
-            writebacks,
-            stream_lines,
-            transitions,
-            futex_waits,
-            edmm_pages,
-            epc_page_faults,
-            enclave_groups,
-            tlb_misses,
-            alu_ops,
-            vec_ops,
-            aex_events,
-            ocall_retries,
-        } = *self;
+        let mut rows = self.fields();
+        // The report lists the issue groups after the vector ops, not at
+        // their field's position; the counter digests hash this text.
+        let at = |name| rows.iter().position(|&(n, ..)| n == name);
+        if let (Some(groups), Some(vec_ops)) = (at("enclave_groups"), at("vec_ops")) {
+            rows[groups..=vec_ops].rotate_left(1);
+        }
         let mut out = String::new();
-        let rows: [(&str, u64); 21] = [
-            ("loads", loads),
-            ("stores", stores),
-            ("L1 hits", l1_hits),
-            ("L2 hits", l2_hits),
-            ("L3 hits", l3_hits),
-            ("DRAM fills", dram_fills),
-            ("  prefetched", prefetched_fills),
-            ("  EPC (MEE)", epc_fills),
-            ("  remote (UPI)", remote_fills),
-            ("writebacks", writebacks),
-            ("stream lines", stream_lines),
-            ("transitions", transitions),
-            ("futex waits", futex_waits),
-            ("EDMM pages", edmm_pages),
-            ("EPC page faults", epc_page_faults),
-            ("TLB misses", tlb_misses),
-            ("ALU ops", alu_ops),
-            ("vector ops", vec_ops),
-            ("enclave issue groups", enclave_groups),
-            ("AEX events", aex_events),
-            ("OCALL retries", ocall_retries),
-        ];
-        for (name, v) in rows {
+        for (_, label, v) in rows {
             if v > 0 {
-                out.push_str(&format!("{name:<22} {v:>14}
-"));
+                out.push_str(&format!("{label:<22} {v:>14}\n"));
             }
         }
         out
@@ -342,12 +258,9 @@ mod tests {
         assert!(!r.contains("transitions"));
     }
 
-    #[test]
-    fn merge_covers_every_field() {
-        // Distinct primes per field; merging into a default must reproduce
-        // the original exactly (Debug covers all fields, so a counter
-        // added later but missed in `merge` fails this test).
-        let src = Counters {
+    /// Distinct primes per field.
+    fn primes() -> Counters {
+        Counters {
             loads: 2,
             stores: 3,
             l1_hits: 5,
@@ -369,7 +282,15 @@ mod tests {
             vec_ops: 67,
             aex_events: 71,
             ocall_retries: 73,
-        };
+        }
+    }
+
+    #[test]
+    fn merge_covers_every_field() {
+        // Merging into a default must reproduce the original exactly
+        // (Debug covers all fields, so a counter added later but missed
+        // in `merge` fails this test).
+        let src = primes();
         let mut dst = Counters::default();
         dst.merge(&src);
         assert_eq!(format!("{dst:?}"), format!("{src:?}"));
@@ -380,29 +301,7 @@ mod tests {
 
     #[test]
     fn delta_covers_every_field_and_inverts_merge() {
-        let src = Counters {
-            loads: 2,
-            stores: 3,
-            l1_hits: 5,
-            l2_hits: 7,
-            l3_hits: 11,
-            dram_fills: 13,
-            prefetched_fills: 17,
-            epc_fills: 19,
-            remote_fills: 23,
-            writebacks: 29,
-            stream_lines: 31,
-            transitions: 37,
-            futex_waits: 41,
-            edmm_pages: 43,
-            epc_page_faults: 47,
-            enclave_groups: 53,
-            tlb_misses: 59,
-            alu_ops: 61,
-            vec_ops: 67,
-            aex_events: 71,
-            ocall_retries: 73,
-        };
+        let src = primes();
         let mut grown = src.clone();
         grown.merge(&src);
         // (src + src) - src == src, field by field (Debug covers all 21).
@@ -410,6 +309,65 @@ mod tests {
         assert!(!grown.delta(&grown).any());
         assert!(src.any());
         assert!(!Counters::default().any());
+    }
+
+    #[test]
+    fn report_rows_and_json_names_keep_their_order() {
+        // The counter digests hash the report text, and the profile
+        // digests the JSON, whose keys are the names `fields` gives.
+        let c = primes();
+        let names: Vec<&str> = c.fields().iter().map(|&(name, ..)| name).collect();
+        assert_eq!(
+            names,
+            [
+                "loads",
+                "stores",
+                "l1_hits",
+                "l2_hits",
+                "l3_hits",
+                "dram_fills",
+                "prefetched_fills",
+                "epc_fills",
+                "remote_fills",
+                "writebacks",
+                "stream_lines",
+                "transitions",
+                "futex_waits",
+                "edmm_pages",
+                "epc_page_faults",
+                "enclave_groups",
+                "tlb_misses",
+                "alu_ops",
+                "vec_ops",
+                "aex_events",
+                "ocall_retries",
+            ]
+        );
+        let rows = [
+            ("loads", 2),
+            ("stores", 3),
+            ("L1 hits", 5),
+            ("L2 hits", 7),
+            ("L3 hits", 11),
+            ("DRAM fills", 13),
+            ("  prefetched", 17),
+            ("  EPC (MEE)", 19),
+            ("  remote (UPI)", 23),
+            ("writebacks", 29),
+            ("stream lines", 31),
+            ("transitions", 37),
+            ("futex waits", 41),
+            ("EDMM pages", 43),
+            ("EPC page faults", 47),
+            ("TLB misses", 59),
+            ("ALU ops", 61),
+            ("vector ops", 67),
+            ("enclave issue groups", 53),
+            ("AEX events", 71),
+            ("OCALL retries", 73),
+        ];
+        let want: String = rows.iter().map(|(label, v)| format!("{label:<22} {v:>14}\n")).collect();
+        assert_eq!(c.report(), want);
     }
 
     #[test]

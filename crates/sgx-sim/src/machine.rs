@@ -133,16 +133,15 @@ struct AccessCost {
 }
 
 /// Accumulator for an explicit issue group (a manual unroll).
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default, Clone)]
 struct GroupAcc {
     near_sum: f64,
     near_max: f64,
     far_sum: f64,
     count: u32,
-    /// Raw (near+far) cycles per cost category, indexed by
-    /// `CostCategory::index`; the pooled charge of the group is attributed
-    /// to the dominant category at close time.
-    cats: [f64; 9],
+    /// Raw (near+far) cycles per cost category; the pooled charge of the
+    /// group is attributed to the dominant category at close time.
+    cats: crate::profile::CategoryCycles,
 }
 
 /// Aggregated outcome of a parallel phase.

@@ -19,7 +19,7 @@ use crate::faults::{FaultEngine, FaultEvent, FaultProfile};
 use crate::mem::{ExecMode, RegionAlloc, Setting};
 use crate::paging::Pager;
 use crate::profile::{CostCategory, PhaseGuard, ProfCtx};
-use crate::sync::QueueModel;
+use crate::sync::{QueueKind, TaskQueue};
 use std::collections::BTreeSet;
 
 use super::{
@@ -246,57 +246,41 @@ impl Machine {
     /// advances by the regulated phase duration.
     pub fn parallel(&mut self, cores: &[usize], mut f: impl FnMut(&mut Core)) -> PhaseStats {
         assert!(!cores.is_empty(), "a phase needs at least one core");
-        let sockets = self.cfg.sockets;
+        let mut load = PhaseLoad::new(self.cfg.sockets);
         let mut core_cycles = Vec::with_capacity(cores.len());
-        let mut dram_bytes = vec![0.0; sockets];
-        let mut upi_bytes = 0.0;
-        let mut faults = 0u64;
-        let mut edmm_pages = 0u64;
         for (w, &id) in cores.iter().enumerate() {
             assert!(id < self.cfg.total_cores(), "core id {id} out of range");
             let mut core = Core::new(self, id);
             core.windex = w;
             f(&mut core);
-            core_cycles.push(core.cycles.0);
-            for (total, &b) in dram_bytes.iter_mut().zip(&core.dram_bytes) {
-                *total += b;
-            }
-            upi_bytes += core.upi_bytes;
-            faults += core.faults;
-            let busy = core.cycles;
-            edmm_pages += core.edmm_pages;
-            self.core_clock.merge_worker(id, busy);
+            core_cycles.push(core.retire(&mut load));
         }
-        self.finish_phase(core_cycles, dram_bytes, upi_bytes, faults, edmm_pages)
+        self.finish_phase(core_cycles, load)
     }
 
     /// Execute a task-queue-driven phase: workers repeatedly pop tasks from
-    /// `queue` (whose cost model serializes contended critical sections)
-    /// and process them. Workers are interleaved by their local clocks, so
-    /// queue contention plays out realistically (§4.4, Fig 10).
+    /// a `queue` of `n_tasks` (whose cost model serializes contended
+    /// critical sections) and process them. Workers are interleaved by
+    /// their local clocks, so queue contention plays out realistically
+    /// (§4.4, Fig 10).
     pub fn parallel_tasks(
         &mut self,
         cores: &[usize],
-        queue: &mut dyn QueueModel,
+        queue: QueueKind,
         n_tasks: usize,
         mut f: impl FnMut(&mut Core, usize),
     ) -> PhaseStats {
         assert!(!cores.is_empty(), "a phase needs at least one core");
-        queue.reset(n_tasks);
-        let sockets = self.cfg.sockets;
+        let mut queue = TaskQueue::new(queue, n_tasks);
+        let mut load = PhaseLoad::new(self.cfg.sockets);
         let mut clocks = vec![0.0f64; cores.len()];
         let mut live = vec![true; cores.len()];
-        let mut dram_bytes = vec![0.0; sockets];
-        let mut upi_bytes = 0.0;
-        let mut faults = 0u64;
-        let mut edmm_pages = 0u64;
-        let cfg = self.cfg.clone();
         while let Some(w) = (0..cores.len())
             .filter(|&w| live[w])
             .min_by(|&a, &b| clocks[a].total_cmp(&clocks[b]))
         {
-            let mode = self.mode;
-            let (t, task) = queue.dequeue(clocks[w], mode, &cfg, &mut self.counters);
+            let (t, task) =
+                queue.dequeue(clocks[w], self.mode, &self.cfg.transitions, &mut self.counters);
             clocks[w] = t;
             match task {
                 None => live[w] = false,
@@ -304,65 +288,57 @@ impl Machine {
                     let mut core = Core::new(self, cores[w]);
                     core.windex = w;
                     f(&mut core, task);
-                    clocks[w] += core.cycles.0;
-                    for (total, &b) in dram_bytes.iter_mut().zip(&core.dram_bytes) {
-                        *total += b;
-                    }
-                    upi_bytes += core.upi_bytes;
-                    faults += core.faults;
-                    let busy = core.cycles;
-                    edmm_pages += core.edmm_pages;
-                    self.core_clock.merge_worker(cores[w], busy);
+                    clocks[w] += core.retire(&mut load);
                 }
             }
         }
-        self.finish_phase(clocks, dram_bytes, upi_bytes, faults, edmm_pages)
+        self.finish_phase(clocks, load)
     }
 
-    fn finish_phase(
-        &mut self,
-        core_cycles: Vec<f64>,
-        dram_bytes: Vec<f64>,
-        upi_bytes: f64,
-        faults: u64,
-        edmm_pages: u64,
-    ) -> PhaseStats {
+    /// Close a phase: its wall time is its busiest worker's cycles, or the
+    /// largest shared-resource floor `load` sets, if that is strictly
+    /// larger. The floors are each socket's DRAM bus, the UPI links, and
+    /// two serial trains. SGXv1 EPC paging is globally serialized (the
+    /// kernel driver's EWB/ELDU path holds a global lock), so concurrent
+    /// workers cannot overlap their faults. EDMM page adds serialize the
+    /// same way: EAUG/EACCEPT go through the driver's global EPC
+    /// page-management lock, so concurrent workers cannot overlap their
+    /// enclave growth (this is what makes Fig 11's dynamically grown
+    /// enclave reach only ~4.5 % of the statically sized one even with 16
+    /// threads).
+    fn finish_phase(&mut self, core_cycles: Vec<f64>, load: PhaseLoad) -> PhaseStats {
         let busiest = core_cycles.iter().cloned().fold(0.0, f64::max);
+        let caps = load.dram_bytes.iter().map(|&bytes| self.dram_cap(bytes)).chain([
+            self.upi_cap(load.upi_bytes),
+            self.fault_train_cap(load.faults),
+            self.edmm_train_cap(load.edmm_pages),
+        ]);
         let mut bound = busiest;
         let mut bandwidth_bound = false;
-        for &bytes in &dram_bytes {
-            let cap = self.dram_cap(bytes);
+        for cap in caps {
             if cap > bound {
                 bound = cap;
                 bandwidth_bound = true;
             }
         }
-        let upi_cap = self.upi_cap(upi_bytes);
-        if upi_cap > bound {
-            bound = upi_cap;
-            bandwidth_bound = true;
-        }
-        // SGXv1 EPC paging is globally serialized (the kernel driver's
-        // EWB/ELDU path holds a global lock), so concurrent workers cannot
-        // overlap their faults: the phase can never finish faster than the
-        // serial fault train.
-        let fault_cap = self.fault_train_cap(faults);
-        if fault_cap > bound {
-            bound = fault_cap;
-            bandwidth_bound = true;
-        }
-        // EDMM page adds serialize the same way: EAUG/EACCEPT go through
-        // the driver's global EPC page-management lock, so concurrent
-        // workers cannot overlap their enclave growth (this is what makes
-        // Fig 11's dynamically grown enclave reach only ~4.5 % of the
-        // statically sized one even with 16 threads).
-        let edmm_cap = self.edmm_train_cap(edmm_pages);
-        if edmm_cap > bound {
-            bound = edmm_cap;
-            bandwidth_bound = true;
-        }
         self.wall.phase_barrier(bound);
         PhaseStats { wall_cycles: bound, core_cycles, bandwidth_bound }
+    }
+}
+
+/// What a phase's finished workers add up to for its barrier: bus bytes
+/// per socket and over UPI, and the EPC faults and EDMM pages whose trains
+/// serialize machine-wide.
+struct PhaseLoad {
+    dram_bytes: Vec<f64>,
+    upi_bytes: f64,
+    faults: u64,
+    edmm_pages: u64,
+}
+
+impl PhaseLoad {
+    fn new(sockets: usize) -> PhaseLoad {
+        PhaseLoad { dram_bytes: vec![0.0; sockets], upi_bytes: 0.0, faults: 0, edmm_pages: 0 }
     }
 }
 
@@ -399,6 +375,20 @@ impl<'m> Core<'m> {
             edmm_pages: 0,
             last_rand_addr: CTX_POISON,
         }
+    }
+
+    /// Fold this finished worker into its phase's `load`, and its busy
+    /// cycles into its core's clock. Returns those busy cycles.
+    fn retire(self, load: &mut PhaseLoad) -> f64 {
+        for (total, &b) in load.dram_bytes.iter_mut().zip(&self.dram_bytes) {
+            *total += b;
+        }
+        load.upi_bytes += self.upi_bytes;
+        load.faults += self.faults;
+        load.edmm_pages += self.edmm_pages;
+        let busy = self.cycles.0;
+        self.m.core_clock.merge_worker(self.id, self.cycles);
+        busy
     }
 
     /// Apply a [`Charge`]: attribute its counters, advance this worker's
@@ -665,7 +655,7 @@ impl<'m> Core<'m> {
             g.near_max = g.near_max.max(c.near);
             g.far_sum += c.far;
             g.count += 1;
-            g.cats[c.cat.index()] += c.near + c.far;
+            g.cats.add(c.cat, c.near + c.far);
             return;
         }
         // References, not struct copies — `post` runs once per random

@@ -14,12 +14,6 @@ impl Machine {
         self.alloc_on(len, self.setting.data_region(0))
     }
 
-    /// Allocate a vector in the setting's default data region on a given
-    /// NUMA node.
-    pub fn alloc_on_node<T: Copy + Default>(&mut self, len: usize, node: u8) -> SimVec<T> {
-        self.alloc_on(len, self.setting.data_region(node))
-    }
-
     /// Allocate a vector in an explicit region. Panics when an EPC region
     /// would exceed the configured per-socket EPC capacity — real enclaves
     /// fail to grow at exactly this point (use [`Machine::try_alloc_on`]

@@ -5,7 +5,7 @@ use super::*;
 use crate::config::{scaled_profile, xeon_gold_6326};
 use crate::faults::FaultProfile;
 use crate::mem::{Region, SimSink, SimVec, VecSlot};
-use crate::profile::CostCategory;
+use crate::profile::{CategoryCycles, CostCategory};
 
 fn machine(setting: Setting) -> Machine {
     Machine::new(scaled_profile(), setting)
@@ -401,6 +401,29 @@ fn transition_costs_only_in_enclave() {
     assert_eq!(m.counters().transitions, 0);
 }
 
+/// The enclave-transition micro-benchmark behind §4.4's mutex and
+/// memory-allocation findings: the average cost of an OCALL round trip
+/// issued from a worker.
+#[test]
+fn transitions_cost_tens_of_thousands_of_cycles_only_in_enclave() {
+    let round_trip = |setting| {
+        let n = 100;
+        let mut m = machine(setting);
+        m.run(|c| {
+            for _ in 0..n {
+                c.transition(); // OCALL out
+                c.transition(); // EENTER back
+            }
+        });
+        m.wall_cycles() / n as f64
+    };
+    let native = round_trip(Setting::PlainCpu);
+    assert_eq!(native, 0.0, "no boundary to cross natively");
+    let sgx = round_trip(Setting::SgxDataInEnclave);
+    // TEEBench/sgx-perf report ~8k-14k cycles per one-way crossing.
+    assert!((15_000.0..30_000.0).contains(&sgx), "round trip {sgx}");
+}
+
 #[test]
 fn stream_writer_charges_and_writes() {
     let mut m = machine(Setting::PlainCpu);
@@ -683,9 +706,9 @@ fn dependent_chains_serialize_natively_too() {
 fn touch_category_is_dominant_over_the_touch_bins() {
     for cat in CostCategory::ALL {
         for (line, issue) in [(6.0, 4.0), (1.0, 4.0), (2.5, 2.5), (1.0, 0.0)] {
-            let mut bins = [0.0; 9];
-            bins[cat.index()] += line;
-            bins[CostCategory::Compute.index()] += issue;
+            let mut bins = CategoryCycles::default();
+            bins.add(cat, line);
+            bins.add(CostCategory::Compute, issue);
             assert_eq!(
                 access::touch_category(line, issue, cat),
                 CostCategory::dominant(&bins),

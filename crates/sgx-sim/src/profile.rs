@@ -18,8 +18,6 @@
 //! transition (and at machine drop). The deltas telescope, so the sum of
 //! the per-phase counters equals the machine's end-of-run totals
 //! *exactly* (u64 arithmetic; witnessed in `tests/integration_counters.rs`).
-//! `CategoryCycles` is destructured without `..` here and in the report
-//! layer, so a new field fails to compile (E0027) until both handle it.
 //! Cycle attribution adds each charge to exactly one `(phase, category)`
 //! bin, so the bin sum equals the arrival-order total
 //! [`Profile::charged_cycles`] up to float re-association.
@@ -31,8 +29,9 @@
 //! current at flush time, so a phase boundary can smear at most one
 //! operation's counters into the neighbouring phase. Pushing a scope via
 //! `Machine::phase`/`Core::phase` flushes eagerly, which makes *push*
-//! boundaries exact. Queue wait cycles (`sync::QueueModel::dequeue`) are
-//! deliberately not attributed — they are idle time, not charged work.
+//! boundaries exact. Queue wait cycles (the task hand-out in
+//! `Machine::parallel_tasks`) are deliberately not attributed — they are
+//! idle time, not charged work.
 //!
 //! ## Determinism
 //!
@@ -117,113 +116,62 @@ impl CostCategory {
         }
     }
 
-    /// Index of this category in [`CostCategory::ALL`].
+    /// Index of this category in [`CostCategory::ALL`] (its declaration
+    /// order).
     pub fn index(self) -> usize {
-        match self {
-            CostCategory::Compute => 0,
-            CostCategory::Cache => 1,
-            CostCategory::Dram => 2,
-            CostCategory::Mee => 3,
-            CostCategory::EpcPaging => 4,
-            CostCategory::Edmm => 5,
-            CostCategory::Transition => 6,
-            CostCategory::Upi => 7,
-            CostCategory::Fault => 8,
-        }
+        self as usize
     }
 
-    /// The category holding the largest share of `sums` (indexed per
-    /// [`CostCategory::index`]); ties break towards the lowest index, so
-    /// the choice is deterministic. Used for pooled charges (issue groups,
-    /// stream touches) that aggregate several accesses into one commit.
-    pub fn dominant(sums: &[f64; 9]) -> CostCategory {
-        let mut best = 0;
-        for (i, &v) in sums.iter().enumerate() {
-            if v > sums[best] {
-                best = i;
+    /// The category holding the largest share of `sums`; ties break
+    /// towards the lowest index, so the choice is deterministic. Used for
+    /// pooled charges (issue groups, stream touches) that aggregate
+    /// several accesses into one commit.
+    pub fn dominant(sums: &CategoryCycles) -> CostCategory {
+        let mut best = CostCategory::ALL[0];
+        for cat in CostCategory::ALL {
+            if sums.get(cat) > sums.get(best) {
+                best = cat;
             }
         }
-        CostCategory::ALL[best]
+        best
     }
 }
 
-/// Cycles attributed to each [`CostCategory`] within one phase. The named
-/// fields mirror `Counters` on purpose. [`CategoryCycles::merge`] and the
-/// report layer's JSON destructure the struct without `..`, so a new bin
-/// does not compile until it is merged and reported, and
-/// `tests/integration_counters.rs` checks that every bin is written.
+/// Cycles attributed to each [`CostCategory`]: one bin per category,
+/// indexed by [`CostCategory::index`]. Every consumer (merging, totals,
+/// the profile JSON, the chart) walks [`CostCategory::ALL`], so a new
+/// category needs only its variant, its place in `ALL` and its label,
+/// and `tests/integration_counters.rs` checks that every bin is written.
 #[derive(Debug, Default, Clone, PartialEq)]
-pub struct CategoryCycles {
-    /// Cycles of ALU/vector/branch/issue work.
-    pub compute: f64,
-    /// Cycles of L1/L2/L3-served accesses.
-    pub cache: f64,
-    /// Cycles of plain local DRAM traffic.
-    pub dram: f64,
-    /// Cycles of MEE-encrypted EPC traffic.
-    pub mee: f64,
-    /// Cycles of SGXv1 EPC page faults.
-    pub epc_paging: f64,
-    /// Cycles of EDMM page commits.
-    pub edmm: f64,
-    /// Cycles of enclave transitions (ECALL/OCALL).
-    pub transition: f64,
-    /// Cycles of remote-socket (UPI/UCE) traffic.
-    pub upi: f64,
-    /// Cycles of fault-engine interrupts (AEX storms).
-    pub fault: f64,
-}
+pub struct CategoryCycles([f64; CostCategory::ALL.len()]);
 
 impl CategoryCycles {
     /// Add `cycles` to the bin for `cat`.
     #[inline]
     pub fn add(&mut self, cat: CostCategory, cycles: f64) {
-        match cat {
-            CostCategory::Compute => self.compute += cycles,
-            CostCategory::Cache => self.cache += cycles,
-            CostCategory::Dram => self.dram += cycles,
-            CostCategory::Mee => self.mee += cycles,
-            CostCategory::EpcPaging => self.epc_paging += cycles,
-            CostCategory::Edmm => self.edmm += cycles,
-            CostCategory::Transition => self.transition += cycles,
-            CostCategory::Upi => self.upi += cycles,
-            CostCategory::Fault => self.fault += cycles,
-        }
+        self.0[cat.index()] += cycles;
     }
 
     /// The bin for `cat`.
     pub fn get(&self, cat: CostCategory) -> f64 {
-        match cat {
-            CostCategory::Compute => self.compute,
-            CostCategory::Cache => self.cache,
-            CostCategory::Dram => self.dram,
-            CostCategory::Mee => self.mee,
-            CostCategory::EpcPaging => self.epc_paging,
-            CostCategory::Edmm => self.edmm,
-            CostCategory::Transition => self.transition,
-            CostCategory::Upi => self.upi,
-            CostCategory::Fault => self.fault,
-        }
+        self.0[cat.index()]
     }
 
-    /// Field-wise sum: add every bin of `other` into `self`.
+    /// Each category with its bin, in [`CostCategory::ALL`] order.
+    pub fn iter(&self) -> impl Iterator<Item = (CostCategory, f64)> + '_ {
+        CostCategory::ALL.into_iter().map(|cat| (cat, self.get(cat)))
+    }
+
+    /// Bin-wise sum: add every bin of `other` into `self`.
     pub fn merge(&mut self, other: &CategoryCycles) {
-        let CategoryCycles { compute, cache, dram, mee, epc_paging, edmm, transition, upi, fault } =
-            *other;
-        self.compute += compute;
-        self.cache += cache;
-        self.dram += dram;
-        self.mee += mee;
-        self.epc_paging += epc_paging;
-        self.edmm += edmm;
-        self.transition += transition;
-        self.upi += upi;
-        self.fault += fault;
+        for (cat, cycles) in other.iter() {
+            self.add(cat, cycles);
+        }
     }
 
     /// Total cycles over all bins (fixed summation order).
     pub fn total(&self) -> f64 {
-        CostCategory::ALL.iter().map(|&c| self.get(c)).sum()
+        self.iter().map(|(_, cycles)| cycles).sum()
     }
 }
 
@@ -488,12 +436,12 @@ mod tests {
 
     #[test]
     fn dominant_breaks_ties_towards_lowest_index() {
-        let mut sums = [0.0; 9];
+        let mut sums = CategoryCycles::default();
         assert_eq!(CostCategory::dominant(&sums), CostCategory::Compute);
-        sums[CostCategory::Mee.index()] = 5.0;
-        sums[CostCategory::Upi.index()] = 5.0;
+        sums.add(CostCategory::Mee, 5.0);
+        sums.add(CostCategory::Upi, 5.0);
         assert_eq!(CostCategory::dominant(&sums), CostCategory::Mee);
-        sums[CostCategory::Upi.index()] = 6.0;
+        sums.add(CostCategory::Upi, 1.0);
         assert_eq!(CostCategory::dominant(&sums), CostCategory::Upi);
     }
 
@@ -563,13 +511,13 @@ mod tests {
         ctx.flush(&counters);
         let p = ctx.take_profile();
         assert_eq!(p.phases.len(), 2);
-        assert_eq!(p.phases["hot"].cycles.mee, 32.0);
+        assert_eq!(p.phases["hot"].cycles.get(CostCategory::Mee), 32.0);
         // Commit-granular smear: the store bumped before the first
         // post-pop record flushes with the "hot" bucket.
         assert_eq!(p.phases["hot"].counters.loads, 2);
         assert_eq!(p.phases["hot"].counters.stores, 1);
-        assert_eq!(p.phases["(unscoped)"].cycles.cache, 10.0);
-        assert_eq!(p.phases["(unscoped)"].cycles.compute, 1.0);
+        assert_eq!(p.phases["(unscoped)"].cycles.get(CostCategory::Cache), 10.0);
+        assert_eq!(p.phases["(unscoped)"].cycles.get(CostCategory::Compute), 1.0);
         let totals = p.total_counters();
         assert_eq!(format!("{totals:?}"), format!("{counters:?}"), "deltas telescope exactly");
         assert_eq!(p.total_cycles(), p.charged_cycles);
@@ -592,7 +540,7 @@ mod tests {
         ctx2.flush(&c);
         record(ctx2.take_profile());
         let got = session_take();
-        assert_eq!(got.phases["(unscoped)"].cycles.compute, 10.0);
+        assert_eq!(got.phases["(unscoped)"].cycles.get(CostCategory::Compute), 10.0);
         assert_eq!(got.charged_cycles, 10.0);
         assert!(session_take().is_empty());
     }
@@ -612,7 +560,7 @@ mod tests {
         session_replace(taken);
         // (1e16 + 1) - 1e16 rounds the 1 away; (1e16 - 1e16) + 1 would not.
         let got = session_take();
-        assert_eq!(got.phases["(unscoped)"].cycles.mee, 0.0);
+        assert_eq!(got.phases["(unscoped)"].cycles.get(CostCategory::Mee), 0.0);
         assert_eq!(got.charged_cycles, 0.0);
     }
 

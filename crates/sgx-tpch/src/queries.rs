@@ -51,17 +51,6 @@ impl Query {
             Query::Q19 => "Q19",
         }
     }
-
-    /// Number of operator steps in the plan: the length of
-    /// [`QueryStats::ops`] that [`run_query`] returns for this query.
-    pub fn steps_total(self) -> usize {
-        match self {
-            Query::Q3 => 9,
-            Query::Q10 => 11,
-            Query::Q12 => 3,
-            Query::Q19 => 4,
-        }
-    }
 }
 
 /// Query execution parameters.
@@ -819,13 +808,13 @@ mod tests {
     #[test]
     fn run_query_reports_one_op_per_plan_step() {
         // The service's cost table is calibrated from `QueryStats::ops`,
-        // one entry per step of `Query::steps_total`.
+        // one entry per step of the plan.
         let (mut m, db) = setup(0.003, Setting::PlainCpu);
-        for q in Query::all() {
+        for (q, steps) in [(Query::Q3, 9), (Query::Q10, 11), (Query::Q12, 3), (Query::Q19, 4)] {
             for optimized in [false, true] {
                 let cfg = QueryConfig::new(2).with_optimization(optimized);
                 let stats = run_query(&mut m, &db, q, &cfg);
-                assert_eq!(stats.ops.len(), q.steps_total(), "{} optimized={optimized}", q.label());
+                assert_eq!(stats.ops.len(), steps, "{} optimized={optimized}", q.label());
                 assert!(stats.ops.iter().all(|&(_, c)| c >= 0.0), "{}", q.label());
             }
         }

@@ -2,13 +2,11 @@
 //! is surfaced and constrained here, so a counter cannot silently decouple
 //! from the figures. `every_counter_and_cost_bin_is_written` replays the
 //! scenarios below under one profiled session and requires every counter
-//! and every `CategoryCycles` bin to be nonzero: a dead counter fails it,
-//! and a new field does not compile until it is covered there.
+//! and every `CategoryCycles` bin to be nonzero: a dead counter fails it.
 
 use sgx_bench_core::prelude::*;
 use sgx_bench_core::sgx_scans::ScanStats;
 use sgx_bench_core::sgx_sim::config::xeon_gold_6326;
-use sgx_bench_core::sgx_sim::sync::SdkMutexQueue;
 use sgx_bench_core::sgx_sim::FaultProfile;
 
 fn tiny_hw() -> HwConfig {
@@ -140,8 +138,7 @@ fn transition_counters_are_exact() {
 fn futex_run() -> Counters {
     let mut m = Machine::new(tiny_hw(), Setting::SgxDataInEnclave);
     let v = m.alloc::<u64>(4096);
-    let mut q = SdkMutexQueue::default();
-    m.parallel_tasks(&[0, 1, 2, 3], &mut q, 400, |c, t| {
+    m.parallel_tasks(&[0, 1, 2, 3], QueueKind::SdkMutex, 400, |c, t| {
         let _ = v.get(c, (t * 13) % 4096);
     });
     m.counters().clone()
@@ -210,7 +207,7 @@ fn epc_page_faults_fire_beyond_residency() {
 fn remote_run() -> Counters {
     let mut m = Machine::new(tiny_hw(), Setting::PlainCpu);
     let n = 100_000usize;
-    let v = m.alloc_on_node::<u64>(n, 1);
+    let v = m.alloc_on::<u64>(n, Region::Untrusted(1));
     m.run_on(0, |c| {
         let mut x = 5u64;
         for _ in 0..50_000 {
@@ -236,6 +233,7 @@ fn remote_fills_cross_sockets() {
 // cycle sums must reconcile with the total charged cycles.
 // ---------------------------------------------------------------------------
 
+use sgx_bench_core::sgx_sim::profile::CostCategory;
 use sgx_bench_core::sgx_sim::{counters, profile};
 
 /// Run `work` under a fresh enabled profile + counter session; returns the
@@ -296,7 +294,7 @@ fn profile_conserves_for_rho_join() {
         assert!(p.phases.contains_key(phase), "phase {phase} missing: {:?}", p.phases.keys());
     }
     // An enclave join must spend real cycles in the MEE bin somewhere.
-    let mee: f64 = p.phases.values().map(|ph| ph.cycles.mee).sum();
+    let mee: f64 = p.phases.values().map(|ph| ph.cycles.get(CostCategory::Mee)).sum();
     assert!(mee > 0.0, "enclave-resident join data must pay MEE cycles");
 }
 
@@ -341,9 +339,9 @@ fn profile_conserves_under_aex_storm() {
     let (p, c, _) = with_profile(|| aex_storm_run(true));
     assert!(c.aex_events > 0, "the storm must fire for this test to mean anything");
     assert_conserves(&p, &c, "aex_storm");
-    let fault: f64 = p.phases.values().map(|ph| ph.cycles.fault).sum();
+    let fault: f64 = p.phases.values().map(|ph| ph.cycles.get(CostCategory::Fault)).sum();
     assert!(fault > 0.0, "AEX handler time must land in the fault bin");
-    let transition: f64 = p.phases.values().map(|ph| ph.cycles.transition).sum();
+    let transition: f64 = p.phases.values().map(|ph| ph.cycles.get(CostCategory::Transition)).sum();
     assert!(transition > 0.0, "the ECALL must land in the transition bin");
 }
 
@@ -396,9 +394,9 @@ fn ocall_retry_run() -> Counters {
 
 /// Every counter and every cost-category bin is written by some scenario
 /// of this file. The scenarios run under one profiled session, so their
-/// machines' counters and phase bins add up there. Both structs are
-/// destructured without `..`: a new field does not compile until this
-/// test covers it, and a dead one fails it.
+/// machines' counters and phase bins add up there. The test walks the one
+/// counter list (`Counters::fields`) and `CostCategory::ALL`, so a new
+/// counter or bin is covered as soon as it exists, and a dead one fails.
 #[test]
 fn every_counter_and_cost_bin_is_written() {
     let (p, c, _) = with_profile(|| {
@@ -414,53 +412,7 @@ fn every_counter_and_cost_bin_is_written() {
         rho_join_run(2, 6);
         column_scan_run();
     });
-    let Counters {
-        loads,
-        stores,
-        l1_hits,
-        l2_hits,
-        l3_hits,
-        dram_fills,
-        prefetched_fills,
-        epc_fills,
-        remote_fills,
-        writebacks,
-        stream_lines,
-        transitions,
-        futex_waits,
-        edmm_pages,
-        epc_page_faults,
-        enclave_groups,
-        tlb_misses,
-        alu_ops,
-        vec_ops,
-        aex_events,
-        ocall_retries,
-    } = c;
-    let counters = [
-        ("loads", loads),
-        ("stores", stores),
-        ("l1_hits", l1_hits),
-        ("l2_hits", l2_hits),
-        ("l3_hits", l3_hits),
-        ("dram_fills", dram_fills),
-        ("prefetched_fills", prefetched_fills),
-        ("epc_fills", epc_fills),
-        ("remote_fills", remote_fills),
-        ("writebacks", writebacks),
-        ("stream_lines", stream_lines),
-        ("transitions", transitions),
-        ("futex_waits", futex_waits),
-        ("edmm_pages", edmm_pages),
-        ("epc_page_faults", epc_page_faults),
-        ("enclave_groups", enclave_groups),
-        ("tlb_misses", tlb_misses),
-        ("alu_ops", alu_ops),
-        ("vec_ops", vec_ops),
-        ("aex_events", aex_events),
-        ("ocall_retries", ocall_retries),
-    ];
-    for (name, v) in counters {
+    for (name, _, v) in c.fields() {
         assert!(v > 0, "counter `{name}` is never written");
     }
 
@@ -468,29 +420,7 @@ fn every_counter_and_cost_bin_is_written() {
     for phase in p.phases.values() {
         bins.merge(&phase.cycles);
     }
-    let profile::CategoryCycles {
-        compute,
-        cache,
-        dram,
-        mee,
-        epc_paging,
-        edmm,
-        transition,
-        upi,
-        fault,
-    } = bins;
-    let bins = [
-        ("compute", compute),
-        ("cache", cache),
-        ("dram", dram),
-        ("mee", mee),
-        ("epc_paging", epc_paging),
-        ("edmm", edmm),
-        ("transition", transition),
-        ("upi", upi),
-        ("fault", fault),
-    ];
-    for (name, v) in bins {
-        assert!(v > 0.0, "cost bin `{name}` is never written");
+    for cat in CostCategory::ALL {
+        assert!(bins.get(cat) > 0.0, "cost bin `{}` is never written", cat.label());
     }
 }
