@@ -10,7 +10,7 @@ use crate::report::Figure;
 use sgx_joins::rho::{rho_join, seq_scatter_direct};
 use sgx_joins::{gen_fk_relation, gen_fk_zipf, gen_pk_relation, JoinConfig, Row};
 use sgx_scans::{column_scan, packed_scan_count, PackedColumn, ScanConfig, ScanOutput};
-use sgx_sim::{Machine, Region, Setting, SimVec, VecSlot};
+use sgx_sim::{worker_range, Machine, Region, Setting, SimVec, VecSlot};
 use sgx_tpch::group_count;
 
 /// Extension: RHO and PHT join throughput under Zipf-skewed foreign keys
@@ -139,7 +139,6 @@ pub fn ablation_swwcb(p: &BenchProfile) -> Figure {
         for g in 0..fanout {
             starts[g + 1] = starts[g] + counts[g];
         }
-        let per = n.div_ceil(threads);
         let cores: Vec<usize> = (0..threads).collect();
         // Per-worker scratch, reserved in its fixed layout order: every
         // worker's write-combining fill counters, then their buffers (both
@@ -161,7 +160,7 @@ pub fn ablation_swwcb(p: &BenchProfile) -> Figure {
         let before = m.wall_cycles();
         m.parallel(&cores, |c| {
             let w = c.worker();
-            let range = (w * per).min(n)..((w + 1) * per).min(n);
+            let range = worker_range(n, threads, 1, w);
             offsets.copy_from_slice(&running);
             for i in range.clone() {
                 running[(src.peek(i).key & mask) as usize] += 1;

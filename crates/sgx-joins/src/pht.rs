@@ -9,7 +9,7 @@
 //! PHT join is even 9 times slower than native").
 
 use crate::common::{hash32, JoinConfig, JoinStats, JoinTuple, Row};
-use sgx_sim::{Core, Machine, SimVec};
+use sgx_sim::{Core, Machine, SimVec, Unroll};
 
 /// Chained hash-table entry (12 bytes).
 #[derive(Debug, Clone, Copy, Default)]
@@ -32,16 +32,46 @@ pub(crate) fn chunk_range(n: usize, parts: usize, i: usize) -> std::ops::Range<u
     start..start + len
 }
 
-/// Charged sequential fill of a range with one value (table memset).
-pub(crate) fn charged_fill<T: Copy>(
+/// The probe loop of both hash joins: hash each row of `s[range]` into
+/// one of the `2^bits` buckets of `heads` and hand `walk` the bucket's
+/// first entry with the row. Optimized, the head loads of every 8 rows
+/// go out as one issue group (Listing 2) before their walks, and the
+/// remainder probes one row at a time.
+pub(crate) fn probe_heads(
     c: &mut Core<'_>,
-    v: &mut SimVec<T>,
+    s: &SimVec<Row>,
     range: std::ops::Range<usize>,
-    val: T,
+    heads: &SimVec<u32>,
+    bits: u32,
+    optimized: bool,
+    mut walk: impl FnMut(&mut Core<'_>, u32, Row),
 ) {
-    let mut w = v.stream_writer(range.start);
-    for _ in range {
-        w.push(c, val);
+    if optimized {
+        let mut batch = Unroll::<(Row, u32), 8>::default();
+        s.read_stream(c, range, |c, _, srow| {
+            c.compute(3);
+            batch.push(c, (srow, hash32(srow.key, bits)), |c, probes| {
+                let mut firsts = [EMPTY; 8];
+                c.group(|c| {
+                    for (bi, &(_, h)) in probes.iter().enumerate() {
+                        firsts[bi] = heads.get(c, h as usize);
+                    }
+                });
+                for (bi, &(srow, _)) in probes.iter().enumerate() {
+                    walk(c, firsts[bi], srow);
+                }
+            });
+        });
+        for &(srow, h) in batch.rest() {
+            let first = heads.get(c, h as usize);
+            walk(c, first, srow);
+        }
+    } else {
+        s.read_stream(c, range, |c, _, srow| {
+            c.compute(4);
+            let first = heads.get(c, hash32(srow.key, bits) as usize);
+            walk(c, first, srow);
+        });
     }
 }
 
@@ -67,7 +97,7 @@ pub fn pht_join(
     let build_scope = machine.phase("build");
     let init = machine.parallel(&cfg.cores, |c| {
         let w = c.worker();
-        charged_fill(c, &mut heads, chunk_range(nbuckets, t, w), EMPTY);
+        heads.fill(c, chunk_range(nbuckets, t, w), EMPTY);
     });
     let build = machine.parallel(&cfg.cores, |c| {
         let w = c.worker();
@@ -76,11 +106,7 @@ pub fn pht_join(
         let range = chunk_range(r.len(), t, w);
         let mut ew = entries.stream_writer(range.start);
         if cfg.optimized {
-            let mut batch: [(usize, Row, u32); 8] = [(0, Row::default(), 0); 8];
-            let mut fill = 0usize;
-            let mut flush = |c: &mut Core<'_>,
-                             batch: &[(usize, Row, u32)],
-                             ew: &mut sgx_sim::StreamWriter<'_, Entry>| {
+            let mut issue = |c: &mut Core<'_>, batch: &[(usize, Row, u32)]| {
                 // All bucket updates issued together (Listing 2 pattern).
                 let mut nexts = [EMPTY; 8];
                 c.group(|c| {
@@ -96,16 +122,12 @@ pub fn pht_join(
                     ew.push(c, Entry { key: row.key, payload: row.payload, next: nexts[bi] });
                 }
             };
+            let mut batch = Unroll::<(usize, Row, u32), 8>::default();
             r.read_stream(c, range, |c, i, row| {
                 c.compute(3);
-                batch[fill] = (i, row, hash32(row.key, bits));
-                fill += 1;
-                if fill == 8 {
-                    flush(c, &batch, &mut ew);
-                    fill = 0;
-                }
+                batch.push(c, (i, row, hash32(row.key, bits)), &mut issue);
             });
-            flush(c, &batch[..fill], &mut ew);
+            issue(c, batch.rest());
         } else {
             r.read_stream(c, range, |c, i, row| {
                 c.compute(5); // hash + latch
@@ -146,7 +168,7 @@ pub fn pht_join(
         // out-of-order engine overlaps entry loads across consecutive
         // probes (different s rows are independent), so the entry loads go
         // through the normal pooled path rather than `Core::dependent`.
-        let mut walk = |c: &mut Core<'_>, first: u32, srow: Row| {
+        let walk = |c: &mut Core<'_>, first: u32, srow: Row| {
             let mut e = first;
             while e != EMPTY {
                 let ent = entry_get(c, &entries, e);
@@ -157,38 +179,7 @@ pub fn pht_join(
                 e = ent.next;
             }
         };
-        if cfg.optimized {
-            let mut batch: [(Row, u32); 8] = [(Row::default(), 0); 8];
-            let mut fill = 0usize;
-            s.read_stream(c, range.clone(), |c, _, srow| {
-                c.compute(3);
-                batch[fill] = (srow, hash32(srow.key, bits));
-                fill += 1;
-                if fill == 8 {
-                    let mut firsts = [EMPTY; 8];
-                    c.group(|c| {
-                        for (bi, &(_, h)) in batch.iter().enumerate() {
-                            firsts[bi] = heads.get(c, h as usize);
-                        }
-                    });
-                    for (bi, &(srow, _)) in batch.iter().enumerate() {
-                        walk(c, firsts[bi], srow);
-                    }
-                    fill = 0;
-                }
-            });
-            for &(srow, h) in &batch[..fill] {
-                let first = heads.get(c, h as usize);
-                walk(c, first, srow);
-            }
-        } else {
-            s.read_stream(c, range.clone(), |c, _, srow| {
-                c.compute(4);
-                let h = hash32(srow.key, bits) as usize;
-                let first = heads.get(c, h);
-                walk(c, first, srow);
-            });
-        }
+        probe_heads(c, s, range.clone(), &heads, bits, cfg.optimized, walk);
         if let Some((ow, _)) = out {
             output_runs.push(range.start..ow.pos());
         }

@@ -9,11 +9,16 @@
 //!
 //! `JoinConfig::optimized` applies the paper's §4.2 unroll-and-reorder
 //! optimization to all three irregular phases — histogram, scatter, and
-//! hash-table build — exactly the phases Fig 6 shows improving.
+//! hash-table build — exactly the phases Fig 6 shows improving, and to
+//! the probe's bucket-head loads. The histograms are the §4.2 counting
+//! loop, [`sgx_microbench::count_bins`]; the other phases batch their
+//! items through Listing 2's [`sgx_sim::Unroll`], and the probe loop is
+//! the one PHT runs.
 
 use crate::common::{hash32, radix, JoinConfig, JoinStats, JoinTuple, Row};
-use crate::pht::{charged_fill, chunk_range};
-use sgx_sim::{Core, Machine, PhaseStats, SimVec};
+use crate::pht::{chunk_range, probe_heads};
+use sgx_microbench::count_bins;
+use sgx_sim::{Core, Machine, PhaseStats, SimVec, Unroll};
 
 /// Maximum radix bits resolved per partitioning pass (swwcb fan-out limit).
 pub const MAX_PASS_BITS: u32 = 8;
@@ -21,46 +26,6 @@ pub const MAX_PASS_BITS: u32 = 8;
 const WCB_ROWS: usize = 8;
 /// Empty bucket marker in the per-partition hash table.
 const EMPTY: u32 = u32::MAX;
-
-/// Sequential radix histogram over `src[range]` into `hist` (which the
-/// caller has zeroed), naive or unrolled per `optimized`.
-fn seq_histogram(
-    c: &mut Core<'_>,
-    src: &SimVec<Row>,
-    range: std::ops::Range<usize>,
-    hist: &mut SimVec<u32>,
-    shift: u32,
-    mask: u32,
-    optimized: bool,
-) {
-    if optimized {
-        let mut batch = [0usize; 8];
-        let mut fill = 0usize;
-        src.read_stream(c, range, |c, _, row| {
-            c.compute(3);
-            batch[fill] = radix(row.key, shift, mask) as usize;
-            fill += 1;
-            if fill == 8 {
-                c.group(|c| {
-                    for &idx in &batch {
-                        hist.rmw(c, idx, |e| *e += 1);
-                    }
-                });
-                fill = 0;
-            }
-        });
-        c.group(|c| {
-            for &idx in &batch[..fill] {
-                hist.rmw(c, idx, |e| *e += 1);
-            }
-        });
-    } else {
-        src.read_stream(c, range, |c, _, row| {
-            c.compute(3);
-            hist.rmw(c, radix(row.key, shift, mask) as usize, |e| *e += 1);
-        });
-    }
-}
 
 /// Flush one write-combining buffer line (`rows`) to `dst[at..]` as a
 /// single non-temporal 64-byte store.
@@ -90,7 +55,7 @@ pub fn seq_scatter(
 ) {
     let fanout = mask as usize + 1;
     // Reset the per-partition fill counters (cache-resident scratch).
-    charged_fill(c, counts, 0..fanout, 0);
+    counts.fill(c, 0..fanout, 0);
     let mut drain = |c: &mut Core<'_>, p: usize, dst: &mut SimVec<Row>, buffers: &SimVec<Row>| {
         // Copy the full buffer line out to the partition.
         let rows: Vec<Row> =
@@ -110,16 +75,10 @@ pub fn seq_scatter(
         }
     };
     if optimized {
-        let mut batch: [(Row, usize); 8] = [(Row::default(), 0); 8];
-        let mut fills = [0u32; 8];
-        let mut bfill = 0usize;
-        let mut flush_batch = |c: &mut Core<'_>,
-                               batch: &[(Row, usize)],
-                               fills: &mut [u32; 8],
-                               dst: &mut SimVec<Row>,
-                               buffers: &mut SimVec<Row>| {
+        let mut issue = |c: &mut Core<'_>, batch: &[(Row, usize)]| {
             // All counter RMWs first (one issue group), then the buffer
             // stores and any full-line drains.
+            let mut fills = [0u32; 8];
             c.group(|c| {
                 for (bi, &(_, p)) in batch.iter().enumerate() {
                     counts.rmw(c, p, |f| {
@@ -132,16 +91,12 @@ pub fn seq_scatter(
                 push_row(c, p, row, fills[bi], dst, buffers);
             }
         };
+        let mut batch = Unroll::<(Row, usize), 8>::default();
         src.read_stream(c, range, |c, _, row| {
             c.compute(3);
-            batch[bfill] = (row, radix(row.key, shift, mask) as usize);
-            bfill += 1;
-            if bfill == 8 {
-                flush_batch(c, &batch, &mut fills, dst, buffers);
-                bfill = 0;
-            }
+            batch.push(c, (row, radix(row.key, shift, mask) as usize), &mut issue);
         });
-        flush_batch(c, &batch[..bfill], &mut fills, dst, buffers);
+        issue(c, batch.rest());
     } else {
         src.read_stream(c, range, |c, _, row| {
             c.compute(4);
@@ -215,8 +170,11 @@ fn parallel_partition_pass(
         let _scope = machine.phase(names.0);
         machine.parallel(&cfg.cores, |c| {
             let w = c.worker();
-            charged_fill(c, &mut hists[w], 0..fanout, 0);
-            seq_histogram(c, src, chunk_range(src.len(), t, w), &mut hists[w], shift, mask, cfg.optimized);
+            let range = chunk_range(src.len(), t, w);
+            hists[w].fill(c, 0..fanout, 0);
+            count_bins(c, src, range, &mut hists[w], 3, cfg.optimized, |_, row| {
+                (radix(row.key, shift, mask) as usize, 1)
+            });
         })
     };
     phases.push((names.0, hist_stats.wall_cycles));
@@ -292,12 +250,10 @@ pub(crate) fn join_partition(
     // The "build" profile scope covers exactly the busy-cycle window the
     // Fig 6 breakdown measures, so profile vs. phase stats cross-check.
     let build_scope = c.phase("build");
-    charged_fill(c, heads, 0..ht_size, EMPTY);
+    heads.fill(c, 0..ht_size, EMPTY);
     let r_base = r_range.start;
     if optimized {
-        let mut batch: [(usize, u32); 8] = [(0, 0); 8];
-        let mut fill = 0usize;
-        let mut flush = |c: &mut Core<'_>, batch: &[(usize, u32)]| {
+        let mut issue = |c: &mut Core<'_>, batch: &[(usize, u32)]| {
             c.group(|c| {
                 for &(i, h) in batch {
                     let mut next = EMPTY;
@@ -309,16 +265,12 @@ pub(crate) fn join_partition(
                 }
             });
         };
+        let mut batch = Unroll::<(usize, u32), 8>::default();
         r.read_stream(c, r_range.clone(), |c, i, row| {
             c.compute(3);
-            batch[fill] = (i - r_base, hash32(row.key, bits));
-            fill += 1;
-            if fill == 8 {
-                flush(c, &batch);
-                fill = 0;
-            }
+            batch.push(c, (i - r_base, hash32(row.key, bits)), &mut issue);
         });
-        flush(c, &batch[..fill]);
+        issue(c, batch.rest());
     } else {
         r.read_stream(c, r_range.clone(), |c, i, row| {
             c.compute(4);
@@ -336,7 +288,7 @@ pub(crate) fn join_partition(
 
     // ------------------------------------------------------------- probe
     let _probe_scope = c.phase("probe");
-    let mut walk = |c: &mut Core<'_>, first: u32, srow: Row| {
+    let walk = |c: &mut Core<'_>, first: u32, srow: Row| {
         let mut e = first;
         c.dependent(|c| {
             while e != EMPTY {
@@ -349,37 +301,7 @@ pub(crate) fn join_partition(
             }
         });
     };
-    if optimized {
-        let mut batch: [(Row, u32); 8] = [(Row::default(), 0); 8];
-        let mut fill = 0usize;
-        s.read_stream(c, s_range, |c, _, srow| {
-            c.compute(3);
-            batch[fill] = (srow, hash32(srow.key, bits));
-            fill += 1;
-            if fill == 8 {
-                let mut firsts = [EMPTY; 8];
-                c.group(|c| {
-                    for (bi, &(_, h)) in batch.iter().enumerate() {
-                        firsts[bi] = heads.get(c, h as usize);
-                    }
-                });
-                for (bi, &(srow, _)) in batch.iter().enumerate() {
-                    walk(c, firsts[bi], srow);
-                }
-                fill = 0;
-            }
-        });
-        for &(srow, h) in &batch[..fill] {
-            let first = heads.get(c, h as usize);
-            walk(c, first, srow);
-        }
-    } else {
-        s.read_stream(c, s_range, |c, _, srow| {
-            c.compute(4);
-            let first = heads.get(c, hash32(srow.key, bits) as usize);
-            walk(c, first, srow);
-        });
-    }
+    probe_heads(c, s, s_range, heads, bits, optimized, walk);
 }
 
 /// Execute the RHO join of `r` (build side) and `s` (probe side).
@@ -431,8 +353,10 @@ pub fn rho_join(
                 (&s1, &mut s2, &s_starts, &mut s_bounds),
             ] {
                 let range = starts[p]..starts[p + 1];
-                charged_fill(c, &mut hists[w], 0..fanout2, 0);
-                seq_histogram(c, src, range.clone(), &mut hists[w], pass1_bits, mask2, cfg.optimized);
+                hists[w].fill(c, 0..fanout2, 0);
+                count_bins(c, src, range.clone(), &mut hists[w], 3, cfg.optimized, |_, row| {
+                    (radix(row.key, pass1_bits, mask2) as usize, 1)
+                });
                 let mut offsets = vec![0usize; fanout2];
                 let mut acc = range.start;
                 c.compute(2 * fanout2 as u64);

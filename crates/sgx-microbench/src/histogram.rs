@@ -5,10 +5,16 @@
 //! loop 225 % slower inside an enclave *regardless of data location*, and
 //! repaired it with manual 8× unrolling that computes all indexes before
 //! issuing the increments (plus an AVX variant unrolling 32×).
+//!
+//! [`count_bins`] is that counting loop, naive or unrolled, for any
+//! element and counter type. Besides [`histogram_kernel`], RHO's
+//! partitioning histograms and sgx-tpch's grouped aggregations count
+//! through it, so the §4.2 penalty and its repair are one piece of code.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use sgx_sim::{Core, HwConfig, Machine, Setting, SimVec};
+use sgx_sim::{Core, HwConfig, Machine, Setting, SimVec, Unroll};
+use std::ops::AddAssign;
 
 /// Which histogram kernel to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,8 +50,47 @@ pub struct HistResult {
     pub histogram: Vec<u32>,
 }
 
+/// The §4.2 counting loop over `src[range]`: per element, `ops` ALU
+/// operations, then `bin` (which may charge work of its own) names a bin
+/// of `hist` and an increment, then a charged read-modify-write adds the
+/// increment to the bin. Naive, each update directly follows its load
+/// (Listing 1); `unrolled`, every 8 updates, and the remainder, go out
+/// as one issue group (Listing 2).
+pub fn count_bins<T: Copy, C: Copy + Default + AddAssign>(
+    core: &mut Core<'_>,
+    src: &SimVec<T>,
+    range: std::ops::Range<usize>,
+    hist: &mut SimVec<C>,
+    ops: u64,
+    unrolled: bool,
+    mut bin: impl FnMut(&mut Core<'_>, T) -> (usize, C),
+) {
+    if unrolled {
+        let mut issue = |c: &mut Core<'_>, updates: &[(usize, C)]| {
+            c.group(|c| {
+                for &(b, inc) in updates {
+                    hist.rmw(c, b, |e| *e += inc);
+                }
+            });
+        };
+        let mut batch = Unroll::<(usize, C), 8>::default();
+        src.read_stream(core, range, |c, _, x| {
+            c.compute(ops);
+            let update = bin(c, x);
+            batch.push(c, update, &mut issue);
+        });
+        issue(core, batch.rest());
+    } else {
+        src.read_stream(core, range, |c, _, x| {
+            c.compute(ops);
+            let (b, inc) = bin(c, x);
+            hist.rmw(c, b, |e| *e += inc);
+        });
+    }
+}
+
 /// Build the histogram of `(key & mask) >> shift` over `keys` into `hist`,
-/// charging the chosen kernel's cost shape. Reused by the radix joins.
+/// charging the chosen kernel's cost shape.
 pub fn histogram_kernel(
     core: &mut Core<'_>,
     keys: &SimVec<u64>,
@@ -55,62 +100,31 @@ pub fn histogram_kernel(
     shift: u32,
     kernel: HistKernel,
 ) {
+    let bin = |k: u64| ((k & mask) >> shift) as usize;
     match kernel {
-        HistKernel::Naive => {
-            keys.read_stream(core, range, |c, _, k| {
-                // Mask, shift, and the increment's address arithmetic.
-                c.compute(3);
-                let idx = ((k & mask) >> shift) as usize;
-                hist.rmw(c, idx, |e| *e += 1);
-            });
-        }
-        HistKernel::Unrolled8 => {
-            let mut batch = [0usize; 8];
-            let mut fill = 0usize;
-            keys.read_stream(core, range, |c, _, k| {
-                c.compute(3);
-                batch[fill] = ((k & mask) >> shift) as usize;
-                fill += 1;
-                if fill == 8 {
-                    c.group(|c| {
-                        for &idx in &batch {
-                            hist.rmw(c, idx, |e| *e += 1);
-                        }
-                    });
-                    fill = 0;
-                }
-            });
-            // Remainder loop of Listing 2.
-            core.group(|c| {
-                for &idx in &batch[..fill] {
-                    hist.rmw(c, idx, |e| *e += 1);
-                }
+        // Mask, shift, and the increment's address arithmetic.
+        HistKernel::Naive | HistKernel::Unrolled8 => {
+            count_bins(core, keys, range, hist, 3, kernel == HistKernel::Unrolled8, |_, k| {
+                (bin(k), 1)
             });
         }
         HistKernel::Simd32 => {
-            let mut batch = [0usize; 32];
-            let mut fill = 0usize;
+            let mut issue = |c: &mut Core<'_>, idxs: &[usize]| {
+                c.group(|c| {
+                    for &idx in idxs {
+                        hist.rmw(c, idx, |e| *e += 1);
+                    }
+                });
+            };
+            let mut batch = Unroll::<usize, 32>::default();
             keys.read_stream_vec(core, range, |c, _, vals| {
                 // One AND + one shift vector op per 8 keys.
                 c.vec_compute(2);
                 for &k in vals {
-                    batch[fill] = ((k & mask) >> shift) as usize;
-                    fill += 1;
-                    if fill == 32 {
-                        c.group(|c| {
-                            for &idx in &batch {
-                                hist.rmw(c, idx, |e| *e += 1);
-                            }
-                        });
-                        fill = 0;
-                    }
+                    batch.push(c, bin(k), &mut issue);
                 }
             });
-            core.group(|c| {
-                for &idx in &batch[..fill] {
-                    hist.rmw(c, idx, |e| *e += 1);
-                }
-            });
+            issue(core, batch.rest());
         }
     }
 }

@@ -31,7 +31,7 @@ pub mod histogram;
 pub mod pointer_chase;
 pub mod random_write;
 
-pub use histogram::{histogram_bench, histogram_kernel, HistKernel, HistResult};
+pub use histogram::{count_bins, histogram_bench, histogram_kernel, HistKernel, HistResult};
 pub use pointer_chase::{build_cycle, pointer_chase, ChaseResult};
 pub use random_write::{lcg_next, random_write, WriteResult};
 

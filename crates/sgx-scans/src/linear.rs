@@ -7,7 +7,8 @@
 //! that narrow reads suffer slightly more (−5.5 %) than wide ones (−3 %)
 //! inside the enclave.
 
-use sgx_sim::{Core, Machine, SimVec};
+use crate::scan::ScanConfig;
+use sgx_sim::{worker_range, Core, Machine, SimVec};
 
 /// Access width of the kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,42 +29,9 @@ impl Width {
     }
 }
 
-/// Kernel configuration (mirrors `ScanConfig`).
-#[derive(Debug, Clone)]
-pub struct LinearConfig {
-    /// Hardware cores participating.
-    pub cores: Vec<usize>,
-    /// Measured passes over the array.
-    pub repeats: usize,
-    /// Untimed warm-up passes.
-    pub warmup: usize,
-}
-
-impl LinearConfig {
-    /// `threads` cores on socket 0, one pass.
-    pub fn new(threads: usize) -> LinearConfig {
-        LinearConfig { cores: (0..threads).collect(), repeats: 1, warmup: 0 }
-    }
-
-    /// Builder-style: warm-up passes.
-    pub fn with_warmup(mut self, warmup: usize) -> Self {
-        self.warmup = warmup;
-        self
-    }
-
-    /// Builder-style: measured passes.
-    pub fn with_repeats(mut self, repeats: usize) -> Self {
-        self.repeats = repeats;
-        self
-    }
-}
-
-fn chunk(n: usize, t: usize, w: usize) -> std::ops::Range<usize> {
-    // Cache-line aligned (8 u64 per line).
-    let per = n.div_ceil(t).div_ceil(8) * 8;
-    let start = (w * per).min(n);
-    start..((w + 1) * per).min(n)
-}
+/// Kernel configuration: the cores, measured passes and warm-up passes
+/// of a column scan.
+pub type LinearConfig = ScanConfig;
 
 /// Linear read of the whole array, returning wall cycles of the measured
 /// passes. The checksum of the final pass is computed for real (pmbw keeps
@@ -73,7 +41,8 @@ pub fn linear_read(machine: &mut Machine, v: &SimVec<u64>, width: Width, cfg: &L
     let mut sink = 0u64;
     let pass = |machine: &mut Machine, sink: &mut u64| {
         machine.parallel(&cfg.cores, |c| {
-            let range = chunk(v.len(), t, c.worker());
+            // Cache-line aligned: 8 u64 per line.
+            let range = worker_range(v.len(), t, 8, c.worker());
             match width {
                 Width::Bits64 => {
                     v.read_stream(c, range, |_, _, x| *sink = sink.wrapping_add(x));
@@ -110,14 +79,9 @@ pub fn linear_write(
     let t = cfg.cores.len();
     let mut pass = |machine: &mut Machine, val: u64| {
         machine.parallel(&cfg.cores, |c| {
-            let range = chunk(v.len(), t, c.worker());
+            let range = worker_range(v.len(), t, 8, c.worker());
             match width {
-                Width::Bits64 => {
-                    let mut w = v.stream_writer(range.start);
-                    for _ in range {
-                        w.push(c, val);
-                    }
-                }
+                Width::Bits64 => v.fill(c, range, val),
                 Width::Bits512 => write_stream_vec(c, v, range, val),
             }
         });

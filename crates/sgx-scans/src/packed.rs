@@ -9,7 +9,7 @@
 //! must decrypt per value — on the paper's hardware this is the cheapest
 //! way to buy scan throughput inside an enclave.
 
-use sgx_sim::{Core, Machine, SimVec};
+use sgx_sim::{worker_range, Core, Machine, SimVec};
 
 /// A column of `k`-bit unsigned values packed into 64-bit words.
 pub struct PackedColumn {
@@ -140,15 +140,12 @@ pub fn packed_scan_count(
 ) -> (u64, f64) {
     let t = cores.len();
     let pw = PackedColumn::per_word(col.bits());
-    // Chunk on word boundaries so workers never split a word.
-    let words_per = col.len().div_ceil(pw).div_ceil(t);
     let mut total = 0u64;
     let start = machine.wall_cycles();
     machine.parallel(cores, |c| {
-        let w = c.worker();
-        let lo_i = (w * words_per * pw).min(col.len());
-        let hi_i = ((w + 1) * words_per * pw).min(col.len());
-        total += col.scan_range(c, lo_i..hi_i, lo, hi, |_, _| {});
+        // Chunk on word boundaries so workers never split a word.
+        let range = worker_range(col.len(), t, pw, c.worker());
+        total += col.scan_range(c, range, lo, hi, |_, _| {});
     });
     (total, machine.wall_cycles() - start)
 }

@@ -2,7 +2,7 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use sgx_sim::{Core, Machine, SimSink, SimVec};
+use sgx_sim::{worker_range, Core, Machine, SimSink, SimVec};
 
 /// What the scan materializes. Either output is written, with its full
 /// simulated cost, into a write-only [`SimSink`]: nothing reads it back,
@@ -87,14 +87,6 @@ pub fn gen_column(machine: &mut Machine, n: usize, seed: u64) -> SimVec<u8> {
         col.poke(i, rng.random::<u8>());
     }
     col
-}
-
-/// Worker `w`'s share of an `n`-value column scanned by `threads`
-/// workers: equal 64-aligned chunks, the last ones short or empty.
-fn worker_range(n: usize, threads: usize, w: usize) -> std::ops::Range<usize> {
-    let per = n.div_ceil(threads).div_ceil(64) * 64;
-    let start = (w * per).min(n);
-    start..((w + 1) * per).min(n)
 }
 
 /// The predicate over one 64-byte vector: bit `k` is set when
@@ -182,7 +174,7 @@ pub fn column_scan(
         let before = out.digest();
         let mut count = 0u64;
         machine.parallel(&cfg.cores, |c| {
-            let range = worker_range(n, t, c.worker());
+            let range = worker_range(n, t, 64, c.worker());
             if range.is_empty() {
                 return;
             }
@@ -256,7 +248,7 @@ pub fn reference_scan_digest(
             .fold(0, add),
         ScanOutput::Indexes => (0..threads)
             .flat_map(|w| {
-                let range = worker_range(vals.len(), threads, w);
+                let range = worker_range(vals.len(), threads, 64, w);
                 (range.start..).zip(range.filter(|&i| hit(i)).map(|i| i as u64))
             })
             .fold(0, add),

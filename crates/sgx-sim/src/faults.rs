@@ -101,13 +101,12 @@ impl OcallFaults {
     }
 
     /// Deterministically decide how many transient failures an attempt
-    /// stream starting at index `k` suffers, mirroring the engine's
-    /// `FaultEngine::plan_ocall` semantics exactly: one uniform draw per
-    /// attempt, bounded by `max_retries`, with the final forced-through
-    /// attempt still consuming a draw. Returns the retry count; the stream
-    /// position always advances by `retries + 1` indices, so external
-    /// schedulers (e.g. `sgx-serve`) can replay the same schedule the
-    /// machine would.
+    /// stream starting at index `k` suffers: one uniform draw per attempt,
+    /// bounded by `max_retries`, with the final forced-through attempt
+    /// still consuming a draw. Returns the retry count; the stream
+    /// position always advances by `retries + 1` indices. The machine's
+    /// fault engine plans every OCALL through this draw, so external
+    /// schedulers (e.g. `sgx-serve`) replay the machine's schedule.
     pub fn draw_retries(&self, seed: u64, stream: u64, k: u64) -> u32 {
         let mut retries = 0u32;
         while retries < self.max_retries {
@@ -222,13 +221,12 @@ pub fn stream_unit(seed: u64, stream: u64, k: u64) -> f64 {
 /// capped exponential backoff waits. Public so service schedulers can
 /// price boundary crossings with the exact machine formula.
 pub fn ocall_cost(retries: u32, transition_cycles: f64, backoff_cycles: f64) -> f64 {
+    // Only the backoff base enters `backoff_wait`.
+    let waits = OcallFaults { failure_prob: 0.0, max_retries: retries, backoff_cycles };
     let mut cost = 2.0 * transition_cycles;
-    for attempt in 0..retries {
+    for attempt in 1..=retries {
         cost += 2.0 * transition_cycles;
-        // Shift-safe under overflow checks: the exponent is clamped to
-        // MAX_BACKOFF_EXP (6), far below u64's 64-bit shift limit, for any
-        // `retries` value.
-        cost += backoff_cycles * (1u64 << attempt.min(MAX_BACKOFF_EXP)) as f64;
+        cost += waits.backoff_wait(attempt);
     }
     cost
 }
@@ -319,19 +317,11 @@ impl FaultEngine {
     /// function of the number of OCALLs issued so far.
     pub(crate) fn plan_ocall(&mut self, at: f64) -> u32 {
         let Some(ocall) = self.profile.ocall else { return 0 };
-        let mut retries = 0u32;
-        while retries < ocall.max_retries {
-            let draw = mix(self.profile.seed, STREAM_OCALL, self.ocall_draws);
-            self.ocall_draws += 1;
-            if unit(draw) >= ocall.failure_prob {
-                return retries;
-            }
-            retries += 1;
-            self.record(FaultEvent { kind: FaultKind::OcallRetry { attempt: retries }, at_cycles: at });
+        let retries = ocall.draw_retries(self.profile.seed, STREAM_OCALL, self.ocall_draws);
+        self.ocall_draws += u64::from(retries) + 1;
+        for attempt in 1..=retries {
+            self.record(FaultEvent { kind: FaultKind::OcallRetry { attempt }, at_cycles: at });
         }
-        // The final (forced-through) attempt still consumes a draw so the
-        // stream advances uniformly per attempt.
-        self.ocall_draws += 1;
         retries
     }
 

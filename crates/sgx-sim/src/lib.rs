@@ -58,7 +58,6 @@ pub mod mem;
 pub mod paging;
 pub mod profile;
 pub mod sync;
-#[cfg(test)]
 mod tokenizer;
 
 pub use config::HwConfig;
@@ -67,6 +66,9 @@ pub use faults::{
     ocall_cost, stream_draw, stream_unit, AexStorm, EpcPressure, FaultEvent, FaultKind,
     FaultProfile, OcallFaults, MAX_BACKOFF_EXP,
 };
-pub use machine::{AccessKind, Core, Machine, PhaseStats, SinkWriter, StreamReader, StreamWriter};
+pub use machine::{
+    worker_range, AccessKind, Core, Machine, PhaseStats, SinkWriter, StreamReader, StreamWriter,
+    Unroll,
+};
 pub use mem::{ExecMode, Region, Setting, SimSink, SimVec, VecSlot};
 pub use profile::{CategoryCycles, CostCategory, PhaseGuard, PhaseProfile, Profile};

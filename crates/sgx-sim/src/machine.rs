@@ -77,6 +77,7 @@ mod numa;
 mod transitions;
 
 pub use self::access::{SinkWriter, StreamReader, StreamWriter};
+pub use self::core::{worker_range, Unroll};
 
 /// Per-line transfer cost when the line is found in a given cache level
 /// during streaming (bytes-per-cycle limits of the level).
@@ -214,5 +215,4 @@ pub struct Core<'m> {
     last_rand_addr: u64,
 }
 
-#[cfg(test)]
 mod tests;

@@ -255,6 +255,15 @@ impl<T: Copy> SimVec<T> {
         StreamWriter { vec: self, pos: start, line_open: u64::MAX }
     }
 
+    /// Charged sequential fill of `range` with `val` (a memset): one
+    /// [`stream_writer`](Self::stream_writer) push per element.
+    pub fn fill(&mut self, core: &mut Core<'_>, range: std::ops::Range<usize>, val: T) {
+        let mut w = self.stream_writer(range.start);
+        for _ in range {
+            w.push(core, val);
+        }
+    }
+
     /// Incremental sequential reader over `range`, for interleaved
     /// consumption of several streams at once (merge joins, two-pointer
     /// partitioning). Each stream charges like `read_stream`.

@@ -681,3 +681,45 @@ impl<'m> Core<'m> {
         self.commit(Charge { cycles: cost, tally: Tally::Cycles(c.cat) });
     }
 }
+
+/// Listing 2's batch (§4.2): compute `N` indexes first, then issue their
+/// `N` memory operations together. [`push`](Unroll::push) collects one
+/// item and hands each full batch, in push order, to the caller's
+/// `issue` (usually one [`Core::group`]); [`rest`](Unroll::rest) is the
+/// last, partial batch, left for the remainder loop.
+pub struct Unroll<T, const N: usize> {
+    items: [T; N],
+    fill: usize,
+}
+
+impl<T: Copy + Default, const N: usize> Default for Unroll<T, N> {
+    fn default() -> Self {
+        Unroll { items: [T::default(); N], fill: 0 }
+    }
+}
+
+impl<T: Copy, const N: usize> Unroll<T, N> {
+    /// Add `item`; when it completes a batch, `issue` gets all `N` items.
+    #[inline]
+    pub fn push(&mut self, core: &mut Core<'_>, item: T, issue: impl FnOnce(&mut Core<'_>, &[T])) {
+        self.items[self.fill] = item;
+        self.fill += 1;
+        if self.fill == N {
+            self.fill = 0;
+            issue(core, &self.items);
+        }
+    }
+
+    /// The items pushed since the last full batch.
+    pub fn rest(&self) -> &[T] {
+        &self.items[..self.fill]
+    }
+}
+
+/// Worker `w`'s share of `0..n` split over `workers`: equal chunks of
+/// `n / workers` rounded up to a multiple of `align` (so each chunk
+/// starts on an `align` boundary), the last ones short or empty.
+pub fn worker_range(n: usize, workers: usize, align: usize, w: usize) -> std::ops::Range<usize> {
+    let per = n.div_ceil(workers).div_ceil(align) * align;
+    (w * per).min(n)..((w + 1) * per).min(n)
+}

@@ -1,3 +1,4 @@
+#![cfg(test)]
 //! Behavioural tests of the layered machine pipeline. `super` is the
 //! `machine` facade, exactly as when these lived inline there.
 
@@ -139,6 +140,57 @@ fn groups_help_only_in_enclave_mode() {
     // Enclave: ungrouped far slower; grouping recovers most of it.
     assert!(enclave_plain > 2.0 * native_plain);
     assert!(enclave_grouped < 0.6 * enclave_plain);
+}
+
+#[test]
+fn unroll_issues_only_full_batches_in_push_order() {
+    fn check<const N: usize>(c: &mut Core<'_>) {
+        for n in [0, 1, N - 1, N, N + 1, 3 * N + 5] {
+            let mut batch = Unroll::<usize, N>::default();
+            let mut issued = Vec::new();
+            for i in 0..n {
+                batch.push(c, i, |_, items| {
+                    assert_eq!(items.len(), N, "only full batches are issued");
+                    issued.extend_from_slice(items);
+                });
+            }
+            let full = n / N * N;
+            assert_eq!(issued, (0..full).collect::<Vec<_>>(), "n={n}");
+            assert_eq!(batch.rest(), (full..n).collect::<Vec<_>>(), "n={n}");
+        }
+    }
+    let mut m = machine(Setting::PlainCpu);
+    m.run(|c| {
+        check::<8>(c);
+        check::<32>(c);
+    });
+    assert_eq!(m.wall_cycles(), 0.0, "batching charges nothing itself");
+}
+
+#[test]
+fn worker_range_partitions_aligned_and_keeps_the_packed_word_split() {
+    for n in 0..2_000usize {
+        for t in 1..=16usize {
+            for align in [1usize, 8, 64] {
+                let ranges: Vec<_> = (0..t).map(|w| worker_range(n, t, align, w)).collect();
+                assert_eq!(ranges[0].start, 0);
+                assert_eq!(ranges[t - 1].end, n, "n={n} t={t} align={align}");
+                for r in &ranges {
+                    assert!(r.start <= r.end);
+                    assert!(r.start % align == 0 || r.start == n, "n={n} t={t} {r:?}");
+                }
+                assert!(ranges.windows(2).all(|p| p[0].end == p[1].start));
+            }
+            // `packed_scan_count`'s word split: ⌈⌈n/p⌉/t⌉ words per worker.
+            for p in [2usize, 5, 8, 16, 64] {
+                let words_per = n.div_ceil(p).div_ceil(t);
+                for w in 0..t {
+                    let old = (w * words_per * p).min(n)..((w + 1) * words_per * p).min(n);
+                    assert_eq!(worker_range(n, t, p, w), old, "n={n} t={t} p={p} w={w}");
+                }
+            }
+        }
+    }
 }
 
 #[test]

@@ -31,22 +31,24 @@ impl Machine {
         if self.mode != ExecMode::Enclave {
             return 0;
         }
-        let now = self.wall_cycles();
-        let retries = match &mut self.faults {
-            Some(engine) => engine.plan_ocall(now),
-            None => 0,
-        };
-        let backoff = self
-            .faults
-            .as_ref()
-            .and_then(|engine| engine.profile().ocall)
-            .map_or(0.0, |o| o.backoff_cycles);
-        let cost = ocall_cost(retries, self.cfg.transitions.transition_cycles, backoff);
+        let (retries, cost) = self.plan_ocall(self.wall_cycles());
         self.wall.transition(cost);
         self.counters.transitions += 2 * (1 + retries as u64);
         self.counters.ocall_retries += retries as u64;
         self.prof_record(CostCategory::Transition, cost);
         retries
+    }
+
+    /// The retries of one OCALL made at clock `at`, drawn by the fault
+    /// engine (none without OCALL faults), and the OCALL's cost.
+    fn plan_ocall(&mut self, at: f64) -> (u32, f64) {
+        let (retries, backoff) = match &mut self.faults {
+            Some(engine) => {
+                (engine.plan_ocall(at), engine.profile().ocall.map_or(0.0, |o| o.backoff_cycles))
+            }
+            None => (0, 0.0),
+        };
+        (retries, ocall_cost(retries, self.cfg.transitions.transition_cycles, backoff))
     }
 }
 
@@ -60,18 +62,9 @@ impl<'m> Core<'m> {
             return 0;
         }
         let at = self.local_clock();
-        let retries = match &mut self.m.faults {
-            Some(engine) => engine.plan_ocall(at),
-            None => 0,
-        };
-        let backoff = self
-            .m
-            .faults
-            .as_ref()
-            .and_then(|engine| engine.profile().ocall)
-            .map_or(0.0, |o| o.backoff_cycles);
+        let (retries, cycles) = self.m.plan_ocall(at);
         self.commit(Charge {
-            cycles: ocall_cost(retries, self.m.cfg.transitions.transition_cycles, backoff),
+            cycles,
             tally: Tally::Ocall {
                 transitions: 2 * (1 + retries as u64),
                 retries: retries as u64,

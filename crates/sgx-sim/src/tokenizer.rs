@@ -1,3 +1,4 @@
+#![cfg(test)]
 //! Hand-rolled Rust tokenizer for source-reading tests.
 //!
 //! The workspace vendors no `syn`/`proc-macro2`, and the provenance test

@@ -2,14 +2,17 @@
 //!
 //! The paper simplifies its queries by replacing the final aggregation
 //! with `count(*)` (§6). This module adds the operator the paper elides: a
-//! parallel array-based group-by-count over a `Row` table, in naive and
-//! unroll-optimized variants — the group-counter update is exactly the
-//! radix-histogram pattern of §4.2, so the same enclave penalty (and the
-//! same repair) applies to aggregation.
+//! parallel array-based group-by-count over a `Row` table, and a grouped
+//! sum over a join result, in naive and unroll-optimized variants. The
+//! group-counter update is exactly the radix-histogram pattern of §4.2,
+//! so both count through [`sgx_microbench::count_bins`], and the same
+//! enclave penalty (and the same repair) applies to aggregation. Both
+//! share one plan: private per-worker counters, zero-filled, counted
+//! into, then reduced by one streamed pass on worker 0.
 
-use crate::ops::charged_zero_fill;
 use sgx_joins::{JoinTuple, Row};
-use sgx_sim::{Core, Machine, SimVec};
+use sgx_microbench::count_bins;
+use sgx_sim::{worker_range, Core, Machine, SimVec};
 
 /// Checked radix mask for a power-of-two group domain. One shared
 /// helper so the operator and its reference oracle can never disagree:
@@ -47,52 +50,41 @@ pub fn group_count(
 ) -> GroupCounts {
     let mask = group_mask(groups);
     let t = cores.len();
-    let mut locals: Vec<SimVec<u64>> = (0..t).map(|_| machine.alloc::<u64>(groups)).collect();
+    let (counts, cycles) = private_counters(machine, cores, groups, |c, local| {
+        let range = worker_range(rows.len(), t, 1, c.worker());
+        count_bins(c, rows, range, local, 2, optimized, |_, row| ((row.key & mask) as usize, 1));
+    });
+    GroupCounts { counts, cycles }
+}
+
+/// The plan both aggregations share: one private counter array per
+/// worker, each zero-filled and then filled by `count` on its worker,
+/// then reduced by one streamed pass over each on worker 0. Returns the
+/// group totals and the wall cycles from the fills to the reduction's
+/// end.
+fn private_counters(
+    machine: &mut Machine,
+    cores: &[usize],
+    groups: usize,
+    mut count: impl FnMut(&mut Core<'_>, &mut SimVec<u64>),
+) -> (Vec<u64>, f64) {
+    let mut locals: Vec<SimVec<u64>> = cores.iter().map(|_| machine.alloc::<u64>(groups)).collect();
     let start = machine.wall_cycles();
     machine.parallel(cores, |c| {
-        let w = c.worker();
-        charged_zero_fill(c, &mut locals[w], groups);
-        let per = rows.len().div_ceil(t);
-        let range = (w * per).min(rows.len())..((w + 1) * per).min(rows.len());
-        if optimized {
-            let mut batch = [0usize; 8];
-            let mut fill = 0usize;
-            rows.read_stream(c, range, |c, _, row| {
-                c.compute(2);
-                batch[fill] = (row.key & mask) as usize;
-                fill += 1;
-                if fill == 8 {
-                    c.group(|c| {
-                        for &g in &batch {
-                            locals[w].rmw(c, g, |e| *e += 1);
-                        }
-                    });
-                    fill = 0;
-                }
-            });
-            c.group(|c| {
-                for &g in &batch[..fill] {
-                    locals[w].rmw(c, g, |e| *e += 1);
-                }
-            });
-        } else {
-            rows.read_stream(c, range, |c, _, row| {
-                c.compute(2);
-                locals[w].rmw(c, (row.key & mask) as usize, |e| *e += 1);
-            });
-        }
+        let local = &mut locals[c.worker()];
+        local.fill(c, 0..groups, 0);
+        count(c, local);
     });
-    // Reduction: worker 0 merges the private arrays (small, streaming).
-    let mut counts = vec![0u64; groups];
+    let mut totals = vec![0u64; groups];
     machine.run(|c| {
         for local in &locals {
             local.read_stream(c, 0..groups, |c, g, v| {
                 c.compute(1);
-                counts[g] += v;
+                totals[g] += v;
             });
         }
     });
-    GroupCounts { counts, cycles: machine.wall_cycles() - start }
+    (totals, machine.wall_cycles() - start)
 }
 
 /// Uncharged reference grouping for verification.
@@ -131,53 +123,15 @@ pub fn group_sum_tuples(
 ) -> GroupSums {
     let mask = group_mask(groups) as usize;
     let t = cores.len();
-    let mut locals: Vec<SimVec<u64>> = (0..t).map(|_| machine.alloc::<u64>(groups)).collect();
-    let start = machine.wall_cycles();
-    machine.parallel(cores, |c| {
-        let w = c.worker();
-        charged_zero_fill(c, &mut locals[w], groups);
-        for run in runs.iter().skip(w).step_by(t) {
-            if optimized {
-                let mut batch = [(0usize, 0u64); 8];
-                let mut fill = 0usize;
-                jt.read_stream(c, run.clone(), |c, _, tup| {
-                    c.compute(2);
-                    let (g, v) = val(c, tup);
-                    batch[fill] = (g & mask, v);
-                    fill += 1;
-                    if fill == 8 {
-                        c.group(|c| {
-                            for &(g, v) in &batch {
-                                locals[w].rmw(c, g, |e| *e += v);
-                            }
-                        });
-                        fill = 0;
-                    }
-                });
-                c.group(|c| {
-                    for &(g, v) in &batch[..fill] {
-                        locals[w].rmw(c, g, |e| *e += v);
-                    }
-                });
-            } else {
-                jt.read_stream(c, run.clone(), |c, _, tup| {
-                    c.compute(2);
-                    let (g, v) = val(c, tup);
-                    locals[w].rmw(c, g & mask, |e| *e += v);
-                });
-            }
-        }
-    });
-    let mut sums = vec![0u64; groups];
-    machine.run(|c| {
-        for local in &locals {
-            local.read_stream(c, 0..groups, |c, g, v| {
-                c.compute(1);
-                sums[g] += v;
+    let (sums, cycles) = private_counters(machine, cores, groups, |c, local| {
+        for run in runs.iter().skip(c.worker()).step_by(t) {
+            count_bins(c, jt, run.clone(), local, 2, optimized, |c, tup| {
+                let (g, v) = val(c, tup);
+                (g & mask, v)
             });
         }
     });
-    GroupSums { sums, cycles: machine.wall_cycles() - start }
+    GroupSums { sums, cycles }
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! the next join's input with a charged reshape pass.
 
 use sgx_joins::{JoinTuple, Row};
-use sgx_sim::{Core, Machine, SimVec};
+use sgx_sim::{worker_range, Core, Machine, SimVec};
 
 /// What the selection writes into the payload column of its output rows.
 pub enum Payload<'a> {
@@ -16,22 +16,6 @@ pub enum Payload<'a> {
     RowIndex,
     /// The value of another column.
     Col(&'a SimVec<i32>),
-}
-
-/// Charged sequential zero-fill of the first `n` slots (counter-array
-/// reset before an aggregation).
-pub fn charged_zero_fill<T: Copy + Default>(c: &mut Core<'_>, v: &mut SimVec<T>, n: usize) {
-    let mut w = v.stream_writer(0);
-    for _ in 0..n {
-        w.push(c, T::default());
-    }
-}
-
-/// 64-aligned worker chunk of `0..n`.
-pub(crate) fn chunk(n: usize, t: usize, w: usize) -> std::ops::Range<usize> {
-    let per = n.div_ceil(t).div_ceil(64) * 64;
-    let start = (w * per).min(n);
-    start..((w + 1) * per).min(n)
 }
 
 /// Vectorized filter + materialize: scans `scanned` columns (charged),
@@ -54,7 +38,7 @@ pub fn select_rows(
     let mut counts = vec![0usize; t];
     machine.parallel(cores, |c| {
         let w = c.worker();
-        let range = chunk(n, t, w);
+        let range = worker_range(n, t, 64, w);
         for col in scanned {
             // One vector compare per 64-byte line of each column.
             col.read_stream_vec(c, range.clone(), |c, _, _| c.vec_compute(1));
@@ -74,7 +58,7 @@ pub fn select_rows(
     let mut out = machine.alloc::<Row>(total);
     machine.parallel(cores, |c| {
         let w = c.worker();
-        let range = chunk(n, t, w);
+        let range = worker_range(n, t, 64, w);
         let mut writer = out.stream_writer(offsets[w]);
         if let Payload::Col(pcol) = &payload {
             pcol.read_stream_vec(c, range.clone(), |c, _, _| c.vec_compute(1));

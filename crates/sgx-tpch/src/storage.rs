@@ -20,8 +20,7 @@
 
 use crate::aggregate::group_mask;
 use crate::compress::{rank_dictionary, split_runs, DictColumn, RleColumn};
-use crate::ops::{charged_zero_fill, chunk};
-use sgx_sim::{Machine, Region, SimVec};
+use sgx_sim::{worker_range, Machine, Region, SimVec};
 
 /// On-disk layout of a sealed column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -202,7 +201,7 @@ pub fn unseal(machine: &mut Machine, cores: &[usize], col: &SealedColumn) -> (Un
         StorageFormat::Plain => {
             let mut v = machine.alloc::<i32>(col.rows);
             machine.parallel(cores, |c| {
-                let r = chunk(col.rows, t, c.worker());
+                let r = worker_range(col.rows, t, 64, c.worker());
                 let mut writer = v.stream_writer(r.start);
                 for i in r {
                     c.compute(1);
@@ -224,7 +223,7 @@ pub fn unseal(machine: &mut Machine, cores: &[usize], col: &SealedColumn) -> (Un
                 }
             });
             machine.parallel(cores, |c| {
-                let r = chunk(col.rows, t, c.worker());
+                let r = worker_range(col.rows, t, 64, c.worker());
                 let mut writer = codes.stream_writer(r.start);
                 for i in r {
                     c.compute(1);
@@ -282,7 +281,7 @@ pub fn storage_path_query(
         match &unsealed {
             UnsealedColumn::Plain(v) => drop(machine.parallel(cores, |c| {
                 let w = c.worker();
-                v.read_stream(c, chunk(col.rows, t, w), |c, _, x| {
+                v.read_stream(c, worker_range(col.rows, t, 64, w), |c, _, x| {
                     c.compute(1);
                     c.branch(0.5);
                     if x >= threshold {
@@ -293,7 +292,7 @@ pub fn storage_path_query(
             })),
             UnsealedColumn::Dict(d) => drop(machine.parallel(cores, |c| {
                 let w = c.worker();
-                d.scan(c, chunk(col.rows, t, w), &mut |c, _, x| {
+                d.scan(c, worker_range(col.rows, t, 64, w), &mut |c, _, x| {
                     c.branch(0.5);
                     if x >= threshold {
                         match_slots[w] += 1;
@@ -328,8 +327,8 @@ pub fn storage_path_query(
         match &unsealed {
             UnsealedColumn::Plain(v) => drop(machine.parallel(cores, |c| {
                 let w = c.worker();
-                charged_zero_fill(c, &mut locals[w], groups);
-                v.read_stream(c, chunk(col.rows, t, w), |c, _, x| {
+                locals[w].fill(c, 0..groups, 0);
+                v.read_stream(c, worker_range(col.rows, t, 64, w), |c, _, x| {
                     c.compute(1);
                     c.branch(0.5);
                     if x >= threshold {
@@ -339,8 +338,8 @@ pub fn storage_path_query(
             })),
             UnsealedColumn::Dict(d) => drop(machine.parallel(cores, |c| {
                 let w = c.worker();
-                charged_zero_fill(c, &mut locals[w], groups);
-                d.scan(c, chunk(col.rows, t, w), &mut |c, _, x| {
+                locals[w].fill(c, 0..groups, 0);
+                d.scan(c, worker_range(col.rows, t, 64, w), &mut |c, _, x| {
                     c.branch(0.5);
                     if x >= threshold {
                         locals[w].rmw(c, (x as u32 & mask) as usize, |e| *e += 1);
@@ -348,7 +347,7 @@ pub fn storage_path_query(
                 });
             })),
             UnsealedColumn::Rle(r) => machine.run(|c| {
-                charged_zero_fill(c, &mut locals[0], groups);
+                locals[0].fill(c, 0..groups, 0);
                 r.scan_runs(c, &mut |c, x, l| {
                     c.branch(0.5);
                     if x >= threshold {
